@@ -6,13 +6,14 @@ The package is organized as a pipeline:
   params        time-dependent coefficients and config scanning
   ode           the transformation chain (rotation angle, Riccati width,
                 scale factor, accumulated phase)
-  bessel        the radial pair J_nu / N_nu away from library coverage
+  bessel        the radial pair J_nu / N_nu of real order, complex argument
   wavefunction  assembly of the full field, residual checks, convention scan
   oracle        an independent Crank-Nicolson radial propagator
   cli           config-driven commands emitting CSV artifacts
 
 Import the pieces you need from the submodules; this namespace re-exports
-the everyday surface.
+the everyday surface.  ``cli_main`` is resolved on first access, so that
+``python -m invosc.cli`` does not find its module already imported.
 """
 
 from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
@@ -35,7 +36,6 @@ from .wavefunction import (CartesianGrid, ConventionFlags, ModeSpec,
                            theta_from_xy)
 from .oracle import (PropagationResult, RadialProblem, effective_potential,
                      fidelity, propagate)
-from .cli import main as cli_main
 
 __version__ = "0.1.0"
 
@@ -61,3 +61,10 @@ __all__ = [
     "cli_main",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "cli_main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

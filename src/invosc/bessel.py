@@ -1,29 +1,22 @@
 """Bessel functions of real order: J for complex argument, N (= Y) on the
-positive real axis, and the real Gamma function that feeds the series.
+positive real axis, and the real Gamma function.
 
 The radial factor of the assembled solution is J_nu(k rho / mu) with mu
-complex, so J must accept complex argument; the second-kind function is
-needed only for annular domains where the argument stays real.  Three
-evaluation regimes:
+complex, so J must accept complex argument; N is needed only for annular
+domains where the argument stays real.  J has three evaluation regimes:
 
-  |z| <= 10        ascending power series in float64 with compensated
-                   (Kahan) accumulation; worst-case cancellation at the
-                   regime edge costs ~3 ulps relative to the result.
-  10 < |z| <= 30   the same series in mpmath arithmetic with working
-                   precision scaled to the cancellation, then rounded to
-                   float64.  Slow path; desk-scale grids rarely enter it.
-  real x > 10      Steed's method: CF1 for J'/J, a complex continued
-                   fraction for (J' + iN')/(J + iN), assembled through the
-                   Wronskian (Numerical Recipes treatment, ch. 6.7).
+  real axis            scipy.special.jv (AMOS, Amos ACM TOMS 644): real
+                       for x >= 0, complex principal branch for x < 0
+  off-axis, |z| <= 10  ascending series in float64 with Kahan summation,
+                       ~3 ulps of cancellation at the edge; a quarter
+                       cheaper than AMOS on the grids this package builds
+  off-axis, 10 < |z| <= series_radius
+                       scipy.special.jv (AMOS), complex, vectorized
 
-Complex |z| > 30 raises DomainTooLarge: the caller should shrink the grid
-or the time window rather than trust an unvalidated regime.
-
-Second-kind values come from the reflection formula
-N_nu = (J_nu cos(nu pi) - J_{-nu}) / sin(nu pi); integer orders take the
-limit numerically as the average of nu +/- 1e-6 (the linear terms cancel,
-leaving an O(eps^2) defect around 1e-11).  The sin/cos of nu*pi use exact
-argument reduction so the near-pole values keep full precision.
+Off-axis |z| > series_radius raises DomainTooLarge: the caller should
+shrink the grid or the time window rather than trust an unvalidated
+regime.  N is scipy.special.yv.  Every regime is property-tested against
+mpmath at 40 digits over |z| <= 30.
 """
 
 from __future__ import annotations
@@ -31,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
+from scipy.special import jv, yv
 
 from .errors import (DomainTooLarge, NonPositiveArgument, Overflow, Pole,
                      ToleranceNotMet)
@@ -40,10 +33,8 @@ from .errors import (DomainTooLarge, NonPositiveArgument, Overflow, Pole,
 __all__ = ["EvalDomain", "gamma_real", "bessel_j", "bessel_n",
            "wronskian_check"]
 
-_SERIES_FLOAT_RADIUS = 10.0   # float64 series trusted up to here
-_INTEGER_EPS = 1e-9           # |nu - round(nu)| below this counts as integer
+_SERIES_FLOAT_RADIUS = 10.0   # float64 series used off the axis up to here
 _MAX_TERMS = 600
-_CF_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,20 +52,13 @@ class EvalDomain:
 _DEFAULT_DOMAIN = EvalDomain()
 
 
-# -- gamma and trigonometric helpers ------------------------------------------
+# -- gamma helpers -------------------------------------------------------------
 
 def _sinpi(x):
     """sin(pi x) with exact reduction of the integer part."""
     n = round(x)
-    r = x - n
-    s = math.sin(math.pi * r)
+    s = math.sin(math.pi * (x - n))
     return -s if (n & 1) else s
-
-
-def _cospi(x):
-    n = round(x)
-    c = math.cos(math.pi * (x - n))
-    return -c if (n & 1) else c
 
 
 def gamma_real(x):
@@ -96,13 +80,8 @@ def gamma_real(x):
 
 
 def _rgamma(x):
-    """1/Gamma(x), zero at the poles.
-
-    Near-pole accuracy matters: the series for J of negative near-integer
-    order is built from these values.  The reflection form with exact
-    sin(pi x) keeps full precision there, where the platform gamma's
-    internal reduction would lose ~6 digits.
-    """
+    """1/Gamma(x), zero at the poles; the reflection form with exact
+    sin(pi x) keeps the near-pole digits the platform gamma would lose."""
     if x >= 0.5:
         try:
             return 1.0 / math.gamma(x)
@@ -119,22 +98,12 @@ def _rgamma(x):
 
 # -- ascending series ----------------------------------------------------------
 
-def _series_coeffs(nu, terms):
-    """c_j = (-1)^j / (j! Gamma(nu + j + 1)) for j = 0..terms-1."""
-    cs = np.empty(terms)
-    inv_fact = 1.0
-    for j in range(terms):
-        if j > 0:
-            inv_fact /= j
-        cs[j] = (-1.0 if j & 1 else 1.0) * inv_fact * _rgamma(nu + j + 1.0)
-    return cs
-
-
 def _series_float(nu, z):
-    """Ascending series on a flat complex array, |z| <= ~10.
+    """Ascending series on a flat complex array off the real axis, |z| <= ~10.
 
-    Sums c_j w^j with w = (z/2)^2 under Kahan compensation, then applies
-    the prefactor (z/2)^nu on the principal branch.
+    Sums c_j w^j with w = (z/2)^2 and c_j = (-1)^j / (j! Gamma(nu + j + 1))
+    under Kahan compensation, then applies the prefactor (z/2)^nu on the
+    principal branch.
     """
     w = (0.5 * z) ** 2
     s = np.zeros_like(w)
@@ -162,241 +131,7 @@ def _series_float(nu, z):
     else:
         raise ToleranceNotMet("Bessel series did not converge in "
                               f"{_MAX_TERMS} terms")
-    half = 0.5 * z
-    out = np.empty_like(s)
-    on_axis = (half.imag == 0.0) & (half.real >= 0.0)
-    if np.any(on_axis):
-        xr = half.real[on_axis]
-        with np.errstate(divide="ignore"):
-            pref = np.where(xr > 0.0, xr ** nu,
-                            1.0 if nu == 0.0 else (0.0 if nu > 0 else np.inf))
-        out[on_axis] = s[on_axis] * pref
-    off = ~on_axis
-    if np.any(off):
-        out[off] = s[off] * np.exp(nu * np.log(half[off]))
-    return out
-
-
-def _series_mp(nu, z):
-    """One series value in mpmath arithmetic, |z| <= 30.
-
-    Working precision grows with the cancellation: the largest term is
-    about exp(|z|) times the result near the real axis, so 0.9 |z| extra
-    digits plus headroom covers rounding to float64.
-    """
-    digits = 40 + int(0.9 * abs(z))
-    with mpmath.workdps(digits):
-        zz = mpmath.mpc(z)
-        w = (zz / 2) ** 2
-        s = mpmath.mpc(0)
-        p = mpmath.mpc(1)
-        for j in range(4 * _MAX_TERMS):
-            if j > 0:
-                p = p * w / j
-            g = nu + j + 1.0
-            if g <= 0 and g == math.floor(g):
-                continue  # reciprocal gamma pole: term vanishes
-            term = (-p if j & 1 else p) * mpmath.rgamma(g)
-            s += term
-            if abs(term) < mpmath.mpf(10) ** (-digits) * (abs(s) + 1):
-                break
-        val = s * (zz / 2) ** nu
-        return complex(val)
-
-
-# -- Steed's method on the real axis -------------------------------------------
-
-def _cf1(nu, x):
-    """J'_nu/J_nu by the Lentz-evaluated continued fraction, plus the sign
-    of J_nu tracked through the denominator flips."""
-    tiny = 1e-300
-    b = nu / x
-    h = b if abs(b) > tiny else tiny
-    c = h
-    d = 0.0
-    sign = 1
-    for i in range(1, _CF_MAX_ITER):
-        b = 2.0 * (nu + i) / x
-        d = b - d
-        if abs(d) < tiny:
-            d = tiny
-        c = b - 1.0 / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if d < 0.0:
-            sign = -sign
-        if abs(delta - 1.0) < 1e-16:
-            return h, sign
-    raise ToleranceNotMet(f"CF1 stalled at nu={nu}, x={x}")
-
-
-def _cf2(nu, x):
-    """(J' + iN')/(J + iN) at order nu via the complex continued fraction,
-    evaluated with modified Lentz."""
-    tiny = 1e-300
-    f = complex(tiny)
-    c = f
-    d = 0.0 + 0.0j
-    for k in range(1, _CF_MAX_ITER):
-        a = (k - 0.5) ** 2 - nu * nu
-        b = 2.0 * (x + 1j * k)
-        d = b + a * d
-        if d == 0:
-            d = complex(tiny)
-        c = b + a / c
-        if c == 0:
-            c = complex(tiny)
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ToleranceNotMet(f"CF2 stalled at nu={nu}, x={x}")
-    ratio = -0.5 / x + 1j + 1j * f / x
-    return ratio.real, ratio.imag
-
-
-def _steed(nu, x):
-    """(J_nu, J'_nu, N_nu, N'_nu) for real x, reliable for x >~ 2.
-
-    CF1 runs at the requested order; J is recurred down to an order xmu
-    below x's reach where CF2 converges, normalized there through the
-    Wronskian, and N comes back up by the (stable) upward recurrence.
-    In this package's regime x > 10 exceeds every order in play, so both
-    recurrences are usually zero trips.
-    """
-    nl = max(0, int(nu - x + 1.5))
-    xmu = nu - nl
-    f, sign = _cf1(nu, x)
-    rjl = sign * 1e-30          # unnormalized J at order nu
-    rjpl = f * rjl
-    rj_nu, rjp_nu = rjl, rjpl   # saved for the final rescale
-    fact = nu / x
-    for _ in range(nl):
-        rjt = fact * rjl + rjpl          # J_{m-1} = (m/x) J_m + J'_m
-        fact -= 1.0 / x
-        rjpl = fact * rjt - rjl          # J'_{m-1} = ((m-1)/x) J_{m-1} - J_m
-        rjl = rjt
-    if rjl == 0.0:
-        rjl = 1e-300
-    f1 = rjpl / rjl
-    p, q = _cf2(xmu, x)
-    w = 2.0 / (math.pi * x)
-    gam = (p - f1) / q
-    rjmu = math.sqrt(w / ((p - f1) * gam + q))
-    rjmu = math.copysign(rjmu, rjl)
-    scale = rjmu / rjl
-    j_nu = rj_nu * scale
-    jp_nu = rjp_nu * scale
-    rymu = gam * rjmu
-    rymup = rymu * (p + q / gam)
-    ry1 = (xmu / x) * rymu - rymup       # N_{xmu+1} = (xmu/x) N_xmu - N'_xmu
-    for i in range(1, nl + 1):
-        rymu, ry1 = ry1, (2.0 * (xmu + i) / x) * ry1 - rymu
-    n_nu = rymu
-    np_nu = (nu / x) * rymu - ry1        # N'_nu = (nu/x) N_nu - N_{nu+1}
-    return j_nu, jp_nu, n_nu, np_nu
-
-
-# -- order-general internal evaluators ------------------------------------------
-
-def _j_any_real(nu, x):
-    """J_nu(x) for real x > 0 and any real order."""
-    if x <= _SERIES_FLOAT_RADIUS:
-        return float(_series_float(nu, np.asarray([complex(x)]))[0].real)
-    if nu >= 0.0:
-        return _steed(nu, x)[0]
-    a = -nu
-    ja, _, na, _ = _steed(a, x)
-    return _cospi(a) * ja - _sinpi(a) * na
-
-
-def _n_int_series(n, x):
-    """N_n(x) for integer n >= 0 and 0 < x <= series radius.
-
-    Ascending form: (2/pi) ln(x/2) J_n plus a finite sum in negative
-    powers plus a digamma-weighted companion of the J series.  The
-    reflection formula degenerates to 0/0 at integer order; this is its
-    limit, written out so no digits are lost taking it numerically.
-    """
-    half = 0.5 * x
-    jn = float(_series_float(float(n), np.asarray([complex(x)]))[0].real)
-    total = (2.0 / math.pi) * math.log(half) * jn
-
-    if n > 0:
-        # sum_{k<n} (n-k-1)!/k! (x/2)^(2k-n), dominant for small x
-        fk = math.factorial(n - 1) * half ** (-n)
-        fin = 0.0
-        for k in range(n):
-            if k > 0:
-                fk *= half * half / (k * (n - k))
-            fin += fk
-        total -= fin / math.pi
-
-    # sum_k (psi(k+1) + psi(n+k+1)) (-1)^k (x/2)^(2k+n) / (k! (n+k)!)
-    psi_a = -np.euler_gamma                      # psi(1)
-    psi_b = -np.euler_gamma + sum(1.0 / m for m in range(1, n + 1))
-    tk = half ** n / math.factorial(n)
-    s = 0.0
-    comp = 0.0
-    quiet = 0
-    for k in range(_MAX_TERMS):
-        if k > 0:
-            psi_a += 1.0 / k
-            psi_b += 1.0 / (n + k)
-            tk *= -(half * half) / (k * (n + k))
-        term = (psi_a + psi_b) * tk
-        yk = term - comp
-        t = s + yk
-        comp = (t - s) - yk
-        s = t
-        if abs(term) <= 1e-18 * (abs(s) + 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ToleranceNotMet("integer-order N series did not converge in "
-                              f"{_MAX_TERMS} terms")
-    return total - s / math.pi
-
-
-def _n_any_real(nu, x):
-    """N_nu(x) for real x > 0 and any real order.
-
-    Orders within _INTEGER_EPS of an integer snap to the integer-order
-    limit.  Non-integer orders closer than ~1e-3 to an integer go through
-    the reflection formula and lose digits to its cancellation in
-    proportion; the orders this package generates are either exact
-    integers or well separated from them.
-    """
-    if abs(nu - round(nu)) < _INTEGER_EPS:
-        n = int(round(nu))
-        if n < 0:
-            val = _n_any_real(float(-n), x)
-            return -val if (-n) & 1 else val
-        if x > _SERIES_FLOAT_RADIUS:
-            return _steed(float(n), x)[2]
-        return _n_int_series(n, x)
-    if nu >= 0.0 and x > _SERIES_FLOAT_RADIUS:
-        return _steed(nu, x)[2]
-    if nu < 0.0 and x > _SERIES_FLOAT_RADIUS:
-        a = -nu
-        ja, _, na, _ = _steed(a, x)
-        return _sinpi(a) * ja + _cospi(a) * na
-    return _n_reflect(nu, x)
-
-
-def _n_reflect(nu, x):
-    """Reflection formula, valid for non-integer order of either sign."""
-    jp = _j_any_real(nu, x)
-    jm = _j_any_real(-nu, x)
-    return (jp * _cospi(nu) - jm) / _sinpi(nu)
+    return s * np.exp(nu * np.log(0.5 * z))
 
 
 # -- public operations -----------------------------------------------------------
@@ -413,8 +148,8 @@ def bessel_j(nu, z, dom: EvalDomain | None = None):
 
     Real nonnegative input comes back as float64, anything else as
     complex128 on the principal branch of z^nu.  Complex magnitudes past
-    ``dom.series_radius`` raise DomainTooLarge so callers shrink their
-    grid or time window instead of consuming junk.
+    ``dom.series_radius`` off the real axis raise DomainTooLarge so callers
+    shrink their grid or time window instead of consuming junk.
     """
     nu = _check_order(nu)
     dom = dom or _DEFAULT_DOMAIN
@@ -423,33 +158,26 @@ def bessel_j(nu, z, dom: EvalDomain | None = None):
     zf = np.atleast_1d(z_in).astype(complex).ravel()
     out = np.empty(zf.shape, dtype=complex)
     mag = np.abs(zf)
-    on_real_axis = (zf.imag == 0.0) & (zf.real > 0.0)
+    off_axis = zf.imag != 0.0
 
-    small = mag <= _SERIES_FLOAT_RADIUS
+    too_big = off_axis & (mag > dom.series_radius)
+    if np.any(too_big):
+        worst = float(np.max(mag[too_big]))
+        raise DomainTooLarge(
+            f"|z| = {worst:.4g} exceeds the validated complex radius "
+            f"{dom.series_radius:g}")
+
+    small = off_axis & (mag <= _SERIES_FLOAT_RADIUS)
+    right = ~off_axis & (zf.real >= 0.0)
+    cplx = ~small & ~right        # off-axis past 10, or the negative axis
     if np.any(small):
-        zero = small & (mag == 0.0)
-        if np.any(zero):
-            out[zero] = 1.0 if nu == 0.0 else 0.0
-        rest = small & ~zero
-        if np.any(rest):
-            out[rest] = _series_float(nu, zf[rest])
+        out[small] = _series_float(nu, zf[small])
+    if np.any(right):
+        out[right] = jv(nu, zf.real[right])
+    if np.any(cplx):
+        out[cplx] = jv(nu, zf[cplx])
 
-    big_real = ~small & on_real_axis
-    for i in np.nonzero(big_real)[0]:
-        out[i] = _steed(nu, zf[i].real)[0]
-
-    big_cplx = ~small & ~on_real_axis
-    if np.any(big_cplx):
-        too_big = mag > dom.series_radius
-        if np.any(big_cplx & too_big):
-            worst = float(np.max(mag[big_cplx & too_big]))
-            raise DomainTooLarge(
-                f"|z| = {worst:.4g} exceeds the validated complex radius "
-                f"{dom.series_radius:g}")
-        for i in np.nonzero(big_cplx)[0]:
-            out[i] = _series_mp(nu, complex(zf[i]))
-
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.all(np.isfinite(out)):
         raise Overflow("J evaluation left the double range")
     out = out.reshape(np.atleast_1d(z_in).shape)
     if real_in:
@@ -465,13 +193,11 @@ def bessel_n(nu, x):
     x_in = np.asarray(x, dtype=float)
     if np.any(x_in <= 0.0):
         raise NonPositiveArgument("N_nu needs x > 0")
-    flat = np.atleast_1d(x_in).ravel()
-    out = np.array([_n_any_real(nu, float(xx)) for xx in flat])
+    out = yv(nu, x_in)
     if not np.all(np.isfinite(out)):
         raise Overflow("N evaluation left the double range")
-    out = out.reshape(np.atleast_1d(x_in).shape)
     if x_in.ndim == 0:
-        return float(out.item())
+        return float(out)
     return out
 
 
@@ -479,17 +205,15 @@ def wronskian_check(nu, x):
     """J_nu N'_nu - J'_nu N_nu - 2/(pi x): zero in exact arithmetic.
 
     Derivatives use the downward recurrence f' = f_{nu-1} - (nu/x) f_nu,
-    which needs one extra order of each kind; order nu-1 may be negative
-    and is handled by the internal any-order evaluators.
+    which needs one extra order of each kind; order nu-1 may be negative,
+    which jv and yv accept.
     """
     nu = _check_order(nu)
     x = float(x)
     if x <= 0.0:
         raise NonPositiveArgument("wronskian_check needs x > 0")
-    j0 = _j_any_real(nu, x)
-    j1 = _j_any_real(nu - 1.0, x)
-    n0 = _n_any_real(nu, x)
-    n1 = _n_any_real(nu - 1.0, x)
+    j0, j1 = float(jv(nu, x)), float(jv(nu - 1.0, x))
+    n0, n1 = float(yv(nu, x)), float(yv(nu - 1.0, x))
     jp = j1 - (nu / x) * j0
     npr = n1 - (nu / x) * n0
     return j0 * npr - jp * n0 - 2.0 / (math.pi * x)

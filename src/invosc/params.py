@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, NonFinite, OutOfDomain
 
@@ -90,6 +89,10 @@ class TimeFunction:
         The span defaults to the sample range.  Sample times must be
         strictly increasing.
         """
+        # Imported here: no bundled config tabulates, and scipy.interpolate
+        # (with scipy.optimize behind it) adds ~40% to ``import invosc``.
+        from scipy.interpolate import CubicSpline
+
         ts = np.asarray(times, dtype=float)
         vs = np.asarray(values, dtype=float)
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:

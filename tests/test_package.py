@@ -1,0 +1,46 @@
+"""Package-level contracts: what ``import invosc`` loads, and the module
+entry points of the command line, each run in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import invosc
+
+SRC = str(Path(invosc.__file__).resolve().parent.parent)
+
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_import_leaves_test_and_spline_dependencies_unloaded():
+    # mpmath is a test-only reference; scipy.interpolate is needed only by
+    # tabulated coefficients, which no bundled config uses.
+    proc = _run("-c", "import sys, invosc; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mpmath" not in loaded
+    assert "scipy.interpolate" not in loaded
+
+
+def test_cli_main_resolves_lazily():
+    proc = _run("-c", "import sys, invosc; assert 'invosc.cli' not in sys.modules; "
+                      "main = invosc.cli_main; import invosc.cli as cli; "
+                      "assert main is cli.main")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["invosc", "invosc.cli"])
+def test_module_entry_point_help_is_clean(module):
+    proc = _run("-m", module, "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: invosc")
