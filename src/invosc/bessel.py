@@ -39,10 +39,9 @@ _MAX_TERMS = 600
 
 @dataclass(frozen=True)
 class EvalDomain:
-    """Validated argument domain and accuracy target for J evaluation."""
+    """Validated argument domain for J evaluation."""
 
     series_radius: float = 30.0
-    target_rel: float = 1e-12
 
     def __post_init__(self):
         if self.series_radius <= 0:

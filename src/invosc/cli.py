@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import socket
 import sys
 from pathlib import Path
 
@@ -336,7 +337,12 @@ def _resolve_out(args):
 
 
 class _OutputLock:
-    """Exclusive ``.lock`` in the output directory, crash leaves it behind."""
+    """Exclusive ``.lock`` in the output directory, crash leaves it behind.
+
+    The file records the owner's pid and host.  A lock whose owner ran on
+    this host and is gone is named as stale in the refusal, but it is
+    never removed: only the user can rule out a run on a shared mount.
+    """
 
     def __init__(self, out_dir):
         self.lock_path = Path(out_dir) / ".lock"
@@ -345,12 +351,36 @@ class _OutputLock:
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            pid = self._dead_owner()
+            if pid is not None:
+                raise InvoscError(
+                    f"output directory is locked by a stale {self.lock_path} "
+                    f"left by pid {pid}, which is no longer running on this "
+                    "host; remove the file to continue") from None
             raise InvoscError(
                 f"output directory is locked by {self.lock_path}; remove the "
                 "file if no other run is active") from None
-        os.write(fd, f"{os.getpid()}\n".encode())
+        os.write(fd, f"{os.getpid()}\n{socket.gethostname()}\n".encode())
         os.close(fd)
         return self
+
+    def _dead_owner(self):
+        """The lock's pid if it was taken on this host and has exited."""
+        try:
+            pid_text, host = self.lock_path.read_text().splitlines()[:2]
+            pid = int(pid_text)
+        except (OSError, ValueError):
+            return None
+        # os.kill(pid, 0) only probes on POSIX; elsewhere it terminates.
+        if os.name != "posix" or host != socket.gethostname() or pid <= 0:
+            return None
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except (OSError, OverflowError):
+            pass
+        return None
 
     def __exit__(self, *exc_info):
         self.lock_path.unlink(missing_ok=True)

@@ -97,7 +97,8 @@ class MismatchedGrids(InvoscError):
 
 
 class Unstable(InvoscError):
-    """Propagation norm drift exceeded the cumulative budget."""
+    """Propagation norm drift exceeded the cumulative budget, or a
+    propagation linear solve reported a singular system."""
 
 
 class ZeroNorm(InvoscError):

@@ -76,7 +76,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    dense_resolution: int = 512
     blowup_factor: float = 1e6
     max_steps: int = 200_000
 

@@ -214,11 +214,6 @@ class TimeFunction:
         return float(np.min(self._spline(np.asarray(cands))))
 
 
-def evaluate(f: TimeFunction, t):
-    """Evaluate a time function; thin alias kept for API symmetry."""
-    return f.value(t)
-
-
 def _sample_sign_ok(f, lo, strict):
     """Secondary sampled check backing the closed-form bound."""
     ts = np.linspace(f.span[0], f.span[1], _POSITIVITY_SAMPLES)

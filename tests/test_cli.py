@@ -13,6 +13,10 @@ the expected-Unstable twin is a strict xfail.
 """
 
 import math
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ import invosc
 from invosc.bessel import bessel_j, bessel_n
 from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
                         EXIT_SOLVER, EXIT_UNSTABLE, EXIT_VERIFY, OUT_DIR_ENV,
-                        main)
+                        _OutputLock, main)
 from invosc.errors import Inconclusive
 from invosc.wavefunction import ConventionFlags, ScanRow
 
@@ -108,6 +112,24 @@ def test_locked_output_directory_is_refused(tmp_path, capsys):
                "--out", str(tmp_path), "--quiet"])
     assert rc == EXIT_OK
     assert not (tmp_path / ".lock").exists()
+
+
+def test_stale_lock_is_diagnosed_and_kept(tmp_path, capsys):
+    host = socket.gethostname()
+    with _OutputLock(tmp_path):
+        assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n{host}\n"
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = tmp_path / ".lock"
+    for owner, stale in ((child.pid, True), (os.getpid(), False)):
+        lock.write_text(f"{owner}\n{host}\n")
+        rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "locked" in err
+        assert (f"stale {lock} left by pid {owner}" in err) is stale
+        assert lock.read_text() == f"{owner}\n{host}\n"
 
 
 # -- verify ------------------------------------------------------------------------

@@ -14,7 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from invosc.errors import (MismatchedGrids, NonFinite, OutOfDomain)
+from scipy.linalg import solve_banded
+
+import invosc.oracle as oracle
+from invosc.errors import (MismatchedGrids, NonFinite, OutOfDomain, Unstable)
 from invosc.oracle import (PropagationResult, RadialProblem,
                            effective_potential, fidelity, propagate)
 from invosc.params import TimeFunction
@@ -55,8 +58,7 @@ def test_potential_centrifugal_plus_coupling():
 
 def test_potential_field_shift_and_quadratic_coefficient():
     # q=1, B=4, m=1, omega=0: the quadratic coefficient is (1/2)(qB/2m)^2
-    # = 2 and the sector constant is qBn/(4m) = 2 (sign set by the
-    # fitted cross-term scalar)
+    # = 2 and the sector constant is qBn/(4m) = 2
     coeffs = make_coeffs(w=0.0, B=4.0, C=0.0)
     rho = 50.0
     v = effective_potential(coeffs, 2, rho, 0.5)
@@ -77,6 +79,27 @@ def test_potential_array_and_domain():
         effective_potential(coeffs, 1, 0.0, 0.0)
     with pytest.raises(OutOfDomain):
         effective_potential(coeffs, 1, np.array([1.0, -2.0]), 0.0)
+
+
+def test_cross_term_fit_matches_the_derived_constant():
+    # i (y d_x - x d_y) on a ring-supported exp(i phi) sample, by central
+    # differences on a Cartesian patch: the ratio to the sample is the
+    # eigenvalue per unit winding that the sector shift uses
+    xs = np.linspace(-3.0, 3.0, 97)
+    h = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    rho2 = X * X + Y * Y
+    psi = np.exp(-((np.sqrt(rho2) - 1.5) ** 2)) * np.exp(1j * np.arctan2(Y, X))
+    d_x = np.zeros_like(psi)
+    d_y = np.zeros_like(psi)
+    d_x[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2.0 * h)
+    d_y[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * h)
+    op = 1j * (Y * d_x - X * d_y)
+    core = (rho2 > 1.0) & (rho2 < 4.0)
+    core[:2, :] = core[-2:, :] = False
+    core[:, :2] = core[:, -2:] = False
+    ratio = np.mean((op[core] / psi[core]).real)
+    assert abs(ratio - oracle._CROSS_TERM) < 0.05
 
 
 # -- problem geometry --------------------------------------------------------------
@@ -302,3 +325,94 @@ def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
     path = tmp_path / "fid.csv"
     res.write_csv(path)
     assert path.read_text().splitlines()[-1].endswith(",nan")
+
+
+# -- hoisted propagator against the per-step reference ---------------------------------
+
+def _per_step_reference(problem, u0):
+    """The plain loop: rebuild H at every midpoint and solve it banded."""
+    rho, dr = problem.rho, problem.drho
+    t0, t1 = problem.span
+    n_steps = max(1, int(round((t1 - t0) / problem.dt)))
+    dt = (t1 - t0) / n_steps
+    z = 0.5j * dt
+    u = np.asarray(u0, dtype=complex).copy()
+    for j in range(n_steps):
+        t = t0 + (j + 0.5) * dt
+        scale = 1.0 / (2.0 * problem.coeffs.mass.value(t) * rho * dr * dr)
+        rp, rm = rho + 0.5 * dr, rho - 0.5 * dr
+        sub, sup = -rm * scale, -rp * scale
+        diag = (rp + rm) * scale + effective_potential(problem.coeffs,
+                                                       problem.n, rho, t)
+        hu = diag * u
+        hu[:-1] += sup[:-1] * u[1:]
+        hu[1:] += sub[1:] * u[:-1]
+        ab = np.zeros((3, u.size), dtype=complex)
+        ab[0, 1:], ab[1], ab[2, :-1] = z * sup[:-1], 1.0 + z * diag, z * sub[1:]
+        u = solve_banded((1, 1), ab, u - z * hu)
+    return u
+
+
+def _driven():
+    return make_coeffs(m=TimeFunction.linear(1.0, 0.1, SPAN),
+                       B=TimeFunction.sinusoidal(1.0, 3.0, SPAN))
+
+
+def _ring_problem(coeffs, dt=2e-3):
+    prob = RadialProblem(coeffs, 2, 10.0, 512, dt, SPAN)
+    return prob, np.exp(-(prob.rho - 3.0) ** 2) * (1.0 + 0.3j * prob.rho)
+
+
+@pytest.mark.parametrize("coeffs", [make_coeffs(), _driven()],
+                         ids=["constant", "driven"])
+def test_hoisted_propagator_matches_the_per_step_loop(coeffs):
+    prob, u0 = _ring_problem(coeffs)
+    res = propagate(prob, u0, reference=lambda t: u0)
+    ref = _per_step_reference(prob, u0)
+    peak = np.max(np.abs(ref))
+    assert np.max(np.abs(res.fields[-1] - ref)) <= 1e-12 * peak
+    w = prob.weights()
+    assert res.fidelities[-1] == pytest.approx(fidelity(ref, u0, w),
+                                               abs=1e-14)
+
+
+@pytest.mark.parametrize("coeffs, calls", [(make_coeffs(), 0),
+                                           (_driven(), 500)],
+                         ids=["constant", "driven"])
+def test_constant_coefficients_factor_once(monkeypatch, coeffs, calls):
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        if calls == 0:
+            raise AssertionError("constant coefficients must not re-solve")
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_banded", counting)
+    prob, u0 = _ring_problem(coeffs)
+    propagate(prob, u0)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("coeffs, solver", [
+    (make_coeffs(), "zgttrs"), (_driven(), "solve_banded")],
+    ids=["constant", "driven"])
+def test_non_finite_step_is_unstable(monkeypatch, coeffs, solver):
+    def poisoned(*args, **kwargs):
+        rhs = args[-1]
+        out = np.full_like(rhs, complex(math.nan, math.nan))
+        return (out, 0) if solver == "zgttrs" else out
+
+    monkeypatch.setattr(oracle, solver, poisoned)
+    prob, u0 = _ring_problem(coeffs)
+    with pytest.raises(Unstable, match="after 1 steps"):
+        propagate(prob, u0)
+
+
+def test_singular_factor_is_unstable(monkeypatch):
+    real = oracle.zgttrf
+    monkeypatch.setattr(oracle, "zgttrf",
+                        lambda *a: (*real(*a)[:-1], 3))
+    prob, u0 = _ring_problem(make_coeffs())
+    with pytest.raises(Unstable, match="singular"):
+        propagate(prob, u0)
