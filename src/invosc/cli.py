@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import socket
@@ -420,12 +421,17 @@ def _resolve_flags(cfg, args):
     return ConventionFlags.from_label(raw), source
 
 
-def _run_scan(cfg):
+def _run_scan(cfg, chain):
+    """Rank the eight readings; ``chain(branch)`` supplies the chains.
+
+    Commands that go on to use the winner pass a memoized ``chain`` so
+    the winning branch is not solved a second time.
+    """
     if cfg.verify is None:
         raise ConfigError("scan needs a [verification] section for the "
                           "residual times and step")
     template = cfg.mode(ConventionFlags())
-    return convention_scan(template, cfg.chain, cfg.coeffs, cfg.grid,
+    return convention_scan(template, chain, cfg.coeffs, cfg.grid,
                            times=cfg.verify.times,
                            step=cfg.verify.dt_ladder[0])
 
@@ -442,17 +448,18 @@ def cmd_solve(args):
     cfg = RunConfig.load(args.config, flags_override=args.flags)
     out = _resolve_out(args)
     flags, source = _resolve_flags(cfg, args)
+    chain = functools.cache(cfg.chain)
     with _OutputLock(out):
         artifacts = ["trajectory.csv", "field.csv"]
         scan_note = None
         if flags == "scan":
-            outcome = _run_scan(cfg)
+            outcome = _run_scan(cfg, chain)
             outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
             artifacts.append("scan_table.csv")
             flags = outcome.winner
             scan_note = f"scan(margin={outcome.margin:.6g})"
             source = "scan"
-        traj = cfg.chain(flags.alpha_branch)
+        traj = chain(flags.alpha_branch)
         mode = cfg.mode(flags)
         write_trajectory_csv(traj, out / "trajectory.csv",
                              num=cfg.trajectory_samples, digest=cfg.digest)
@@ -490,14 +497,15 @@ def cmd_verify(args):
                             f"{len(cfg.verify.dt_ladder)} ladder level")
     out = _resolve_out(args)
     flags, source = _resolve_flags(cfg, args)
+    chain = functools.cache(cfg.chain)
     with _OutputLock(out):
         _refuse_digest_clash(out, cfg.digest)
         if flags == "scan":
-            outcome = _run_scan(cfg)
+            outcome = _run_scan(cfg, chain)
             outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
             flags = outcome.winner
             source = f"scan(margin={outcome.margin:.6g})"
-        traj = cfg.chain(flags.alpha_branch)
+        traj = chain(flags.alpha_branch)
         mode = cfg.mode(flags)
         try:
             report = schrodinger_residual(mode, traj, cfg.coeffs, cfg.grid,
@@ -529,11 +537,12 @@ def cmd_oracle(args):
     out = _resolve_out(args)
     flags, source = _resolve_flags(cfg, args)
     scan_outcome = None
+    chain = functools.cache(cfg.chain)
     if flags == "scan":
-        scan_outcome = _run_scan(cfg)
+        scan_outcome = _run_scan(cfg, chain)
         flags = scan_outcome.winner
         source = f"scan(margin={scan_outcome.margin:.6g})"
-    traj = cfg.chain(flags.alpha_branch)
+    traj = chain(flags.alpha_branch)
     mode = cfg.mode(flags)
     problem = RadialProblem(coeffs=cfg.coeffs, n=sector_winding(mode),
                             rho_max=cfg.oracle.rho_max,
@@ -582,7 +591,7 @@ def cmd_scan(args):
     out = _resolve_out(args)
     with _OutputLock(out):
         try:
-            outcome = _run_scan(cfg)
+            outcome = _run_scan(cfg, cfg.chain)
         except Inconclusive as exc:
             rows = getattr(exc, "rows", ())
             if rows:

@@ -87,6 +87,23 @@ def test_solve_is_byte_deterministic(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def test_solve_reuses_the_scanned_chains(tmp_path, monkeypatch):
+    # static_c0 resolves its flags by scan, which solves both branches;
+    # the winning branch's chain is then reused, not solved again
+    import invosc.cli as cli
+    alpha0s = []
+    real = cli.solve_chain
+
+    def counting(*args, **kwargs):
+        alpha0s.append(kwargs["alpha0"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_chain", counting)
+    rc = main(["solve", "--config", C0, "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_OK
+    assert len(alpha0s) == 2 and alpha0s[0] != alpha0s[1]
+
+
 def test_quiet_silences_stdout(tmp_path, capsys):
     rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
                "--out", str(tmp_path), "--quiet"])

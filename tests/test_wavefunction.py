@@ -389,6 +389,137 @@ def test_wave_field_csv_layout(tmp_path, mode_c15, chain_c15):
     assert ab2 == pytest.approx(re * re + im * im, rel=1e-15)
 
 
+def _assemble_per_node(mode, traj, x, y, t):
+    """The assembly as it was before radii were deduplicated: the radial
+    factor evaluated at every node, kept as the reference."""
+    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float))
+    rho = np.hypot(xa, ya)
+    beta = float(traj.beta(t))
+    alpha = complex(traj.alpha(t))
+    mu = complex(traj.mu(t))
+    f = complex(traj.phase(t))
+    sh = mode.conventions.exponent_sign * mode.conventions.exponent_half
+    out = np.zeros(rho.shape, dtype=complex)
+    origin = rho == 0.0
+    if np.any(origin):
+        assert mode.nu == 0.0 and mode.n == 0
+        out[origin] = mode.amp_first * np.exp(-1j * f)
+    body = ~origin
+    rb = rho[body]
+    radial = mode.amp_first * bessel_j(mode.nu, (mode.k / mu) * rb)
+    if mode.amp_second != 0:
+        radial = radial + mode.amp_second * bessel_n(mode.nu,
+                                                     rb * (mode.k / mu.real))
+    theta = theta_from_xy(xa[body], ya[body], beta)
+    out[body] = radial * np.exp((sh * alpha) * rb * rb
+                                + 1j * float(mode.angular_sign * mode.n) * theta
+                                - 1j * f)
+    return out
+
+
+class RealScaleChain(FlatChain):
+    """Real scale factor mu with a nontrivial envelope, frame and phase,
+    so a second-kind amplitude is allowed."""
+
+    def beta(self, t):
+        return 0.3
+
+    def alpha(self, t):
+        return 0.2 + 0.1j
+
+    def mu(self, t):
+        return 1.3 + 0.0j
+
+    def phase(self, t):
+        return 0.1 - 0.05j
+
+
+DEDUP_POLAR = PolarGrid(0.4, 8.0, 256, 256)
+
+
+@pytest.mark.parametrize("case", ["polar_complex_mu", "second_kind_real_mu",
+                                  "cartesian_origin_nu0"])
+def test_deduplicated_radial_factor_matches_per_node(case, chain_c15):
+    if case == "polar_complex_mu":
+        mode = ModeSpec.from_coupling(k=1.0, n=1, C=1.5, conventions=WINNER)
+        traj, grid = chain_c15, DEDUP_POLAR
+    elif case == "second_kind_real_mu":
+        mode = ModeSpec.from_coupling(k=1.0, n=2, C=0.7, amp_second=0.25 - 0.5j,
+                                      conventions=WINNER)
+        traj, grid = RealScaleChain(), PolarGrid(0.4, 8.0, 96, 80)
+    else:
+        mode = ModeSpec.from_coupling(k=1.0, n=0, C=0.0, conventions=WINNER)
+        traj, grid = chain_c15, CartesianGrid.centered(6.0, 65)
+    X, Y = grid.xy_mesh()
+    if case == "cartesian_origin_nu0":
+        assert np.count_nonzero(np.hypot(X, Y) == 0.0) == 1
+    for t in (0.0, 0.5):
+        ref = _assemble_per_node(mode, traj, X, Y, t)
+        got = assemble_psi(mode, traj, X, Y, t)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_radial_factor_is_evaluated_once_per_distinct_radius(
+        monkeypatch, mode_c15, chain_c15):
+    sizes = []
+
+    def recording(nu, z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return bessel_j(nu, z, *args, **kwargs)
+
+    monkeypatch.setattr("invosc.wavefunction.bessel_j", recording)
+    X, Y = DEDUP_POLAR.xy_mesh()
+    distinct = np.unique(np.hypot(X, Y)).size
+    sample_field(mode_c15, chain_c15, DEDUP_POLAR, (0.0, 0.5, 1.0))
+    assert sizes == [distinct] * 3
+    assert distinct < X.size // 50
+
+
+def _write_csv_per_row(field, path, digest=None):
+    """WaveField.write_csv as it was before chunked formatting, kept as
+    the byte reference."""
+    X, Y = field.grid.xy_mesh()
+    with open(path, "w", encoding="utf-8") as fh:
+        if digest:
+            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# mode: {field.mode.describe()}\n")
+        fh.write(f"# grid: {field.grid.describe()}\n")
+        fh.write("x,y,t,re_psi,im_psi,abs2\n")
+        for i, t in enumerate(field.times):
+            v = field.values[i].ravel()
+            for xx, yy, vv in zip(X.ravel(), Y.ravel(), v):
+                fh.write(f"{xx:.17g},{yy:.17g},{t:.17g},"
+                         f"{vv.real:.17g},{vv.imag:.17g},"
+                         f"{(vv.real * vv.real + vv.imag * vv.imag):.17g}\n")
+
+
+@pytest.mark.parametrize("digest", ["c" * 64, None])
+def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
+                                                      digest):
+    # 67 x 71 = 4757 rows per slice: one full chunk plus a partial tail
+    grid = CartesianGrid(-1.0, 2.0, 67, -3.0, 0.5, 71)
+    times = (0.1, 1.0 / 3.0, 0.0)
+    rng = np.random.default_rng(7)
+    shape = (len(times), *grid.shape)
+    values = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+              + 1j * rng.standard_normal(shape))
+    flat = values.reshape(len(times), -1)
+    flat[0, 0] = complex(-0.0, 1e-300)
+    flat[0, 1] = complex(1e300, -0.0)
+    flat[1, -1] = complex(-1e-300, -1e300)
+    flat[2, 4095] = complex(-0.0, -0.0)
+    flat[2, 4096] = complex(1e-300, 1e300)
+    field = WaveField(grid=grid, times=times, values=values, mode=mode_c15)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    with np.errstate(over="ignore"):       # |1e300|^2 is written as inf
+        field.write_csv(new, digest=digest)
+        _write_csv_per_row(field, old, digest=digest)
+    assert new.read_bytes() == old.read_bytes()
+    assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * 4757
+
+
 # -- residual ladder ----------------------------------------------------------------
 
 def test_known_plane_wave_passes_the_operator():
