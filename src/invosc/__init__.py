@@ -24,8 +24,7 @@ from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
 from .params import (CoefficientSet, TimeFunction, derived_fields,
                      effective_frequency_sq, frame_rotation_rate)
 from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
-                  default_alpha0, integrate_beta, integrate_mu,
-                  integrate_phase, solve_chain, solve_riccati,
+                  default_alpha0, solve_chain, solve_riccati,
                   write_trajectory_csv)
 from .bessel import bessel_j, bessel_n, gamma_real, wronskian_check
 from .wavefunction import (CartesianGrid, ConventionFlags, ModeSpec,
@@ -48,8 +47,7 @@ __all__ = [
     "CoefficientSet", "TimeFunction", "derived_fields",
     "effective_frequency_sq", "frame_rotation_rate",
     "IntegratorConfig", "MU_COUPLINGS", "TransformTrajectory",
-    "default_alpha0", "integrate_beta", "integrate_mu", "integrate_phase",
-    "solve_chain", "solve_riccati", "write_trajectory_csv",
+    "default_alpha0", "solve_chain", "solve_riccati", "write_trajectory_csv",
     "bessel_j", "bessel_n", "gamma_real", "wronskian_check",
     "CartesianGrid", "ConventionFlags", "ModeSpec", "PolarGrid",
     "ResidualReport", "ScanOutcome", "WaveField", "assemble_psi",

@@ -595,12 +595,8 @@ def cmd_scan(args):
         except Inconclusive as exc:
             rows = getattr(exc, "rows", ())
             if rows:
-                ranked = sorted(rows, key=lambda r: r.rel_inf)
-                margin = (ranked[1].rel_inf / ranked[0].rel_inf
-                          if ranked[0].rel_inf > 0 else float("inf"))
-                table = ScanOutcome(winner=ranked[0].flags, rows=rows,
-                                    margin=margin)
-                table.write_csv(out / "scan_table.csv", digest=cfg.digest)
+                ScanOutcome.ranked(rows).write_csv(out / "scan_table.csv",
+                                                   digest=cfg.digest)
                 _say(args, f"scan: INCONCLUSIVE {exc}")
             raise
         outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)

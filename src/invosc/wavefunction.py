@@ -747,11 +747,22 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanOutcome:
-    """Result of the 8-way convention scan: winner plus the full table."""
+    """Result of the 8-way convention scan: winner, runner-up and the full
+    table."""
 
     winner: ConventionFlags
+    runner_up: ConventionFlags
     rows: tuple
     margin: float               # runner-up residual / winner residual
+
+    @classmethod
+    def ranked(cls, rows):
+        """Rank a scan table by rel_inf: the least wins, ties going to the
+        earlier row; ``rows`` keep their order."""
+        best, second = sorted(rows, key=lambda row: row.rel_inf)[:2]
+        margin = second.rel_inf / best.rel_inf if best.rel_inf > 0 else math.inf
+        return cls(winner=best.flags, runner_up=second.flags, rows=tuple(rows),
+                   margin=margin)
 
     def write_csv(self, path, digest=None):
         with open(path, "w", encoding="utf-8") as fh:
@@ -794,17 +805,17 @@ def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
         decays = all((sh * complex(traj.alpha(t))).real < 0.0 for t in times)
         rows.append(ScanRow(flags, report.rel_inf, report.rel_l2, decays))
 
-    ranked = sorted(range(len(rows)), key=lambda i: rows[i].rel_inf)
-    best, second = rows[ranked[0]], rows[ranked[1]]
-    margin = second.rel_inf / best.rel_inf if best.rel_inf > 0 else math.inf
-    if margin < 2.0:
+    outcome = ScanOutcome.ranked(rows)
+    if outcome.margin < 2.0:
+        rel_inf = {row.flags: row.rel_inf for row in rows}
+        best, second = outcome.winner, outcome.runner_up
         err = Inconclusive(
-            f"best residual {best.rel_inf:.3e} ({best.flags.label()}) is "
-            f"within 2x of runner-up {second.rel_inf:.3e} "
-            f"({second.flags.label()})")
-        err.rows = tuple(rows)
+            f"best residual {rel_inf[best]:.3e} ({best.label()}) is "
+            f"within 2x of runner-up {rel_inf[second]:.3e} "
+            f"({second.label()})")
+        err.rows = outcome.rows
         raise err
-    return ScanOutcome(winner=best.flags, rows=tuple(rows), margin=margin)
+    return outcome
 
 
 # -- normalization ----------------------------------------------------------------

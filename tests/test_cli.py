@@ -104,6 +104,24 @@ def test_solve_reuses_the_scanned_chains(tmp_path, monkeypatch):
     assert len(alpha0s) == 2 and alpha0s[0] != alpha0s[1]
 
 
+def test_collapsing_scale_factor_is_a_solver_error(tmp_path, c0_text, capsys):
+    # frequency 30 with the literal link mu' = -alpha mu: alpha0 = m W is
+    # stationary, so mu = exp(-W t) with W^2 = 900 + 1/4 falls below
+    # 1e-12 |mu0| at t = log(1e12) / W = 0.9209, inside the span
+    text = patched(c0_text, "[frequency]\nfamily = constant\nvalue = 1.0",
+                   "[frequency]\nfamily = constant\nvalue = 30.0")
+    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(text, "[run]\n", "[run]\nmu_coupling = literal\n")
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZeroCrossing: ")
+    t_zero = float(err.split(" at t=")[1])
+    assert t_zero == pytest.approx(math.log(1e12) / math.sqrt(900.25),
+                                   abs=1e-3)
+
+
 def test_quiet_silences_stdout(tmp_path, capsys):
     rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
                "--out", str(tmp_path), "--quiet"])

@@ -5,15 +5,16 @@ at h = 1e-6 of the width equation alpha' = i (m W^2 - alpha^2 / m) with
 alpha(0) = m(0) W(0), run independently of this package's integrator.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from invosc import ode
 from invosc.errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
-from invosc.ode import (IntegratorConfig, default_alpha0, integrate_beta,
-                        integrate_mu, solve_chain, solve_riccati,
-                        write_trajectory_csv)
+from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
+                        solve_chain, solve_riccati, write_trajectory_csv)
 from invosc.params import TimeFunction, effective_frequency_sq
 
 from conftest import SPAN, make_chain, make_coeffs
@@ -78,24 +79,27 @@ def test_riccati_blowup_reports_escape_time():
     assert err.value.escape_time == pytest.approx(math.pi / 4, abs=5e-2)
 
 
-def test_integrate_mu_zero_crossing():
+def test_mu_zero_crossing():
+    # alpha0 = m W is stationary with no field, so the literal link gives
+    # mu = exp(-30 t), which falls below 1e-12 at t = log(1e12) / 30.
+    coeffs = make_coeffs(w=30.0, B=0.0, C=0.0, span=(0.0, 2.0))
     with pytest.raises(ZeroCrossing) as err:
-        integrate_mu(lambda t: 30.0, 1.0, (0.0, 2.0))
+        solve_chain(coeffs, 1.0, alpha0=30.0, mu_coupling="literal")
     assert err.value.crossing_time == pytest.approx(math.log(1e12) / 30.0,
                                                     abs=1e-3)
     with pytest.raises(ValueError):
-        integrate_mu(lambda t: 1.0, 0.0, SPAN)
+        solve_chain(make_coeffs(C=0.0), 1.0, mu0=0.0)
 
 
 def test_beta_quadrature_is_exact_for_constant_field():
     coeffs = make_coeffs(m=2.0, B=3.0, q=0.5)
-    beta = integrate_beta(coeffs)
+    beta = make_chain(coeffs).beta
     for t in (0.0, 0.3, 1.0):
         assert beta(t) == pytest.approx(0.5 * 3.0 * t / (4 * 2.0), abs=1e-12)
 
 
 def test_beta_vanishes_identically_without_field():
-    beta = integrate_beta(make_coeffs(B=0.0))
+    beta = make_chain(make_coeffs(B=0.0)).beta
     assert all(beta(t) == 0.0 for t in np.linspace(0, 1, 17))
 
 
@@ -137,6 +141,48 @@ def test_chain_consistency_both_couplings():
         else:
             m = coeffs.mass.value(0.5)
             assert traj.mu_log_rate(0.5) == -1j * traj.alpha(0.5) / m
+
+
+@pytest.mark.parametrize("coupling", MU_COUPLINGS)
+@pytest.mark.parametrize("constants", [
+    {}, {"m": 2.0, "w": 1.5, "B": 4.0, "q": 1.0}, {"B": 0.0}],
+    ids=["standard", "heavy_strong_field", "no_field"])
+def test_chain_matches_closed_forms_over_the_span(constants, coupling):
+    """Constant coefficients with alpha0 = m W make the chain exact:
+    alpha = m W, beta = q B t / (4 m), mu = exp(i W t) under "pde" or
+    exp(-m W t) under "literal", and f = W t + k^2 int_0^t mu^-2 / (2 m),
+    checked at the default tolerance at every one of 1001 times."""
+    coeffs = make_coeffs(**constants)
+    m, q = coeffs.mass.value(0.0), coeffs.charge
+    w = math.sqrt(effective_frequency_sq(coeffs, 0.0))
+    k = 1.0
+    traj = make_chain(coeffs, k=k, mu_coupling=coupling)
+    for t in np.linspace(0.0, 1.0, 1001):
+        t = float(t)
+        if coupling == "pde":
+            mu_ref = cmath.exp(1j * w * t)
+            f_ref = w * t + k * k * (1.0 - cmath.exp(-2j * w * t)) / (4j * m * w)
+        else:
+            mu_ref = cmath.exp(-m * w * t)
+            f_ref = w * t + k * k * math.expm1(2.0 * m * w * t) / (4.0 * m * m * w)
+        beta_ref = q * coeffs.magnetic_field.value(t) * t / (4.0 * m)
+        assert abs(traj.alpha(t) - m * w) <= 1e-14 * m * w, t
+        assert abs(traj.mu(t) - mu_ref) <= 1e-14 * abs(mu_ref), t
+        assert abs(traj.beta(t) - beta_ref) <= 1e-14, t
+        assert abs(traj.phase(t) - f_ref) <= 7e-10 * max(1.0, abs(f_ref)), t
+
+
+def test_solve_chain_is_one_coupled_integration(monkeypatch):
+    calls = []
+    real = ode._dopri5
+
+    def counting(rhs, span, y0, cfg, watcher):
+        calls.append(len(y0))
+        return real(rhs, span, y0, cfg, watcher)
+
+    monkeypatch.setattr(ode, "_dopri5", counting)
+    make_chain(fixture_family("ramp"))
+    assert calls == [4]
 
 
 def test_out_of_span_evaluation_raises():

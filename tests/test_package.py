@@ -31,6 +31,20 @@ def test_import_leaves_test_and_spline_dependencies_unloaded():
     assert "scipy.interpolate" not in loaded
 
 
+def test_solving_a_bundled_chain_leaves_scipy_integrate_unloaded():
+    # the chain runs on the package's own DOPRI5; importing scipy.integrate
+    # would cost about 20 MB of resident memory and a quarter second
+    proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
+                      "from invosc.cli import RunConfig; "
+                      "cfg = RunConfig.load(Path(invosc.__file__).parent "
+                      "/ 'configs' / 'static_c15.cfg'); "
+                      "cfg.chain(+1); print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "invosc.ode" in loaded
+    assert "scipy.integrate" not in loaded
+
+
 def test_cli_main_resolves_lazily():
     proc = _run("-c", "import sys, invosc; assert 'invosc.cli' not in sys.modules; "
                       "main = invosc.cli_main; import invosc.cli as cli; "
