@@ -27,12 +27,12 @@ from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
                   default_alpha0, solve_chain, solve_riccati,
                   write_trajectory_csv)
 from .bessel import bessel_j, bessel_n, gamma_real, wronskian_check
-from .wavefunction import (CartesianGrid, ConventionFlags, ModeSpec,
-                           PolarGrid, ResidualReport, ScanOutcome, WaveField,
-                           assemble_psi, convention_scan, normalize_on_disk,
-                           order_from_coupling, sample_field,
-                           schrodinger_residual, sector_winding,
-                           theta_from_xy)
+from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
+                           ModeSpec, PolarGrid, ResidualReport, ScanOutcome,
+                           WaveField, assemble_psi, convention_scan,
+                           normalize_on_disk, order_from_coupling,
+                           sample_field, schrodinger_residual,
+                           sector_winding, theta_from_xy)
 from .oracle import (PropagationResult, RadialProblem, effective_potential,
                      fidelity, propagate)
 
@@ -49,9 +49,9 @@ __all__ = [
     "IntegratorConfig", "MU_COUPLINGS", "TransformTrajectory",
     "default_alpha0", "solve_chain", "solve_riccati", "write_trajectory_csv",
     "bessel_j", "bessel_n", "gamma_real", "wronskian_check",
-    "CartesianGrid", "ConventionFlags", "ModeSpec", "PolarGrid",
-    "ResidualReport", "ScanOutcome", "WaveField", "assemble_psi",
-    "convention_scan", "normalize_on_disk", "order_from_coupling",
+    "CartesianGrid", "ConventionFlags", "GridGeometry", "ModeSpec",
+    "PolarGrid", "ResidualReport", "ScanOutcome", "WaveField",
+    "assemble_psi", "convention_scan", "normalize_on_disk", "order_from_coupling",
     "sample_field", "schrodinger_residual", "sector_winding",
     "theta_from_xy",
     "PropagationResult", "RadialProblem", "effective_potential", "fidelity",

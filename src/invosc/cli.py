@@ -47,8 +47,8 @@ from .ode import (IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain,
                   write_trajectory_csv)
 from .oracle import RadialProblem, propagate
 from .params import (CoefficientSet, parse_sections, time_function_from_section)
-from .wavefunction import (CartesianGrid, ConventionFlags, ModeSpec,
-                           PolarGrid, ScanOutcome, assemble_psi,
+from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
+                           ModeSpec, PolarGrid, ScanOutcome, assemble_psi,
                            convention_scan, sample_field,
                            schrodinger_residual, sector_winding)
 
@@ -548,12 +548,13 @@ def cmd_oracle(args):
                             rho_max=cfg.oracle.rho_max,
                             n_rho=cfg.oracle.n_rho, dt=cfg.oracle.dt,
                             span=cfg.span)
-    rho = problem.rho
-    u0 = np.asarray(assemble_psi(mode, traj, rho, 0.0 * rho, cfg.span[0]),
-                    dtype=complex)
+    rho, zero = problem.rho, 0.0 * problem.rho
+    geometry = GridGeometry(rho, zero, sector_winding(mode))
+    u0 = np.asarray(assemble_psi(mode, traj, rho, zero, cfg.span[0],
+                                 geometry=geometry), dtype=complex)
 
     def reference(t):
-        return assemble_psi(mode, traj, rho, 0.0 * rho, t)
+        return assemble_psi(mode, traj, rho, zero, t, geometry=geometry)
 
     with _OutputLock(out):
         if scan_outcome is not None:

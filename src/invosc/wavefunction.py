@@ -13,6 +13,17 @@ so they live in ConventionFlags and are resolved by convention_scan,
 which measures the Schrodinger residual of every combination and keeps
 the argmin.
 
+Since theta = pi/2 - phi + beta(t) with phi = atan2(y, x) the lab angle,
+and n is an integer, the field factors exactly into three parts:
+
+    Psi = [A J_nu + B N_nu](k rho / mu) e^{s h alpha rho^2}   (rho only)
+          * e^{i sign n (pi/2 + beta) - i f}                   (one scalar per t)
+          * e^{-i sign n phi}                                  (fixed per node)
+
+e^{i n theta} is 2 pi periodic in theta, so where atan2 puts its branch
+cut never matters.  GridGeometry holds the parts fixed per node, built
+once per grid; assemble_psi evaluates the rest on the distinct radii.
+
 The residual check discretizes
 
     R = i Psi_t - [ -(1/2m) lap Psi + i r (y Psi_x - x Psi_y)
@@ -44,7 +55,7 @@ __all__ = [
     "LadderRung", "ResidualReport", "ScanRow", "ScanOutcome",
     "order_from_coupling", "theta_from_xy", "assemble_psi", "sample_field",
     "schrodinger_residual", "convention_scan", "normalize_on_disk",
-    "sector_winding",
+    "sector_winding", "GridGeometry",
 ]
 
 
@@ -191,7 +202,8 @@ def theta_from_xy(x, y, beta):
 
     The first rotated coordinate sits in the numerator of the defining
     tangent, so theta runs from the +y axis at beta = 0.  Undefined at
-    the origin.
+    the origin.  Assembly never forms theta (it uses the lab angle, see
+    GridGeometry); this is the definition the checks compare against.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -341,7 +353,63 @@ class PolarGrid:
 _CSV_CHUNK_ROWS = 4096
 
 
-def assemble_psi(mode: ModeSpec, traj, x, y, t):
+@dataclass(frozen=True, eq=False)
+class GridGeometry:
+    """The time-independent part of assembly on one set of nodes.
+
+    From the node coordinates x, y (broadcast together) and the winding
+    w = sector_winding(mode) it derives:
+
+    radii, inverse  the distinct radii of the nodes off the origin and the
+                    index that gathers them back onto those nodes
+    origin          mask of the nodes at rho = 0, None when there are none
+    phase           e^{i w phi} on the nodes off the origin, phi = atan2(y, x)
+
+    ``active`` is the residual's mask of active nodes, set by of_grid.
+    Build one per grid and pass it to assemble_psi at every time; it is
+    what lets a call skip every per-node hypot, unique, atan2 and exp.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    winding: int
+    active: np.ndarray | None = None
+    radii: np.ndarray = dataclasses.field(init=False, repr=False)
+    inverse: np.ndarray = dataclasses.field(init=False, repr=False)
+    origin: np.ndarray | None = dataclasses.field(init=False, repr=False)
+    phase: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        x, y = np.broadcast_arrays(np.asarray(self.x, dtype=float),
+                                   np.asarray(self.y, dtype=float))
+        xf, yf = x.ravel(), y.ravel()
+        rho = np.hypot(xf, yf)
+        origin = rho == 0.0
+        if np.any(origin):
+            body = ~origin
+            xf, yf, rho = xf[body], yf[body], rho[body]
+        else:
+            origin = None
+        radii, inverse = np.unique(rho, return_inverse=True)
+        winding = int(self.winding)
+        phase = np.exp(1j * (winding * np.arctan2(yf, xf)))
+        for name, value in (("x", x), ("y", y), ("winding", winding),
+                            ("radii", radii), ("inverse", inverse),
+                            ("origin", origin), ("phase", phase)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of_grid(cls, grid, winding, rho_min=None):
+        """Geometry of a grid's nodes, with its residual mask at rho_min."""
+        X, Y = grid.xy_mesh()
+        return cls(X, Y, winding, active=grid.active_mask(rho_min))
+
+    @property
+    def shape(self):
+        return self.x.shape
+
+
+def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
     """Evaluate the assembled field at scalar time t.
 
     x and y broadcast; the return matches their broadcast shape (scalar
@@ -349,19 +417,26 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t):
     of the mode: nu = 0 with n = 0 has the finite limit A e^{-i f},
     nu >= 1 vanishes, anything else has no limit and raises.
 
-    The radial factor A J + B N depends on rho alone, so it is evaluated
-    once per distinct radius and scattered back to the nodes: a polar
-    grid has a few hundred distinct radii among tens of thousands of
-    nodes.
+    The field is the product of three factors (see the module
+    docstring): the radial factor with its envelope, which depends on
+    rho alone and is evaluated once per distinct radius; one scalar
+    phase e^{i sign n (pi/2 + beta) - i f} per time, folded into it;
+    and e^{-i sign n phi} per node, which ``geometry`` holds.  Because
+    n is an integer the atan2 branch cut of phi drops out.  Pass a
+    GridGeometry built from the same x, y and sector_winding(mode) to
+    reuse it across times; without one, a one-off geometry is built.
+    A geometry of another shape or winding raises ValueError.
     """
+    winding = sector_winding(mode)
+    if geometry is None:
+        geometry = GridGeometry(x, y, winding)
+    elif geometry.shape != np.broadcast_shapes(np.shape(x), np.shape(y)):
+        raise ValueError(f"geometry of shape {geometry.shape} does not "
+                         "match the shape of x, y")
+    if geometry.winding != winding:
+        raise ValueError(f"geometry has winding {geometry.winding}, the "
+                         f"mode {winding}")
     t = float(t)
-    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float))
-    scalar_in = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    ya = np.atleast_1d(ya)
-    rho = np.hypot(xa, ya)
-
     beta = float(traj.beta(t))
     alpha = complex(traj.alpha(t))
     mu = complex(traj.mu(t))
@@ -369,48 +444,50 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t):
     flags = mode.conventions
     sh = flags.exponent_sign * flags.exponent_half
 
-    out = np.zeros(rho.shape, dtype=complex)
-    origin = rho == 0.0
-    if np.any(origin):
+    origin_value = 0.0
+    if geometry.origin is not None:
         if mode.amp_second != 0:
             raise OriginUndefined("second-kind radial part diverges at rho = 0")
         if mode.nu == 0.0 and mode.n == 0:
-            out[origin] = mode.amp_first * np.exp(-1j * f)
-        elif mode.nu >= 1.0:
-            out[origin] = 0.0
-        else:
+            origin_value = mode.amp_first * np.exp(-1j * f)
+        elif mode.nu < 1.0:
             raise OriginUndefined(
                 f"no limit at rho = 0 for nu = {mode.nu:g}, n = {mode.n}")
 
-    body = ~origin
-    if np.any(body):
-        rb = rho[body]
-        ru, inv = np.unique(rb, return_inverse=True)
-        z = (mode.k / mu) * ru
-        radial = mode.amp_first * np.asarray(bessel_j(mode.nu, z), dtype=complex)
-        if mode.amp_second != 0:
-            # second kind is real-axis only; a complex scale factor mu
-            # would push its argument off the axis, which is an error,
-            # not something to silently project back
-            if abs(mu.imag) > 1e-13 * abs(mu):
-                raise NonPositiveArgument(
-                    "N_nu needs a real argument but mu(t) = "
-                    f"{mu:.6g} makes k rho / mu complex")
-            zr = ru * (mode.k / mu.real)
-            radial = radial + mode.amp_second * np.asarray(
-                bessel_n(mode.nu, zr), dtype=complex)
-        theta = theta_from_xy(xa[body], ya[body], beta)
-        expo = ((sh * alpha) * rb * rb
-                + 1j * float(mode.angular_sign * mode.n) * theta
-                - 1j * f)
-        out[body] = radial[inv] * np.exp(expo)
+    ru = geometry.radii
+    radial = mode.amp_first * np.asarray(bessel_j(mode.nu, (mode.k / mu) * ru),
+                                         dtype=complex)
+    if mode.amp_second != 0:
+        # second kind is real-axis only; a complex scale factor mu
+        # would push its argument off the axis, which is an error,
+        # not something to silently project back
+        if abs(mu.imag) > 1e-13 * abs(mu):
+            raise NonPositiveArgument(
+                "N_nu needs a real argument but mu(t) = "
+                f"{mu:.6g} makes k rho / mu complex")
+        radial = radial + mode.amp_second * np.asarray(
+            bessel_n(mode.nu, ru * (mode.k / mu.real)), dtype=complex)
+    sign_n = mode.angular_sign * mode.n
+    scalar = 1j * (sign_n * (0.5 * math.pi + beta)) - 1j * f
+    # not `*=`: numpy rounds an in-place complex product of one element
+    # without the FMA its longer loops use, and a scalar call must give
+    # the same bits as that node of a grid; above 256 KiB numpy reuses
+    # the temporary from take, so large grids are multiplied in place
+    body = np.take(radial * np.exp((sh * alpha) * ru * ru + scalar),
+                   geometry.inverse) * geometry.phase
 
+    if geometry.origin is None:
+        out = body
+    else:
+        out = np.empty(geometry.origin.shape, dtype=complex)
+        out[geometry.origin] = origin_value
+        out[~geometry.origin] = body
     if not np.all(np.isfinite(out.view(float))):
         raise NonFinite("assembled field is not finite everywhere; "
                         "check the envelope sign and the grid extent")
-    if scalar_in:
+    if not geometry.shape:
         return complex(out[0])
-    return out.reshape(xa.shape)
+    return out.reshape(geometry.shape)
 
 
 @dataclass(frozen=True)
@@ -451,11 +528,12 @@ class WaveField:
 
 def sample_field(mode: ModeSpec, traj, grid, times):
     """Assemble the field on a grid at each time and bundle it."""
-    X, Y = grid.xy_mesh()
+    geometry = GridGeometry.of_grid(grid, sector_winding(mode))
     times = tuple(float(t) for t in times)
     values = np.empty((len(times), *grid.shape), dtype=complex)
     for i, t in enumerate(times):
-        values[i] = assemble_psi(mode, traj, X, Y, t)
+        values[i] = assemble_psi(mode, traj, geometry.x, geometry.y, t,
+                                 geometry=geometry)
     return WaveField(grid=grid, times=times, values=values, mode=mode,
                      traj_digest=traj.digest())
 
@@ -507,7 +585,7 @@ def _d2_periodic(a, h, axis):
     return (-r(+2) + 16.0 * r(+1) - 30.0 * a + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
 
 
-def _apply_hamiltonian(values, grid, coeffs: CoefficientSet, t):
+def _apply_hamiltonian(values, grid, geometry, coeffs: CoefficientSet, t):
     """H Psi on the grid (garbage within 2 nodes of non-periodic edges).
 
     H = -(1/2m) lap + i r (y d_x - x d_y) + (m/2) W^2 rho^2 + C/(m rho^2)
@@ -538,7 +616,7 @@ def _apply_hamiltonian(values, grid, coeffs: CoefficientSet, t):
             pot = pot + (C / m) * inv_r * inv_r
     else:
         hx, hy = grid.spacing()
-        X, Y = grid.xy_mesh()
+        X, Y = geometry.x, geometry.y
         d_xx = _d2_bounded(values, hx, axis=0)
         d_yy = _d2_bounded(values, hy, axis=1)
         lap = d_xx + d_yy
@@ -610,9 +688,9 @@ class ResidualReport:
                     fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _residual_once(psi_at, grid, coeffs, times, dt, rho_min):
+def _residual_once(psi_at, grid, geometry, coeffs, times, dt):
     """One ladder level; returns (rel_inf, rel_l2, per-time rows)."""
-    mask = grid.active_mask(rho_min)
+    mask = geometry.active
     if not np.any(mask):
         raise GridTooCoarse("no active residual points inside the grid")
     rows = []
@@ -622,10 +700,13 @@ def _residual_once(psi_at, grid, coeffs, times, dt, rho_min):
     worst_h = 0.0
     for t in times:
         minus = psi_at(t - dt)
-        mid = psi_at(t)
         plus = psi_at(t + dt)
         dpsi_dt = (plus - minus) / (2.0 * dt)
-        h_mid = _apply_hamiltonian(mid, grid, coeffs, t)
+        # drop both slices before mid and H mid are built, so one fewer
+        # full-grid array is alive at the peak
+        del minus, plus
+        mid = psi_at(t)
+        h_mid = _apply_hamiltonian(mid, grid, geometry, coeffs, t)
         resid = 1j * dpsi_dt - h_mid
         r = np.abs(resid[mask])
         h = np.abs(h_mid[mask])
@@ -646,9 +727,21 @@ def _residual_once(psi_at, grid, coeffs, times, dt, rho_min):
     return rel_inf, rel_l2, tuple(rows)
 
 
+def _residual_floor(grid, coeffs):
+    """Radius below which no residual point counts.
+
+    The 1/rho^2 term forbids residual points near the origin; an
+    explicit grid exclusion wins, otherwise 5% of the outer radius.
+    Refined grids keep the extents, so one floor serves a whole ladder.
+    """
+    if grid.rho_min > 0.0 or coeffs.coupling == 0.0:
+        return grid.rho_min
+    return 0.05 * grid.outer_radius()
+
+
 def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
                          steps=None, refinement="temporal", psi=None,
-                         levels=3, dt_scale=1.0):
+                         levels=3, dt_scale=1.0, geometry=None):
     """Measure the discretized PDE residual over a refinement ladder.
 
     temporal refinement keeps the grid fixed and walks ``steps`` (a
@@ -658,7 +751,13 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
     truncation stays in charge.  ``psi(x_mesh, y_mesh, t)`` overrides
     the assembled field, which keeps the operator testable against
     known exact solutions; otherwise ``mode`` and ``traj`` drive
-    assemble_psi.
+    assemble_psi.  One GridGeometry is built per distinct grid of the
+    ladder; ``geometry`` supplies the one of ``grid`` instead, so
+    repeated calls on one grid (convention_scan) share it.
+
+    The finite-difference operator always acts on the assembled 2D
+    field, never on its factors, so the residual stays independent
+    evidence for the separable assembly.
 
     Raises GridTooCoarse when a multi-level ladder fails to decrease
     monotonically (the report so far rides on the exception).
@@ -670,12 +769,14 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
         if mode is None or traj is None:
             raise ValueError("need mode and traj when no psi callable is given")
 
-    # the 1/rho^2 term forbids residual points near the origin; an
-    # explicit grid exclusion wins, otherwise 5% of the outer radius
-    if grid.rho_min > 0.0 or coeffs.coupling == 0.0:
-        rho_floor = grid.rho_min
-    else:
-        rho_floor = 0.05 * grid.outer_radius()
+    rho_floor = _residual_floor(grid, coeffs)
+    # the phase of a geometry only serves assembly, which psi replaces
+    winding = 0 if psi is not None else sector_winding(mode)
+    if geometry is None:
+        geometry = GridGeometry.of_grid(grid, winding, rho_floor)
+    elif geometry.shape != grid.shape or geometry.active is None:
+        raise ValueError("geometry must come from GridGeometry.of_grid "
+                         "on the residual grid")
 
     if refinement == "temporal":
         steps = (8e-3, 4e-3, 2e-3) if steps is None else tuple(float(s) for s in steps)
@@ -702,14 +803,16 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
                 raise OutOfDomain(
                     f"residual stencil needs t in [{lo:g}, {hi:g}], "
                     f"outside the trajectory span {span}")
+        geo = geometry if g is grid else GridGeometry.of_grid(g, winding,
+                                                              rho_floor)
         if psi is None:
-            X, Y = g.xy_mesh()
-            psi_at = lambda t, X=X, Y=Y, g=g: assemble_psi(mode, traj, X, Y, t)
+            psi_at = lambda t, geo=geo: assemble_psi(mode, traj, geo.x, geo.y,
+                                                     t, geometry=geo)
         else:
-            X, Y = g.xy_mesh()
-            psi_at = lambda t, X=X, Y=Y: np.asarray(psi(X, Y, t), dtype=complex)
-        rel_inf, rel_l2, rows = _residual_once(psi_at, g, coeffs, times, dt,
-                                               rho_floor)
+            psi_at = lambda t, geo=geo: np.asarray(psi(geo.x, geo.y, t),
+                                                   dtype=complex)
+        rel_inf, rel_l2, rows = _residual_once(psi_at, g, geo, coeffs, times,
+                                               dt)
         reports.append((LadderRung(dt, g.spacing()[0], rel_inf, rel_l2), rows))
 
     rungs = tuple(r for r, _ in reports)
@@ -785,12 +888,15 @@ def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
 
     ``traj_factory(branch)`` must return the chain solved with alpha0 on
     that branch; it is called once per branch and shared across the four
-    flag sets riding on it.  Ties break toward the enumeration order of
-    ConventionFlags.all_combinations().  A winner closer than 2x to the
-    runner-up raises Inconclusive (carrying the table) rather than
-    pretending the data decided.
+    flag sets riding on it.  The flags leave the winding alone, so one
+    GridGeometry of ``grid`` serves all eight residuals.  Ties break
+    toward the enumeration order of ConventionFlags.all_combinations().
+    A winner closer than 2x to the runner-up raises Inconclusive
+    (carrying the table) rather than pretending the data decided.
     """
     times = tuple(float(t) for t in times)
+    geometry = GridGeometry.of_grid(grid, sector_winding(mode_template),
+                                    _residual_floor(grid, coeffs))
     trajs = {}
     rows = []
     for flags in ConventionFlags.all_combinations():
@@ -800,7 +906,7 @@ def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
         traj = trajs[branch]
         mode = dataclasses.replace(mode_template, conventions=flags)
         report = schrodinger_residual(mode, traj, coeffs, grid, times,
-                                      steps=(step,))
+                                      steps=(step,), geometry=geometry)
         sh = flags.exponent_sign * flags.exponent_half
         decays = all((sh * complex(traj.alpha(t))).real < 0.0 for t in times)
         rows.append(ScanRow(flags, report.rel_inf, report.rel_l2, decays))

@@ -175,21 +175,24 @@ def test_criterion_6_reduction_chain():
             * np.exp(sh * alpha * rho * rho + 2j * theta - 1j * f))
     assert np.max(np.abs(got - hand)) < 1e-12
 
-    # B -> 0: the frame angle vanishes identically and the two theta
-    # code paths agree bit for bit through the assembled field
+    # B -> 0: the frame angle vanishes identically and the factored
+    # assembly agrees bit for bit with the hand composition
     coeffs0 = make_coeffs(B=0.0, C=0.0)
     traj0 = make_chain(coeffs0)
     assert traj0.beta(0.37) == 0.0 and traj0.beta(1.0) == 0.0
     got0 = assemble_psi(mode, traj0, xs, ys, t)
+    beta = float(traj0.beta(t))
     alpha = complex(traj0.alpha(t))
     mu = complex(traj0.mu(t))
     f = complex(traj0.phase(t))
-    # composed with the same association as the assembly so equality is
-    # exact, with the frame angle taken straight from arctan2
-    hand0 = ((1.0 + 0j)
-             * np.asarray(bessel_j(2.0, (1.0 / mu) * rho), dtype=complex)
-             * np.exp((sh * alpha) * rho * rho + 2j * np.arctan2(xs, ys)
-                      - 1j * f))
+    # composed in the same factor association as the assembly so equality
+    # is exact: radial times envelope times the per-time scalar, then the
+    # lab-angle phase e^{-2 i phi} with phi straight from arctan2
+    hand0 = (((1.0 + 0j)
+              * np.asarray(bessel_j(2.0, (1.0 / mu) * rho), dtype=complex)
+              * np.exp((sh * alpha) * rho * rho
+                       + (1j * (2 * (0.5 * math.pi + beta)) - 1j * f)))
+             * np.exp(1j * (-2 * np.arctan2(ys, xs))))
     assert np.array_equal(got0, hand0)
 
     # constant coefficients: the chain reproduces the closed forms of

@@ -17,8 +17,9 @@ from invosc.bessel import bessel_j, bessel_n
 from invosc.errors import (FallToCenter, GridTooCoarse, Inconclusive,
                            NonFinite, NonPositiveArgument, OriginUndefined,
                            OutOfDomain, ZeroNorm)
-from invosc.wavefunction import (CartesianGrid, ConventionFlags, ModeSpec,
-                                 PolarGrid, ResidualReport, WaveField,
+from invosc.wavefunction import (CartesianGrid, ConventionFlags,
+                                 GridGeometry, ModeSpec, PolarGrid,
+                                 ResidualReport, WaveField,
                                  assemble_psi, convention_scan,
                                  normalize_on_disk, order_from_coupling,
                                  sample_field, schrodinger_residual,
@@ -475,6 +476,78 @@ def test_radial_factor_is_evaluated_once_per_distinct_radius(
     sample_field(mode_c15, chain_c15, DEDUP_POLAR, (0.0, 0.5, 1.0))
     assert sizes == [distinct] * 3
     assert distinct < X.size // 50
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """Shapes of the GridGeometry objects built while the test runs."""
+    builds = []
+    post_init = GridGeometry.__post_init__
+
+    def counting(self):
+        post_init(self)
+        builds.append(self.shape)
+
+    monkeypatch.setattr(GridGeometry, "__post_init__", counting)
+    return builds
+
+
+def test_sample_field_builds_one_geometry(geometry_builds, mode_c15,
+                                          chain_c15):
+    grid = PolarGrid(0.4, 8.0, 16, 16)
+    sample_field(mode_c15, chain_c15, grid, (0.0, 0.5, 1.0))
+    assert geometry_builds == [grid.shape]
+
+
+def test_temporal_ladder_builds_one_geometry(geometry_builds, mode_c15,
+                                             chain_c15, coeffs_c15):
+    schrodinger_residual(mode_c15, chain_c15, coeffs_c15, RESIDUAL_GRID,
+                         (0.4, 0.6), steps=COARSE_STEPS)
+    assert geometry_builds == [RESIDUAL_GRID.shape]
+
+
+def test_spatial_ladder_builds_one_geometry_per_level(geometry_builds,
+                                                      mode_c15, chain_c15,
+                                                      coeffs_c15):
+    schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                         PolarGrid(0.4, 8.0, 48, 48), (0.4,),
+                         refinement="spatial", levels=3)
+    assert geometry_builds == [(48, 48), (96, 96), (192, 192)]
+
+
+def test_convention_scan_shares_one_geometry(geometry_builds, mode_c15,
+                                             coeffs_c15, chain_c15):
+    chains = {+1: chain_c15, -1: make_chain(coeffs_c15, branch=-1)}
+    outcome = convention_scan(mode_c15, chains.__getitem__, coeffs_c15,
+                              RESIDUAL_GRID, (0.4,), step=4e-2)
+    assert outcome.winner == WINNER
+    assert geometry_builds == [RESIDUAL_GRID.shape]
+
+
+def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
+                                                    coeffs_c15):
+    grid = PolarGrid(0.4, 8.0, 16, 16)
+    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15))
+    X, Y = grid.xy_mesh()
+    assert np.array_equal(
+        assemble_psi(mode_c15, chain_c15, X, Y, 0.5, geometry=geometry),
+        assemble_psi(mode_c15, chain_c15, X, Y, 0.5))
+    with pytest.raises(ValueError):
+        assemble_psi(mode_c15, chain_c15, X[:-1], Y[:-1], 0.5,
+                     geometry=geometry)
+    with pytest.raises(ValueError):
+        assemble_psi(mode_c15, chain_c15, X[:, :1], Y[:, :1], 0.5,
+                     geometry=geometry)
+    flipped = dataclasses.replace(mode_c15, angular_sign=-1)
+    with pytest.raises(ValueError):
+        assemble_psi(flipped, chain_c15, X, Y, 0.5, geometry=geometry)
+    with pytest.raises(ValueError):
+        schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                             PolarGrid(0.4, 8.0, 16, 20), (0.5,),
+                             geometry=geometry)
+    with pytest.raises(ValueError):
+        schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
+                             geometry=GridGeometry(X, Y, geometry.winding))
 
 
 def _write_csv_per_row(field, path, digest=None):
