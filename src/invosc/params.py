@@ -109,32 +109,46 @@ class TimeFunction:
     # -- evaluation -----------------------------------------------------------
 
     def _check_span(self, t):
+        """t as float64, checked against the span.
+
+        A scalar comes back as a numpy float64 and is checked with float
+        comparisons: the transformation chain calls the evaluators once per
+        scalar time, and there numpy's reductions cost ten times the
+        formula.  Arrays keep the vectorized check.
+        """
         t = np.asarray(t, dtype=float)
         t0, t1 = self.span
         # Allow a hair of slack so adaptive integrators probing the right
         # endpoint do not trip on representation error.
         slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if np.any(t < t0 - slack) or np.any(t > t1 + slack):
-            bad = t[(t < t0 - slack) | (t > t1 + slack)]
+        lo, hi = t0 - slack, t1 + slack
+        if t.ndim == 0:
+            t = t[()]
+            if t < lo or t > hi:
+                raise OutOfDomain(f"t={float(t)} outside span [{t0}, {t1}]")
+            return t
+        if np.any(t < lo) or np.any(t > hi):
+            bad = t[(t < lo) | (t > hi)]
             first = float(np.ravel(bad)[0])
             raise OutOfDomain(f"t={first} outside span [{t0}, {t1}]")
         return t
 
+    def _finite(self, t, out, what):
+        """out, or NonFinite; a scalar t gives a Python float."""
+        scalar = t.ndim == 0
+        if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
+            raise NonFinite(f"{self.family} {what} produced non-finite values")
+        return float(out) if scalar else out
+
     def value(self, t):
         t = self._check_span(t)
-        out = self._raw_value(t)
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"{self.family} evaluation produced non-finite values")
-        return out if out.ndim else float(out)
+        return self._finite(t, self._raw_value(t), "evaluation")
 
     __call__ = value
 
     def derivative(self, t):
         t = self._check_span(t)
-        out = self._raw_derivative(t)
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"{self.family} derivative produced non-finite values")
-        return out if out.ndim else float(out)
+        return self._finite(t, self._raw_derivative(t), "derivative")
 
     def _raw_value(self, t):
         p = self.params

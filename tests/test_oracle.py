@@ -317,6 +317,43 @@ def test_result_csv_layouts(tmp_path, harmonic):
     assert len(lines) == 1 + 3 * 512
 
 
+def _write_snapshots_per_row(result, path, digest=None):
+    """PropagationResult.write_snapshots_csv as it was before chunked
+    formatting, kept as the byte reference."""
+    rho = result.problem.rho
+    with open(path, "w", encoding="utf-8") as fh:
+        if digest:
+            fh.write(f"# config_digest: {digest}\n")
+        fh.write("t,rho,re_u,im_u\n")
+        for i, t in enumerate(result.times):
+            for r, u in zip(rho, result.fields[i]):
+                fh.write(f"{t:.17g},{r:.17g},{u.real:.17g},{u.imag:.17g}\n")
+
+
+@pytest.mark.parametrize("digest", ["c" * 64, None])
+def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
+                                                          digest):
+    # 4199 unknowns per snapshot: one full chunk plus a partial tail
+    prob = RadialProblem(harmonic, 1, 7.3, 4200, 1e-2, SPAN)
+    times = (0.0, 1.0 / 3.0, 1.0)
+    rng = np.random.default_rng(11)
+    shape = (len(times), prob.rho.size)
+    fields = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+              + 1j * rng.standard_normal(shape))
+    fields[0, 0] = complex(-0.0, 1e-300)
+    fields[0, 1] = complex(1e300, -0.0)
+    fields[1, -1] = complex(-1e-300, -1e300)
+    fields[2, 4095] = complex(-0.0, -0.0)
+    fields[2, 4096] = complex(1e-300, 1e300)
+    res = PropagationResult(problem=prob, times=times, fields=fields,
+                            norm_drift_step=0.0, norm_drift_total=0.0)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    res.write_snapshots_csv(new, digest=digest)
+    _write_snapshots_per_row(res, old, digest=digest)
+    assert new.read_bytes() == old.read_bytes()
+    assert len(new.read_text().splitlines()) == (2 if digest else 1) + 3 * 4199
+
+
 def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
     prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-2, SPAN)
     u0 = np.exp(-prob.rho ** 2 / 2.0)

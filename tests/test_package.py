@@ -1,6 +1,7 @@
 """Package-level contracts: what ``import invosc`` loads, and the module
 entry points of the command line, each run in a fresh interpreter."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,6 +44,31 @@ def test_solving_a_bundled_chain_leaves_scipy_integrate_unloaded():
     loaded = set(proc.stdout.split())
     assert "invosc.ode" in loaded
     assert "scipy.integrate" not in loaded
+
+
+def _package_imports(path):
+    """Modules of the invosc package that a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("invosc."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level and module:       # from .params import x
+                found.add(module.split(".")[0])
+            elif node.level or module == "invosc":   # from . import params
+                found.update(a.name for a in node.names)
+            elif module.startswith("invosc."):
+                found.add(module.split(".")[1])
+    return found
+
+
+def test_oracle_imports_only_params_and_errors():
+    # the oracle is independent evidence only while it shares nothing
+    # with the assembly path but the coefficient definitions
+    oracle = Path(invosc.__file__).resolve().parent / "oracle.py"
+    assert _package_imports(oracle) == {"params", "errors"}
 
 
 def test_cli_main_resolves_lazily():

@@ -70,6 +70,73 @@ def test_out_of_span_raises():
     assert f.value(1.0 + 1e-13) == 1.0
 
 
+# A span off zero, so the slack 1e-12 * max(1, |t0|, |t1|) is not its floor.
+PARITY_SPAN = (-3.0, 5.0)
+_SLACK = 1e-12 * 5.0
+_KNOTS = np.linspace(-3.0, 5.0, 9)
+PARITY_FAMILIES = {
+    "constant": TimeFunction.constant(2.5, PARITY_SPAN),
+    "linear": TimeFunction.linear(1.0, 0.1, PARITY_SPAN),
+    "exponential": TimeFunction.exponential(1.5, -0.7, PARITY_SPAN),
+    "sinusoidal": TimeFunction.sinusoidal(1.0, 2.0, PARITY_SPAN, offset=0.5),
+    "polynomial": TimeFunction.polynomial((1.0, -0.5, 3.0, 0.25), PARITY_SPAN),
+    "tabulated": TimeFunction.tabulated(_KNOTS, np.cos(_KNOTS)),
+}
+
+
+def _outcome(fn, t):
+    """(bits of the value, None) or (None, (error type, message))."""
+    try:
+        out = fn(t)
+    except (OutOfDomain, NonFinite) as exc:
+        return None, (type(exc), str(exc))
+    return float(np.ravel(out)[0]).hex(), None
+
+
+@pytest.mark.parametrize("method", ["value", "derivative"])
+@pytest.mark.parametrize("family", sorted(PARITY_FAMILIES))
+def test_scalar_and_array_evaluation_agree(family, method):
+    # scalars take float comparisons and math.isfinite, arrays numpy
+    # reductions; both must give the same bits and the same errors
+    fn = getattr(PARITY_FAMILIES[family], method)
+    t0, t1 = PARITY_SPAN
+    inside = (t0, -1.2345, 0.0, 1.0 / 3.0, 2.75, t1, t0 - _SLACK, t1 + _SLACK)
+    for t in inside:
+        scalar = fn(t)
+        assert type(scalar) is float
+        assert scalar.hex() == float(fn(np.array([t]))[0]).hex(), t
+        assert scalar.hex() == fn(np.float64(t)).hex() == fn(np.array(t)).hex()
+    past = (np.nextafter(t0 - _SLACK, -math.inf),
+            np.nextafter(t1 + _SLACK, math.inf))
+    for t in past:
+        with pytest.raises(OutOfDomain) as scalar_err:
+            fn(float(t))
+        with pytest.raises(OutOfDomain) as array_err:
+            fn(np.array([t]))
+        assert str(scalar_err.value) == str(array_err.value)
+        assert str(scalar_err.value).startswith(f"t={float(t)!r} outside span")
+    # NaN passes the span check; whatever the formula makes of it, both
+    # forms agree, and a formula that reads t is not finite there
+    nan_scalar = _outcome(fn, math.nan)
+    assert nan_scalar == _outcome(fn, np.array([math.nan]))
+    reads_t = not (family == "constant"
+                   or (family == "linear" and method == "derivative"))
+    if reads_t:
+        assert nan_scalar[1][0] is NonFinite
+
+
+@pytest.mark.parametrize("method", ["value", "derivative"])
+def test_overflowing_exponential_is_non_finite_in_both_forms(method):
+    fn = getattr(TimeFunction.exponential(1.0, 800.0, SPAN), method)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(fn(0.0))
+        with pytest.raises(NonFinite) as scalar_err:
+            fn(1.0)
+        with pytest.raises(NonFinite) as array_err:
+            fn(np.array([0.0, 1.0]))
+    assert str(scalar_err.value) == str(array_err.value)
+
+
 def test_minimum_on_span_sees_interior_dips():
     f = TimeFunction.sinusoidal(1.0, 2.0, (0.0, 4.0), offset=0.25)
     # 0.25 + cos(2t) dips to -0.75 inside the span, not at an endpoint

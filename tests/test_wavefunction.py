@@ -568,11 +568,19 @@ def _write_csv_per_row(field, path, digest=None):
                          f"{(vv.real * vv.real + vv.imag * vv.imag):.17g}\n")
 
 
-@pytest.mark.parametrize("digest", ["c" * 64, None])
+_CARTESIAN = CartesianGrid(-1.0, 2.0, 67, -3.0, 0.5, 71)
+_POLAR = PolarGrid(0.0, 7.3, 67, 71)
+
+
+@pytest.mark.parametrize("digest,grid", [
+    pytest.param("c" * 64, _CARTESIAN, id="c" * 64),
+    pytest.param(None, _CARTESIAN, id="None"),
+    pytest.param("c" * 64, _POLAR, id="c" * 64 + "-polar"),
+    pytest.param(None, _POLAR, id="None-polar"),
+])
 def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
-                                                      digest):
+                                                      digest, grid):
     # 67 x 71 = 4757 rows per slice: one full chunk plus a partial tail
-    grid = CartesianGrid(-1.0, 2.0, 67, -3.0, 0.5, 71)
     times = (0.1, 1.0 / 3.0, 0.0)
     rng = np.random.default_rng(7)
     shape = (len(times), *grid.shape)
