@@ -3,19 +3,16 @@ positive real axis, and the real Gamma function.
 
 The radial factor of the assembled solution is J_nu(k rho / mu) with mu
 complex, so J must accept complex argument; N is needed only for annular
-domains where the argument stays real.  J has three evaluation regimes:
+domains where the argument stays real.  J is scipy.special.jv (AMOS, Amos
+ACM TOMS 644) in two regimes:
 
-  real axis            scipy.special.jv (AMOS, Amos ACM TOMS 644): real
-                       for x >= 0, complex principal branch for x < 0
-  off-axis, |z| <= 10  ascending series in float64 with Kahan summation,
-                       ~3 ulps of cancellation at the edge; a quarter
-                       cheaper than AMOS on the grids this package builds
-  off-axis, 10 < |z| <= series_radius
-                       scipy.special.jv (AMOS), complex, vectorized
+  nonnegative real axis   real jv, float64 out
+  everything else         complex jv on the principal branch of z^nu: the
+                          negative real axis and off-axis |z| <= series_radius
 
 Off-axis |z| > series_radius raises DomainTooLarge: the caller should
 shrink the grid or the time window rather than trust an unvalidated
-regime.  N is scipy.special.yv.  Every regime is property-tested against
+regime.  N is scipy.special.yv.  Both regimes are property-tested against
 mpmath at 40 digits over |z| <= 30.
 """
 
@@ -27,14 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv, yv
 
-from .errors import (DomainTooLarge, NonPositiveArgument, Overflow, Pole,
-                     ToleranceNotMet)
+from .errors import DomainTooLarge, NonPositiveArgument, Overflow, Pole
 
 __all__ = ["EvalDomain", "gamma_real", "bessel_j", "bessel_n",
            "wronskian_check"]
-
-_SERIES_FLOAT_RADIUS = 10.0   # float64 series used off the axis up to here
-_MAX_TERMS = 600
 
 
 @dataclass(frozen=True)
@@ -51,14 +44,7 @@ class EvalDomain:
 _DEFAULT_DOMAIN = EvalDomain()
 
 
-# -- gamma helpers -------------------------------------------------------------
-
-def _sinpi(x):
-    """sin(pi x) with exact reduction of the integer part."""
-    n = round(x)
-    s = math.sin(math.pi * (x - n))
-    return -s if (n & 1) else s
-
+# -- gamma ---------------------------------------------------------------------
 
 def gamma_real(x):
     """Gamma(x) for real x, avoiding silent pole or overflow surprises.
@@ -76,61 +62,6 @@ def gamma_real(x):
         return math.gamma(x)
     except OverflowError:
         raise Overflow(f"gamma({x:g}) exceeds double range") from None
-
-
-def _rgamma(x):
-    """1/Gamma(x), zero at the poles; the reflection form with exact
-    sin(pi x) keeps the near-pole digits the platform gamma would lose."""
-    if x >= 0.5:
-        try:
-            return 1.0 / math.gamma(x)
-        except OverflowError:
-            return 0.0  # gamma overflowed, reciprocal underflows
-    if x == math.floor(x):
-        return 0.0
-    # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
-    try:
-        return _sinpi(x) * math.gamma(1.0 - x) / math.pi
-    except OverflowError:
-        raise Overflow(f"1/gamma({x:g}) exceeds double range") from None
-
-
-# -- ascending series ----------------------------------------------------------
-
-def _series_float(nu, z):
-    """Ascending series on a flat complex array off the real axis, |z| <= ~10.
-
-    Sums c_j w^j with w = (z/2)^2 and c_j = (-1)^j / (j! Gamma(nu + j + 1))
-    under Kahan compensation, then applies the prefactor (z/2)^nu on the
-    principal branch.
-    """
-    w = (0.5 * z) ** 2
-    s = np.zeros_like(w)
-    comp = np.zeros_like(w)
-    p = np.ones_like(w)
-    inv_fact = 1.0
-    quiet = 0
-    for j in range(_MAX_TERMS):
-        if j > 0:
-            inv_fact /= j
-            p = p * w
-        c = (-inv_fact if j & 1 else inv_fact) * _rgamma(nu + j + 1.0)
-        term = c * p
-        # Kahan step
-        yk = term - comp
-        tk = s + yk
-        comp = (tk - s) - yk
-        s = tk
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(s) + 1e-300)):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ToleranceNotMet("Bessel series did not converge in "
-                              f"{_MAX_TERMS} terms")
-    return s * np.exp(nu * np.log(0.5 * z))
 
 
 # -- public operations -----------------------------------------------------------
@@ -166,11 +97,8 @@ def bessel_j(nu, z, dom: EvalDomain | None = None):
             f"|z| = {worst:.4g} exceeds the validated complex radius "
             f"{dom.series_radius:g}")
 
-    small = off_axis & (mag <= _SERIES_FLOAT_RADIUS)
     right = ~off_axis & (zf.real >= 0.0)
-    cplx = ~small & ~right        # off-axis past 10, or the negative axis
-    if np.any(small):
-        out[small] = _series_float(nu, zf[small])
+    cplx = ~right                 # off the axis, or the negative axis
     if np.any(right):
         out[right] = jv(nu, zf.real[right])
     if np.any(cplx):

@@ -412,13 +412,20 @@ def _say(args, text):
         print(text)
 
 
-def _resolve_flags(cfg, args):
-    """Concrete ConventionFlags plus a provenance note, or ("scan", note)."""
+def _resolve_flags(cfg, args, chain):
+    """(flags, provenance note, scan outcome or None).
+
+    --flags wins over the config.  The word "scan" runs _run_scan on
+    ``chain`` here, so each command calls this where, relative to its
+    lock, the scan belongs; the winner becomes the flags and the note
+    records its margin.
+    """
     raw = getattr(args, "flags", None) or cfg.flags_raw
-    source = "cli" if getattr(args, "flags", None) else "config"
-    if raw == "scan":
-        return "scan", source
-    return ConventionFlags.from_label(raw), source
+    if raw != "scan":
+        source = "cli" if getattr(args, "flags", None) else "config"
+        return ConventionFlags.from_label(raw), source, None
+    outcome = _run_scan(cfg, chain)
+    return outcome.winner, f"scan(margin={outcome.margin:.6g})", outcome
 
 
 def _run_scan(cfg, chain):
@@ -447,18 +454,13 @@ def _write_summary(path, digest, pairs):
 def cmd_solve(args):
     cfg = RunConfig.load(args.config, flags_override=args.flags)
     out = _resolve_out(args)
-    flags, source = _resolve_flags(cfg, args)
     chain = functools.cache(cfg.chain)
     with _OutputLock(out):
         artifacts = ["trajectory.csv", "field.csv"]
-        scan_note = None
-        if flags == "scan":
-            outcome = _run_scan(cfg, chain)
+        flags, source, outcome = _resolve_flags(cfg, args, chain)
+        if outcome is not None:
             outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
             artifacts.append("scan_table.csv")
-            flags = outcome.winner
-            scan_note = f"scan(margin={outcome.margin:.6g})"
-            source = "scan"
         traj = chain(flags.alpha_branch)
         mode = cfg.mode(flags)
         write_trajectory_csv(traj, out / "trajectory.csv",
@@ -469,7 +471,7 @@ def cmd_solve(args):
             ("command", "solve"),
             ("config", Path(cfg.path).name),
             ("flags", flags.label()),
-            ("flags_source", scan_note or source),
+            ("flags_source", source),
             ("mode", mode.describe()),
             ("sector_winding", sector_winding(mode)),
             ("mu_coupling", cfg.mu_coupling),
@@ -483,7 +485,7 @@ def cmd_solve(args):
             ("artifacts", ",".join(artifacts)),
         ]
         _write_summary(out / "summary.txt", cfg.digest, pairs)
-    _say(args, f"solve: flags {flags.label()} ({scan_note or source}), "
+    _say(args, f"solve: flags {flags.label()} ({source}), "
                f"wrote {', '.join(artifacts)}, summary.txt")
     return EXIT_OK
 
@@ -496,15 +498,12 @@ def cmd_verify(args):
         raise GridTooCoarse("cannot estimate a convergence order from "
                             f"{len(cfg.verify.dt_ladder)} ladder level")
     out = _resolve_out(args)
-    flags, source = _resolve_flags(cfg, args)
     chain = functools.cache(cfg.chain)
     with _OutputLock(out):
         _refuse_digest_clash(out, cfg.digest)
-        if flags == "scan":
-            outcome = _run_scan(cfg, chain)
+        flags, source, outcome = _resolve_flags(cfg, args, chain)
+        if outcome is not None:
             outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
-            flags = outcome.winner
-            source = f"scan(margin={outcome.margin:.6g})"
         traj = chain(flags.alpha_branch)
         mode = cfg.mode(flags)
         try:
@@ -535,13 +534,8 @@ def cmd_oracle(args):
     if cfg.oracle is None:
         raise ConfigError("oracle needs an [oracle] section")
     out = _resolve_out(args)
-    flags, source = _resolve_flags(cfg, args)
-    scan_outcome = None
     chain = functools.cache(cfg.chain)
-    if flags == "scan":
-        scan_outcome = _run_scan(cfg, chain)
-        flags = scan_outcome.winner
-        source = f"scan(margin={scan_outcome.margin:.6g})"
+    flags, source, scan_outcome = _resolve_flags(cfg, args, chain)
     traj = chain(flags.alpha_branch)
     mode = cfg.mode(flags)
     problem = RadialProblem(coeffs=cfg.coeffs, n=sector_winding(mode),

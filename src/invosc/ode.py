@@ -109,9 +109,10 @@ def _quartic(r, theta):
 class DenseFunction:
     """Piecewise-quartic interpolant of one solution component.
 
-    Callable on scalars or numpy arrays; values outside the span raise
-    OutOfDomain.  The interpolant is the integrator's own, so its error is
-    bounded by a small multiple of the step tolerance (checked by test).
+    Callable on scalars or numpy arrays; times outside the span, NaN
+    included, raise OutOfDomain.  The interpolant is the integrator's own,
+    so its error is bounded by a small multiple of the step tolerance
+    (checked by test).
     """
 
     def __init__(self, ts, rcont, real=False):
@@ -124,7 +125,7 @@ class DenseFunction:
         t_arr = np.asarray(t, dtype=float)
         t0, t1 = self.span
         slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if np.any(t_arr < t0 - slack) or np.any(t_arr > t1 + slack):
+        if not np.all((t_arr >= t0 - slack) & (t_arr <= t1 + slack)):
             raise OutOfDomain(f"t={t} outside span [{t0}, {t1}]")
         idx = np.clip(np.searchsorted(self._ts, t_arr, side="right") - 1,
                       0, len(self._ts) - 2)

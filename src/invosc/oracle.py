@@ -275,9 +275,11 @@ def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
     record_times = tuple(float(t) for t in record_times)
     record_steps = {}
     for t in record_times:
-        j = int(round((t - t0) / dt))
+        # the range test fails for NaN before round() can reject it
+        j = int(round((t - t0) / dt)) if t0 - dt <= t <= t1 + dt else -1
         if j < 0 or j > n_steps or abs(t0 + j * dt - t) > 0.5 * dt + 1e-12:
-            raise OutOfDomain(f"requested time {t:g} is outside the span")
+            raise OutOfDomain(f"requested time {t:g} outside span "
+                              f"[{t0}, {t1}]")
         record_steps.setdefault(j, t0 + j * dt)
 
     weights = problem.weights()

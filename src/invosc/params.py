@@ -114,7 +114,8 @@ class TimeFunction:
         A scalar comes back as a numpy float64 and is checked with float
         comparisons: the transformation chain calls the evaluators once per
         scalar time, and there numpy's reductions cost ten times the
-        formula.  Arrays keep the vectorized check.
+        formula.  Arrays keep the vectorized check.  Both tests are
+        written so that a NaN time fails them.
         """
         t = np.asarray(t, dtype=float)
         t0, t1 = self.span
@@ -124,12 +125,12 @@ class TimeFunction:
         lo, hi = t0 - slack, t1 + slack
         if t.ndim == 0:
             t = t[()]
-            if t < lo or t > hi:
+            if not lo <= t <= hi:
                 raise OutOfDomain(f"t={float(t)} outside span [{t0}, {t1}]")
             return t
-        if np.any(t < lo) or np.any(t > hi):
-            bad = t[(t < lo) | (t > hi)]
-            first = float(np.ravel(bad)[0])
+        bad = ~((t >= lo) & (t <= hi))
+        if np.any(bad):
+            first = float(t[bad][0])
             raise OutOfDomain(f"t={first} outside span [{t0}, {t1}]")
         return t
 

@@ -365,10 +365,17 @@ class GridGeometry:
                     index that gathers them back onto those nodes
     origin          mask of the nodes at rho = 0, None when there are none
     phase           e^{i w phi} on the nodes off the origin, phi = atan2(y, x)
+    radial          empty at first; assemble_psi stores here each radial
+                    factor A J_nu + B N_nu it evaluates on ``radii``, keyed
+                    by everything the factor depends on, (nu, k, amp_first,
+                    amp_second, mu), so no entry ever goes stale
 
     ``active`` is the residual's mask of active nodes, set by of_grid.
     Build one per grid and pass it to assemble_psi at every time; it is
-    what lets a call skip every per-node hypot, unique, atan2 and exp.
+    what lets a call skip every per-node hypot, unique, atan2 and exp,
+    and every Bessel evaluation at a (mode, mu) it has seen: the eight
+    readings of a scan share the factor of each (branch, t), and the
+    rungs of a temporal ladder the factor at each residual time.
     """
 
     x: np.ndarray
@@ -379,6 +386,7 @@ class GridGeometry:
     inverse: np.ndarray = dataclasses.field(init=False, repr=False)
     origin: np.ndarray | None = dataclasses.field(init=False, repr=False)
     phase: np.ndarray = dataclasses.field(init=False, repr=False)
+    radial: dict = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         x, y = np.broadcast_arrays(np.asarray(self.x, dtype=float),
@@ -396,7 +404,8 @@ class GridGeometry:
         phase = np.exp(1j * (winding * np.arctan2(yf, xf)))
         for name, value in (("x", x), ("y", y), ("winding", winding),
                             ("radii", radii), ("inverse", inverse),
-                            ("origin", origin), ("phase", phase)):
+                            ("origin", origin), ("phase", phase),
+                            ("radial", {})):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -425,7 +434,8 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
     and e^{-i sign n phi} per node, which ``geometry`` holds.  Because
     n is an integer the atan2 branch cut of phi drops out.  Pass a
     GridGeometry built from the same x, y and sector_winding(mode) to
-    reuse it across times; without one, a one-off geometry is built.
+    reuse it across times, and its memo of radial factors across calls
+    at the same mu; without one, a one-off geometry is built.
     A geometry of another shape or winding raises ValueError.
     """
     winding = sector_winding(mode)
@@ -456,18 +466,22 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
                 f"no limit at rho = 0 for nu = {mode.nu:g}, n = {mode.n}")
 
     ru = geometry.radii
-    radial = mode.amp_first * np.asarray(bessel_j(mode.nu, (mode.k / mu) * ru),
-                                         dtype=complex)
-    if mode.amp_second != 0:
-        # second kind is real-axis only; a complex scale factor mu
-        # would push its argument off the axis, which is an error,
-        # not something to silently project back
-        if abs(mu.imag) > 1e-13 * abs(mu):
-            raise NonPositiveArgument(
-                "N_nu needs a real argument but mu(t) = "
-                f"{mu:.6g} makes k rho / mu complex")
-        radial = radial + mode.amp_second * np.asarray(
-            bessel_n(mode.nu, ru * (mode.k / mu.real)), dtype=complex)
+    key = (mode.nu, mode.k, mode.amp_first, mode.amp_second, mu)
+    radial = geometry.radial.get(key)
+    if radial is None:
+        radial = mode.amp_first * np.asarray(
+            bessel_j(mode.nu, (mode.k / mu) * ru), dtype=complex)
+        if mode.amp_second != 0:
+            # second kind is real-axis only; a complex scale factor mu
+            # would push its argument off the axis, which is an error,
+            # not something to silently project back
+            if abs(mu.imag) > 1e-13 * abs(mu):
+                raise NonPositiveArgument(
+                    "N_nu needs a real argument but mu(t) = "
+                    f"{mu:.6g} makes k rho / mu complex")
+            radial = radial + mode.amp_second * np.asarray(
+                bessel_n(mode.nu, ru * (mode.k / mu.real)), dtype=complex)
+        geometry.radial[key] = radial
     sign_n = mode.angular_sign * mode.n
     scalar = 1j * (sign_n * (0.5 * math.pi + beta)) - 1j * f
     # not `*=`: numpy rounds an in-place complex product of one element
@@ -772,17 +786,16 @@ def _residual_floor(grid, coeffs):
 
 def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
                          steps=None, refinement="temporal", psi=None,
-                         levels=3, dt_scale=1.0, geometry=None):
+                         levels=3, geometry=None):
     """Measure the discretized PDE residual over a refinement ladder.
 
     temporal refinement keeps the grid fixed and walks ``steps`` (a
     decreasing sequence of time steps, default 8e-3 halved twice);
     spatial refinement doubles the grid ``levels`` times and slaves the
-    time step to dt_scale * spacing^2 so the 4th-order spatial
-    truncation stays in charge.  ``psi(x_mesh, y_mesh, t)`` overrides
-    the assembled field, which keeps the operator testable against
-    known exact solutions; otherwise ``mode`` and ``traj`` drive
-    assemble_psi.  One GridGeometry is built per distinct grid of the
+    time step to spacing^2 so the 4th-order spatial truncation stays in
+    charge.  ``psi(x_mesh, y_mesh, t)`` overrides the assembled field,
+    which keeps the operator testable against known exact solutions;
+    otherwise ``mode`` and ``traj`` drive assemble_psi.  One GridGeometry is built per distinct grid of the
     ladder; ``geometry`` supplies the one of ``grid`` instead, so
     repeated calls on one grid (convention_scan) share it.
 
@@ -821,7 +834,7 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
         g = grid
         for _ in range(levels):
             h0 = g.spacing()[0]
-            plan.append((g, dt_scale * h0 * h0))
+            plan.append((g, h0 * h0))
             g = g.refined(2)
 
     span = traj.span if traj is not None else None

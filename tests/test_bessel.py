@@ -1,4 +1,4 @@
-"""Cylinder functions: float-series/AMOS J, AMOS N.
+"""Cylinder functions: AMOS J and N.
 
 Frozen reference values come from three independent routes, none of which
 shares code with the module under test:
@@ -59,8 +59,8 @@ def test_n_against_quadrature(nu, x):
 
 
 def test_j_half_integer_closed_forms():
-    # J_{1/2} and J_{3/2} reduce to trig closed forms; exercise both the
-    # float-series path (|z| < 10) and the library complex path.
+    # J_{1/2} and J_{3/2} reduce to trig closed forms; checked at a small
+    # and a large off-axis argument.
     import cmath
 
     def j_half(z):
@@ -94,8 +94,8 @@ def test_three_term_recurrence(nu, x):
 
 @pytest.mark.parametrize("z", [3.7 + 0.2j, 12.0 + 5.0j])
 def test_conjugate_symmetry_is_exact(z):
-    # Both evaluation routes use arithmetic that commutes with conjugation,
-    # so this holds bit for bit, not merely to rounding.
+    # AMOS uses arithmetic that commutes with conjugation, so this holds
+    # bit for bit, not merely to rounding.
     assert bessel_j(2.5, z.conjugate()) == bessel_j(2.5, z).conjugate()
 
 
@@ -139,7 +139,8 @@ def test_scalar_types_follow_input():
 def test_negative_real_argument_promotes_to_complex():
     val = bessel_j(0.0, -1.0)
     assert isinstance(val, complex)
-    # J_0 is even, and (-1)^2 = 1 exactly, so the series sums identically.
+    # J_0 is even, and the reflection of -1 onto +1 multiplies by
+    # e^{i pi nu} = 1 exactly at nu = 0.
     assert val == bessel_j(0.0, 1.0) + 0.0j
 
 
@@ -154,6 +155,19 @@ def test_array_arguments_round_trip():
     n_out = bessel_n(1.0, np.array([1.0, 2.0, 3.0]))
     assert n_out.shape == (3,)
     assert n_out[1] == bessel_n(1.0, 2.0)
+
+
+def test_large_off_axis_array_matches_its_chunks_bit_for_bit():
+    # AMOS evaluates each element on its own, so no value depends on the
+    # size of the array it arrives in; 762 is the number of distinct radii
+    # of a 256x256 polar grid
+    rng = _sample("chunks")
+    z = (rng.uniform(0.05, 30.0, 65536)
+         * np.exp(1j * rng.uniform(-0.6, 0.6, 65536)))
+    whole = bessel_j(2.0, z)
+    parts = np.concatenate([bessel_j(2.0, z[lo:lo + 762])
+                            for lo in range(0, z.size, 762)])
+    assert whole.tobytes() == parts.tobytes()
 
 
 def test_empty_array_passes_through():
@@ -265,8 +279,8 @@ def _sample(name):
 
 @pytest.mark.parametrize("name", sorted(PROPERTY_ORDERS))
 def test_j_complex_property_against_mpmath(name):
-    # |z| <= 30 and |arg z| <= 0.6 spans both off-axis regimes: the float
-    # series inside |z| <= 10 and the library kernel beyond it.
+    # |z| <= 30 and |arg z| <= 0.6 spans the validated off-axis domain,
+    # small arguments and large alike.
     with mpmath.workdps(REF_DPS):
         order = PROPERTY_ORDERS[name]()
     rng = _sample("complex " + name)

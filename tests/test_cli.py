@@ -122,6 +122,22 @@ def test_collapsing_scale_factor_is_a_solver_error(tmp_path, c0_text, capsys):
                                    abs=1e-3)
 
 
+@pytest.mark.parametrize("command,needle", [
+    ("solve", "field_times = 0.0, 0.5, 1.0"),
+    ("oracle", "record_times = 0.0, 0.5, 1.0"),
+])
+def test_nan_time_is_outside_the_span(tmp_path, command, needle, capsys):
+    # NaN fails every comparison, so each span check is written to fail
+    # for it rather than to pass it
+    text = patched(Path(C15).read_text(), needle,
+                   needle.replace("0.5, 1.0", "nan"))
+    rc = main([command, "--config", write_cfg(tmp_path, text),
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutOfDomain: ") and "outside span" in err
+
+
 def test_quiet_silences_stdout(tmp_path, capsys):
     rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
                "--out", str(tmp_path), "--quiet"])
@@ -228,6 +244,23 @@ def test_scan_names_the_winner(tmp_path, capsys):
     assert (tmp_path / "scan_table.csv").exists()
     out = capsys.readouterr().out
     assert f"scan: winner {WINNER_LABEL}" in out
+
+
+def test_scan_evaluates_each_radial_factor_once(tmp_path, monkeypatch):
+    # the eight readings differ only in the envelope, so the scan's one
+    # geometry evaluates J once per (branch, time): 2 x 3 stencil times
+    import invosc.wavefunction as wavefunction
+    calls = []
+    real = wavefunction.bessel_j
+
+    def counting(nu, z, *args, **kwargs):
+        calls.append(nu)
+        return real(nu, z, *args, **kwargs)
+
+    monkeypatch.setattr(wavefunction, "bessel_j", counting)
+    rc = main(["scan", "--config", C15, "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_OK
+    assert len(calls) == 6
 
 
 def test_scan_maps_inconclusive_to_its_exit_code(tmp_path, monkeypatch,

@@ -15,7 +15,8 @@ from invosc import ode
 from invosc.errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
 from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
                         solve_chain, solve_riccati, write_trajectory_csv)
-from invosc.params import TimeFunction, effective_frequency_sq
+from invosc.params import (TimeFunction, effective_frequency_sq,
+                           frame_rotation_rate)
 
 from conftest import SPAN, make_chain, make_coeffs
 
@@ -172,6 +173,88 @@ def test_chain_matches_closed_forms_over_the_span(constants, coupling):
         assert abs(traj.phase(t) - f_ref) <= 7e-10 * max(1.0, abs(f_ref)), t
 
 
+# Driven families of the bundled configs: ramp_mass, sinusoidal_b and
+# exp_omega.
+DRIVEN_FAMILIES = {
+    "linear": {"m": TimeFunction.linear(1.0, 0.1, SPAN)},
+    "sinusoidal": {"B": TimeFunction.sinusoidal(1.0, 1.0, SPAN)},
+    "exponential": {"w": TimeFunction.exponential(1.0, 0.1, SPAN), "B": 0.0},
+}
+# Worst of |chain - reference| / max(1, |reference|) over the families,
+# both couplings and both alpha0 branches at 201 times, measured at the
+# default tolerance: beta 8.1e-13, alpha 4.1e-11, mu 1.9e-11, f 1.2e-10.
+# Each bar leaves 2.5x headroom.  The reference moves by at most 6.4e-12
+# (f) between rtol 1e-12 and 1e-13, well inside every bar.
+DRIVEN_BARS = {"beta": 2e-12, "alpha": 1e-10, "mu": 5e-11, "phase": 3e-10}
+
+
+def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
+    """The chain from the classical oscillator, independently of ode.py.
+
+    alpha = -i m xi'/xi turns the width equation into the linear
+    (m xi')' + m W^2 xi = 0, integrated as (xi, p = m xi') with xi(0) = 1
+    and p(0) = i alpha0 by scipy's DOP853.  The "pde" link gives
+    mu = xi; beta, f and the "literal" link's log mu = -int alpha are
+    quadratures carried along.
+    """
+    from scipy.integrate import solve_ivp
+
+    literal = mu_coupling == "literal"
+
+    def rhs(t, y):
+        xi, p, _, _, log_mu = y
+        m = coeffs.mass.value(t)
+        alpha = -1j * p / xi
+        mu2 = np.exp(2.0 * log_mu) if literal else xi * xi
+        return [p / m, -m * effective_frequency_sq(coeffs, t) * xi,
+                frame_rotation_rate(coeffs, t),
+                (k * k + 2.0 * mu2 * alpha) / (2.0 * m * mu2), -alpha]
+
+    sol = solve_ivp(rhs, SPAN, [1.0 + 0j, 1j * alpha0, 0j, 0j, 0j],
+                    method="DOP853", t_eval=ts, rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    xi, p, beta, f, log_mu = sol.y
+    return {"beta": beta.real, "alpha": -1j * p / xi,
+            "mu": np.exp(log_mu) if literal else xi, "phase": f}
+
+
+def _chain_errors(traj, ref, ts):
+    return {name: float(np.max(
+        np.abs(np.asarray(getattr(traj, name)(ts)) - want)
+        / np.maximum(1.0, np.abs(want)))) for name, want in ref.items()}
+
+
+@pytest.mark.parametrize("branch", [+1, -1])
+@pytest.mark.parametrize("coupling", MU_COUPLINGS)
+@pytest.mark.parametrize("family", sorted(DRIVEN_FAMILIES))
+def test_driven_chain_matches_the_linearized_riccati(family, coupling,
+                                                      branch):
+    coeffs = make_coeffs(**DRIVEN_FAMILIES[family])
+    traj = make_chain(coeffs, branch=branch, mu_coupling=coupling)
+    ts = np.linspace(*SPAN, 201)
+    ref = _linearized_reference(coeffs, traj.alpha0, coupling, ts)
+    errors = _chain_errors(traj, ref, ts)
+    assert all(errors[name] <= bar for name, bar in DRIVEN_BARS.items()), \
+        errors
+
+
+@pytest.mark.parametrize("coupling", MU_COUPLINGS)
+def test_linearized_riccati_catches_a_perturbed_chain(coupling):
+    # alpha0 and the field amplitude each off by 1e-9 relative: every
+    # component leaves its bar, f by the least (about 2x), beta by the
+    # most (about 100x)
+    coeffs = make_coeffs(**DRIVEN_FAMILIES["sinusoidal"])
+    nudged = make_coeffs(B=TimeFunction.sinusoidal(1.0 + 1e-9, 1.0, SPAN))
+    alpha0 = default_alpha0(coeffs)
+    traj = solve_chain(nudged, 1.0, alpha0=alpha0 * (1.0 + 1e-9),
+                       mu_coupling=coupling)
+    ts = np.linspace(*SPAN, 201)
+    errors = _chain_errors(
+        traj, _linearized_reference(coeffs, alpha0, coupling, ts), ts)
+    assert all(errors[name] > bar for name, bar in DRIVEN_BARS.items()), \
+        errors
+
+
 def test_solve_chain_is_one_coupled_integration(monkeypatch):
     calls = []
     real = ode._dopri5
@@ -187,8 +270,9 @@ def test_solve_chain_is_one_coupled_integration(monkeypatch):
 
 def test_out_of_span_evaluation_raises():
     traj = make_chain(make_coeffs(C=0.0))
-    with pytest.raises(OutOfDomain):
-        traj.alpha(1.5)
+    for t in (1.5, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(OutOfDomain):
+            traj.alpha(t)
 
 
 def test_solve_chain_rejects_unknown_coupling():

@@ -169,8 +169,9 @@ def test_record_times_snap_and_sort(harmonic):
     res = propagate(prob, u0, record_times=(1.0, 0.50002, 0.0))
     assert res.times == (0.0, 0.5, 1.0)
     assert res.fields.shape == (3, 512)
-    with pytest.raises(OutOfDomain):
-        propagate(prob, u0, record_times=(2.0,))
+    for bad in (2.0, math.nan, math.inf):
+        with pytest.raises(OutOfDomain, match="outside span"):
+            propagate(prob, u0, record_times=(0.0, bad))
     endpoints = propagate(prob, u0)
     assert endpoints.times == SPAN
 

@@ -478,6 +478,36 @@ def test_radial_factor_is_evaluated_once_per_distinct_radius(
     assert distinct < X.size // 50
 
 
+def test_one_geometry_serves_modes_that_differ_in_amplitude(mode_c15,
+                                                           chain_c15):
+    # the memo key holds the amplitudes, so a second mode on the same
+    # geometry gets its own radial factor, not the first mode's
+    grid = PolarGrid(0.4, 8.0, 32, 24)
+    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15))
+    other = dataclasses.replace(mode_c15, amp_first=2.5 - 1.0j)
+    for mode in (mode_c15, other, mode_c15):
+        shared = assemble_psi(mode, chain_c15, geometry.x, geometry.y, 0.5,
+                              geometry=geometry)
+        alone = assemble_psi(mode, chain_c15, geometry.x, geometry.y, 0.5)
+        assert np.array_equal(shared, alone)
+    assert len(geometry.radial) == 2
+
+
+def test_temporal_ladder_shares_the_factor_at_the_residual_time(
+        monkeypatch, mode_c15, chain_c15, coeffs_c15):
+    # each rung evaluates t - dt, t + dt and t; the rungs share t
+    calls = []
+
+    def counting(nu, z, *args, **kwargs):
+        calls.append(nu)
+        return bessel_j(nu, z, *args, **kwargs)
+
+    monkeypatch.setattr("invosc.wavefunction.bessel_j", counting)
+    schrodinger_residual(mode_c15, chain_c15, coeffs_c15, RESIDUAL_GRID,
+                         (0.4,), steps=COARSE_STEPS)
+    assert len(calls) == 2 * len(COARSE_STEPS) + 1
+
+
 @pytest.fixture
 def geometry_builds(monkeypatch):
     """Shapes of the GridGeometry objects built while the test runs."""
