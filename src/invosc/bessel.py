@@ -8,10 +8,10 @@ ACM TOMS 644) in two regimes:
 
   nonnegative real axis   real jv, float64 out
   everything else         complex jv on the principal branch of z^nu: the
-                          negative real axis and off-axis |z| <= series_radius
+                          negative real axis and off-axis |z| <= 30
 
-Off-axis |z| > series_radius raises DomainTooLarge: the caller should
-shrink the grid or the time window rather than trust an unvalidated
+Off-axis |z| > VALIDATED_COMPLEX_RADIUS raises DomainTooLarge: the caller
+should shrink the grid or the time window rather than trust an unvalidated
 regime.  N is scipy.special.yv.  Both regimes are property-tested against
 mpmath at 40 digits over |z| <= 30.
 """
@@ -19,29 +19,17 @@ mpmath at 40 digits over |z| <= 30.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv, yv
 
 from .errors import DomainTooLarge, NonPositiveArgument, Overflow, Pole
 
-__all__ = ["EvalDomain", "gamma_real", "bessel_j", "bessel_n",
+__all__ = ["VALIDATED_COMPLEX_RADIUS", "gamma_real", "bessel_j", "bessel_n",
            "wronskian_check"]
 
-
-@dataclass(frozen=True)
-class EvalDomain:
-    """Validated argument domain for J evaluation."""
-
-    series_radius: float = 30.0
-
-    def __post_init__(self):
-        if self.series_radius <= 0:
-            raise ValueError("series_radius must be positive")
-
-
-_DEFAULT_DOMAIN = EvalDomain()
+# Off-axis |z| up to which complex jv is property-tested against mpmath.
+VALIDATED_COMPLEX_RADIUS = 30.0
 
 
 # -- gamma ---------------------------------------------------------------------
@@ -73,16 +61,15 @@ def _check_order(nu):
     return nu
 
 
-def bessel_j(nu, z, dom: EvalDomain | None = None):
+def bessel_j(nu, z):
     """J_nu(z) for nonnegative real order and scalar/array argument.
 
     Real nonnegative input comes back as float64, anything else as
     complex128 on the principal branch of z^nu.  Complex magnitudes past
-    ``dom.series_radius`` off the real axis raise DomainTooLarge so callers
-    shrink their grid or time window instead of consuming junk.
+    VALIDATED_COMPLEX_RADIUS off the real axis raise DomainTooLarge so
+    callers shrink their grid or time window instead of consuming junk.
     """
     nu = _check_order(nu)
-    dom = dom or _DEFAULT_DOMAIN
     z_in = np.asarray(z)
     real_in = not np.iscomplexobj(z_in) and (z_in.size == 0 or bool(np.all(z_in >= 0)))
     zf = np.atleast_1d(z_in).astype(complex).ravel()
@@ -90,12 +77,12 @@ def bessel_j(nu, z, dom: EvalDomain | None = None):
     mag = np.abs(zf)
     off_axis = zf.imag != 0.0
 
-    too_big = off_axis & (mag > dom.series_radius)
+    too_big = off_axis & (mag > VALIDATED_COMPLEX_RADIUS)
     if np.any(too_big):
         worst = float(np.max(mag[too_big]))
         raise DomainTooLarge(
             f"|z| = {worst:.4g} exceeds the validated complex radius "
-            f"{dom.series_radius:g}")
+            f"{VALIDATED_COMPLEX_RADIUS:g}")
 
     right = ~off_axis & (zf.real >= 0.0)
     cplx = ~right                 # off the axis, or the negative axis

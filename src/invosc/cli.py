@@ -9,9 +9,10 @@ Five subcommands cover the pipeline end to end:
   bessel-table  tabulate the radial pair for manual inspection
 
 Config files use the small ``[section] / key = value`` format scanned by
-params.parse_sections.  Physics inputs (coefficients, charge, coupling,
-mode numbers, span, grid extents) must be explicit; only numerical knobs
-(tolerances, ladder steps, sample counts) carry defaults.
+params.parse_sections; every key is read through params.Section, whose
+errors name the offending line.  Physics inputs (coefficients, charge,
+coupling, mode numbers, span, grid extents) must be explicit; only
+numerical knobs (tolerances, ladder steps, sample counts) carry defaults.
 
 Every artifact embeds a sha256 digest of the effective config so that
 later comparisons can refuse mixed inputs, and ``verify`` does refuse
@@ -69,61 +70,6 @@ _SECTIONS = {"mass", "frequency", "magnetic_field", "constants", "mode",
              "span", "grid", "verification", "oracle", "run"}
 _REQUIRED_SECTIONS = ("mass", "frequency", "magnetic_field", "constants",
                       "mode", "span", "grid")
-
-
-# -- typed section reads ------------------------------------------------------
-
-class _Section:
-    """Typed key lookups over one parsed section, errors carry line numbers."""
-
-    def __init__(self, name, items, header_line):
-        self.name = name
-        self.items = items
-        self.header_line = header_line
-
-    _MISSING = object()
-
-    def _raw(self, key, default):
-        if key not in self.items:
-            if default is self._MISSING:
-                raise ConfigError(f"missing key {key!r} in [{self.name}]",
-                                  self.header_line)
-            return None
-        return self.items[key]
-
-    def _parse(self, key, default, kind, what):
-        got = self._raw(key, default)
-        if got is None:
-            return default
-        raw, line = got
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(f"{key} = {raw!r} is not {what}", line) from None
-
-    def float(self, key, default=_MISSING):
-        return self._parse(key, default, float, "a number")
-
-    def int(self, key, default=_MISSING):
-        return self._parse(key, default, int, "an integer")
-
-    def complex(self, key, default=_MISSING):
-        return self._parse(key, default,
-                           lambda raw: complex(raw.replace(" ", "")),
-                           "a complex number")
-
-    def str(self, key, default=_MISSING):
-        return self._parse(key, default, lambda raw: raw, "a string")
-
-    def floats(self, key, default=_MISSING):
-        def parse(raw):
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        return self._parse(key, default, parse, "a number list")
-
-    def reject_unknown(self, known):
-        for key, (_, line) in self.items.items():
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
 
 
 # -- run configuration --------------------------------------------------------
@@ -186,44 +132,39 @@ class RunConfig:
             digest_src += f"\n# cli_flags_override = {flags_override}\n"
         digest = hashlib.sha256(digest_src.encode()).hexdigest()
 
-        sections, headers = parse_sections(text)
-        for name in sections:
+        sections = parse_sections(text)
+        for name, section in sections.items():
             if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", headers[name])
+                raise ConfigError(f"unknown section [{name}]",
+                                  section.header_line)
         for name in _REQUIRED_SECTIONS:
             if name not in sections:
                 raise ConfigError(f"config has no [{name}] section")
 
-        def sec(name):
-            return _Section(name, sections[name], headers[name])
-
-        span_s = sec("span")
+        span_s = sections["span"]
         span_s.reject_unknown({"t0", "t1"})
         span = (span_s.float("t0"), span_s.float("t1"))
         if not span[0] < span[1]:
             raise ConfigError(f"span [{span[0]!r}, {span[1]!r}] is empty",
                               span_s.header_line)
 
-        consts = sec("constants")
+        consts = sections["constants"]
         consts.reject_unknown({"q", "C"})
         q = consts.float("q")
         coupling = consts.float("C")
 
         try:
             coeffs = CoefficientSet(
-                mass=time_function_from_section(
-                    "mass", sections["mass"], span, headers["mass"]),
-                frequency=time_function_from_section(
-                    "frequency", sections["frequency"], span,
-                    headers["frequency"]),
+                mass=time_function_from_section(sections["mass"], span),
+                frequency=time_function_from_section(sections["frequency"],
+                                                     span),
                 magnetic_field=time_function_from_section(
-                    "magnetic_field", sections["magnetic_field"], span,
-                    headers["magnetic_field"]),
+                    sections["magnetic_field"], span),
                 charge=q, coupling=coupling)
         except ValueError as exc:
-            raise ConfigError(str(exc), headers["mass"]) from exc
+            raise ConfigError(str(exc), sections["mass"].header_line) from exc
 
-        mode_s = sec("mode")
+        mode_s = sections["mode"]
         mode_s.reject_unknown({"k", "n", "angular_sign", "amp_first",
                                "amp_second", "flags"})
         angular_sign = mode_s.int("angular_sign")
@@ -234,11 +175,11 @@ class RunConfig:
         if flags_raw != "scan":
             ConventionFlags.from_label(flags_raw)   # validate early
 
-        grid = cls._read_grid(sec("grid"))
+        grid = cls._read_grid(sections["grid"])
 
         verify = None
         if "verification" in sections:
-            ver_s = sec("verification")
+            ver_s = sections["verification"]
             ver_s.reject_unknown({"times", "dt_ladder", "max_rel_inf",
                                   "order_lo", "order_hi"})
             verify = VerifySettings(
@@ -251,7 +192,7 @@ class RunConfig:
 
         oracle = None
         if "oracle" in sections:
-            orc_s = sec("oracle")
+            orc_s = sections["oracle"]
             orc_s.reject_unknown({"rho_max", "n_rho", "dt", "record_times",
                                   "min_fidelity"})
             oracle = OracleSettings(
@@ -266,7 +207,7 @@ class RunConfig:
         mu_coupling = "pde"
         chain_cfg = IntegratorConfig()
         if "run" in sections:
-            run_s = sec("run")
+            run_s = sections["run"]
             run_s.reject_unknown({"field_times", "trajectory_samples",
                                   "mu_coupling", "rel_tol", "abs_tol"})
             field_times = run_s.floats("field_times", default=field_times)

@@ -58,8 +58,8 @@ class ZeroCrossing(InvoscError):
 
 
 class DomainTooLarge(InvoscError):
-    """Bessel argument left the validated series domain.  The caller
-    should shrink the grid or the time window."""
+    """Off-axis Bessel argument past the radius where complex J is
+    validated.  The caller should shrink the grid or the time window."""
 
 
 class Pole(InvoscError):

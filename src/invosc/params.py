@@ -20,8 +20,16 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite, OutOfDomain
 
-_FAMILIES = ("constant", "linear", "exponential", "sinusoidal", "polynomial",
-             "tabulated")
+# The config keys each family reads besides ``family``; a sinusoidal
+# ``offset`` is optional.
+_FAMILY_KEYS = {
+    "constant": ("value",),
+    "linear": ("intercept", "slope"),
+    "exponential": ("base", "rate"),
+    "sinusoidal": ("amplitude", "angular_frequency", "offset"),
+    "polynomial": ("coeffs",),
+    "tabulated": ("times", "values"),
+}
 
 # Points used when a positivity check has no closed form.
 _POSITIVITY_SAMPLES = 1024
@@ -44,7 +52,7 @@ class TimeFunction:
     _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _FAMILY_KEYS:
             raise ValueError(f"unknown family {self.family!r}")
         t0, t1 = self.span
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
@@ -320,16 +328,66 @@ def effective_frequency_sq(coeffs: CoefficientSet, t):
 
 # -- config file scanning -----------------------------------------------------
 
-def parse_sections(text):
-    """Parse the key = value config format into nested dicts.
+class Section:
+    """One parsed config section with typed key lookups.
 
-    Returns {section: {key: (raw_value, line_number)}} plus a parallel map
-    of section header lines.  The format is deliberately small: section
-    headers in brackets, one key = value per line, '#' or ';' comments,
-    blank lines.  Anything else is a ConfigError carrying the line number.
+    ``items`` maps each key to its (raw value, line number).  Every read
+    that fails raises ConfigError carrying the offending line, or the
+    header line when a required key is missing.
     """
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    header_lines: dict[str, int] = {}
+
+    _MISSING = object()
+
+    def __init__(self, name, header_line):
+        self.name = name
+        self.header_line = header_line
+        self.items: dict[str, tuple[str, int]] = {}
+
+    def _parse(self, key, default, kind, what):
+        if key not in self.items:
+            if default is self._MISSING:
+                raise ConfigError(f"missing key {key!r} in [{self.name}]",
+                                  self.header_line)
+            return default
+        raw, line = self.items[key]
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key} = {raw!r} is not {what}", line) from None
+
+    def float(self, key, default=_MISSING):
+        return self._parse(key, default, float, "a number")
+
+    def int(self, key, default=_MISSING):
+        return self._parse(key, default, int, "an integer")
+
+    def complex(self, key, default=_MISSING):
+        return self._parse(key, default,
+                           lambda raw: complex(raw.replace(" ", "")),
+                           "a complex number")
+
+    def str(self, key, default=_MISSING):
+        return self._parse(key, default, lambda raw: raw, "a string")
+
+    def floats(self, key, default=_MISSING):
+        def parse(raw):
+            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return self._parse(key, default, parse, "a number list")
+
+    def reject_unknown(self, known):
+        for key, (_, line) in self.items.items():
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
+
+
+def parse_sections(text):
+    """Parse the key = value config format into {name: Section}.
+
+    The format is deliberately small: section headers in brackets, one
+    key = value per line, '#' or ';' comments, blank lines.  Anything else
+    is a ConfigError carrying the line number.
+    """
+    sections: dict[str, Section] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -341,9 +399,7 @@ def parse_sections(text):
                 raise ConfigError("empty section name", lineno)
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", lineno)
-            sections[name] = {}
-            header_lines[name] = lineno
-            current = name
+            current = sections[name] = Section(name, lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
@@ -354,69 +410,39 @@ def parse_sections(text):
         val = val.split("#", 1)[0].split(";", 1)[0].strip()
         if not key:
             raise ConfigError("empty key", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (val, lineno)
-    return sections, header_lines
+        if key in current.items:
+            raise ConfigError(f"duplicate key {key!r} in [{current.name}]",
+                              lineno)
+        current.items[key] = (val, lineno)
+    return sections
 
 
-def time_function_from_section(section, items, span, header_line):
-    """Build a TimeFunction from one config section.
+def time_function_from_section(section, span):
+    """Build a TimeFunction from one config Section.
 
-    ``items`` is the {key: (raw, line)} map for the section; unknown or
-    missing keys raise ConfigError with a line number.
+    The section holds ``family`` and exactly the keys that family reads
+    (_FAMILY_KEYS); an unknown family, a missing key, or a key of any
+    other family raises ConfigError with a line number.
     """
-    def take(key, required=True):
-        if key not in items:
-            if required:
-                raise ConfigError(f"missing key {key!r} in [{section}]", header_line)
-            return None
-        return items[key]
-
-    def as_float(key):
-        raw, line = items[key]
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} = {raw!r} is not a number", line) from None
-
-    def as_float_list(key):
-        raw, line = items[key]
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"{key} = {raw!r} is not a number list", line) from None
-
-    fam_raw = take("family")
-    family, fam_line = fam_raw[0], fam_raw[1]
-    known = {"family", "value", "intercept", "slope", "base", "rate",
-             "amplitude", "angular_frequency", "offset", "coeffs",
-             "times", "values"}
-    for key, (_, line) in items.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", line)
+    family = section.str("family")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family {family!r} in [{section.name}]",
+                          section.items["family"][1])
+    section.reject_unknown({"family", *_FAMILY_KEYS[family]})
+    num, nums = section.float, section.floats
     try:
         if family == "constant":
-            take("value")
-            return TimeFunction.constant(as_float("value"), span)
+            return TimeFunction.constant(num("value"), span)
         if family == "linear":
-            take("intercept"), take("slope")
-            return TimeFunction.linear(as_float("intercept"), as_float("slope"), span)
+            return TimeFunction.linear(num("intercept"), num("slope"), span)
         if family == "exponential":
-            take("base"), take("rate")
-            return TimeFunction.exponential(as_float("base"), as_float("rate"), span)
+            return TimeFunction.exponential(num("base"), num("rate"), span)
         if family == "sinusoidal":
-            take("amplitude"), take("angular_frequency")
-            off = as_float("offset") if "offset" in items else 0.0
-            return TimeFunction.sinusoidal(as_float("amplitude"),
-                                           as_float("angular_frequency"), span, off)
+            return TimeFunction.sinusoidal(num("amplitude"),
+                                           num("angular_frequency"), span,
+                                           num("offset", default=0.0))
         if family == "polynomial":
-            take("coeffs")
-            return TimeFunction.polynomial(as_float_list("coeffs"), span)
-        if family == "tabulated":
-            take("times"), take("values")
-            return TimeFunction.tabulated(as_float_list("times"),
-                                          as_float_list("values"), span)
+            return TimeFunction.polynomial(nums("coeffs"), span)
+        return TimeFunction.tabulated(nums("times"), nums("values"), span)
     except (ValueError, NonFinite) as exc:
-        raise ConfigError(f"[{section}]: {exc}", header_line) from exc
-    raise ConfigError(f"unknown family {family!r} in [{section}]", fam_line)
+        raise ConfigError(f"[{section.name}]: {exc}", section.header_line) from exc

@@ -572,59 +572,34 @@ def sample_field(mode: ModeSpec, traj, grid, times):
 
 # -- finite-difference residual -------------------------------------------------
 
-def _d1_bounded(a, h, axis):
-    """4th-order first derivative along a non-periodic axis, interior only."""
-    out = np.zeros_like(a)
-    sl = [slice(None)] * a.ndim
+def _derivatives(a, h, axis, periodic):
+    """4th-order first and second derivatives of a along one axis.
 
-    def shifted(off):
-        s = sl.copy()
-        s[axis] = slice(2 + off, a.shape[axis] - 2 + off or None)
-        return a[tuple(s)]
-
-    s0 = sl.copy()
-    s0[axis] = slice(2, -2)
-    out[tuple(s0)] = (-shifted(+2) + 8.0 * shifted(+1)
-                      - 8.0 * shifted(-1) + shifted(-2)) / (12.0 * h)
-    return out
-
-
-def _d2_bounded(a, h, axis):
-    """4th-order second derivative along a non-periodic axis, interior only."""
-    out = np.zeros_like(a)
-    sl = [slice(None)] * a.ndim
-
-    def shifted(off):
-        s = sl.copy()
-        s[axis] = slice(2 + off, a.shape[axis] - 2 + off or None)
-        return a[tuple(s)]
-
-    s0 = sl.copy()
-    s0[axis] = slice(2, -2)
-    out[tuple(s0)] = (-shifted(+2) + 16.0 * shifted(+1) - 30.0 * shifted(0)
-                      + 16.0 * shifted(-1) - shifted(-2)) / (12.0 * h * h)
-    return out
-
-
-def _d_periodic(a, h, axis):
-    """4th-order first and second derivatives along a periodic axis.
-
-    a is padded once with two wrapped nodes at each end of the axis; the
-    four shifted arrays both stencils read are views into that one copy.
+    A periodic axis is padded once with two wrapped nodes at each end, so
+    both stencils cover every node.  A bounded axis gets them on its
+    interior only, and each result is padded back to full shape with
+    zeros in the two nodes at either edge.  The five shifted arrays both
+    stencils read are views.
     """
     pad = [(0, 0)] * a.ndim
     pad[axis] = (2, 2)
-    wrapped = np.pad(a, pad, mode="wrap")
-    sl = [slice(None)] * a.ndim
+    src = np.pad(a, pad, mode="wrap") if periodic else a
+    n = a.shape[axis] if periodic else a.shape[axis] - 4
 
     def shifted(off):
-        s = sl.copy()
-        s[axis] = slice(2 + off, 2 + off + a.shape[axis])
-        return wrapped[tuple(s)]
+        s = [slice(None)] * a.ndim
+        s[axis] = slice(2 + off, 2 + off + n)
+        return src[tuple(s)]
 
-    p2, p1, m1, m2 = (shifted(off) for off in (2, 1, -1, -2))
+    p2, p1, c, m1, m2 = (shifted(off) for off in (2, 1, 0, -1, -2))
+    # a bounded result is padded before the next is built, so only one
+    # interior-sized array is alive at a time
     d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-    d2 = (-p2 + 16.0 * p1 - 30.0 * a + 16.0 * m1 - m2) / (12.0 * h * h)
+    if not periodic:
+        d1 = np.pad(d1, pad)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h * h)
+    if not periodic:
+        d2 = np.pad(d2, pad)
     return d1, d2
 
 
@@ -648,9 +623,10 @@ def _apply_hamiltonian(values, grid, geometry, coeffs: CoefficientSet, t):
             inv_r = np.where(r_col > 0.0, 1.0 / r_col, 0.0)
         # summed in place, in the order d_rr + inv_r d_r + inv_r^2 d_pp,
         # so the bits match the plain sum with fewer full-grid temporaries
-        lap = _d2_bounded(values, drho, axis=0)
-        lap += inv_r * _d1_bounded(values, drho, axis=0)
-        d_p, d_pp = _d_periodic(values, dphi, axis=1)
+        d_r, lap = _derivatives(values, drho, 0, periodic=False)
+        lap += inv_r * d_r
+        del d_r
+        d_p, d_pp = _derivatives(values, dphi, 1, periodic=True)
         lap += inv_r * inv_r * d_pp
         del d_pp
         # y d_x - x d_y = -d_phi
@@ -662,15 +638,11 @@ def _apply_hamiltonian(values, grid, geometry, coeffs: CoefficientSet, t):
     else:
         hx, hy = grid.spacing()
         X, Y = geometry.x, geometry.y
-        d_xx = _d2_bounded(values, hx, axis=0)
-        d_yy = _d2_bounded(values, hy, axis=1)
-        lap = d_xx + d_yy
-        if rate != 0.0:
-            d_x = _d1_bounded(values, hx, axis=0)
-            d_y = _d1_bounded(values, hy, axis=1)
-            cross = (1j * rate) * (Y * d_x - X * d_y)
-        else:
-            cross = 0.0
+        d_x, lap = _derivatives(values, hx, 0, periodic=False)
+        d_y, d_yy = _derivatives(values, hy, 1, periodic=False)
+        lap += d_yy
+        del d_yy
+        cross = (1j * rate) * (Y * d_x - X * d_y) if rate != 0.0 else 0.0
         rho2 = X * X + Y * Y
         pot = 0.5 * m * W2 * rho2
         if C != 0.0:

@@ -20,8 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from invosc.bessel import (EvalDomain, bessel_j, bessel_n, gamma_real,
-                           wronskian_check)
+from invosc.bessel import bessel_j, bessel_n, gamma_real, wronskian_check
 from invosc.errors import (DomainTooLarge, NonPositiveArgument, Overflow,
                            Pole)
 
@@ -181,20 +180,6 @@ def test_empty_array_passes_through():
 def test_complex_magnitude_past_validated_radius_refused():
     with pytest.raises(DomainTooLarge):
         bessel_j(1.0, 22.0 + 22.0j)
-
-
-def test_wider_domain_rescues_and_stays_accurate():
-    # mpmath dps=40: besselj(1, 22 + 22j)
-    ref = 93146191.19330984 - 236547511.21517372j
-    val = bessel_j(1.0, 22.0 + 22.0j, EvalDomain(series_radius=40.0))
-    assert abs(val - ref) / abs(ref) < 1e-11
-
-
-def test_eval_domain_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        EvalDomain(series_radius=0.0)
-    with pytest.raises(ValueError):
-        EvalDomain(series_radius=-3.0)
 
 
 def test_order_must_be_finite_and_nonnegative():

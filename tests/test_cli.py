@@ -372,6 +372,8 @@ def test_nonpositive_mass_is_a_parse_error(tmp_path, c0_text, capsys):
     ("type = cartesian", "type = spherical", "spherical"),
     ("[run]\nfield_times", "[run]\nmu_coupling = banana\nfield_times",
      "mu_coupling"),
+    ("[mass]\nfamily = constant\nvalue = 1.0",
+     "[mass]\nfamily = constant\nvalue = 1.0\nslope = 5", "slope"),
 ])
 def test_unknown_structure_is_rejected(tmp_path, c0_text, capsys, old, new,
                                        hint):

@@ -224,11 +224,11 @@ slope = -0.1
 
 
 def test_parse_sections_happy_path():
-    sections, headers = parse_sections(GOOD)
+    sections = parse_sections(GOOD)
     assert set(sections) == {"mass", "frequency"}
-    assert headers["mass"] == 2
-    assert sections["mass"]["value"] == ("1.0", 4)
-    assert sections["frequency"]["slope"] == ("-0.1", 9)
+    assert sections["mass"].header_line == 2
+    assert sections["mass"].items["value"] == ("1.0", 4)
+    assert sections["frequency"].items["slope"] == ("-0.1", 9)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -246,12 +246,10 @@ def test_parse_sections_errors_carry_lines(text, fragment):
 
 
 def test_time_function_from_section_families():
-    sections, headers = parse_sections(GOOD)
-    f = time_function_from_section("mass", sections["mass"], SPAN,
-                                   headers["mass"])
+    sections = parse_sections(GOOD)
+    f = time_function_from_section(sections["mass"], SPAN)
     assert f.family == "constant" and f.value(0.3) == 1.0
-    g = time_function_from_section("frequency", sections["frequency"], SPAN,
-                                   headers["frequency"])
+    g = time_function_from_section(sections["frequency"], SPAN)
     assert g.value(0.5) == pytest.approx(0.95)
 
 
@@ -260,9 +258,9 @@ def test_time_function_from_section_families():
     ("family = constant\n", "missing key"),
     ("family = constant\nvalue = two\n", "not a number"),
     ("family = constant\nvalue = 1\nwibble = 2\n", "unknown key"),
+    ("family = constant\nvalue = 1.0\nslope = 5\n", "unknown key"),
 ])
 def test_time_function_from_section_errors(body, fragment):
-    sections, headers = parse_sections("[mass]\n" + body)
+    sections = parse_sections("[mass]\n" + body)
     with pytest.raises(ConfigError, match=fragment):
-        time_function_from_section("mass", sections["mass"], SPAN,
-                                   headers["mass"])
+        time_function_from_section(sections["mass"], SPAN)

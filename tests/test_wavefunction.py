@@ -24,6 +24,7 @@ from invosc.wavefunction import (CartesianGrid, ConventionFlags,
                                  normalize_on_disk, order_from_coupling,
                                  sample_field, schrodinger_residual,
                                  sector_winding, theta_from_xy)
+from invosc.wavefunction import _derivatives
 
 from conftest import SPAN, WINNER, make_chain, make_coeffs
 
@@ -647,6 +648,32 @@ def test_known_plane_wave_passes_the_operator():
     rep = schrodinger_residual(None, None, coeffs, grid, (0.5,),
                                steps=(2e-4,), psi=plane)
     assert rep.rel_inf < 3e-8
+
+
+def _rolled_stencils(a, h, axis):
+    """(d1, d2) from np.roll copies, every node wrapped: the reference for
+    the residual's stencils."""
+    p2, p1, m1, m2 = (np.roll(a, -off, axis=axis) for off in (2, 1, -1, -2))
+    return ((-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h),
+            (-p2 + 16.0 * p1 - 30.0 * a + 16.0 * m1 - m2) / (12.0 * h * h))
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "bounded"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_derivatives_match_the_rolled_stencils(axis, periodic):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((13, 11)) + 1j * rng.standard_normal((13, 11))
+    for want, got in zip(_rolled_stencils(a, 0.3, axis),
+                         _derivatives(a, 0.3, axis, periodic)):
+        if not periodic:
+            # a bounded axis has no stencil within two nodes of its edges
+            want = np.moveaxis(want.copy(), axis, 0)
+            want[:2] = want[-2:] = 0.0
+            want = np.moveaxis(want, 0, axis)
+        assert got.shape == a.shape
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
 
 
 def test_temporal_ladder_converges_at_second_order(mode_c15, chain_c15,
