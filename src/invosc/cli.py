@@ -47,7 +47,8 @@ from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
 from .ode import (IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain,
                   write_trajectory_csv)
 from .oracle import RadialProblem, propagate
-from .params import (CoefficientSet, parse_sections, time_function_from_section)
+from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
+                     time_function_from_section)
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
                            ModeSpec, PolarGrid, ScanOutcome, assemble_psi,
                            convention_scan, sample_field,
@@ -161,8 +162,9 @@ class RunConfig:
                 magnetic_field=time_function_from_section(
                     sections["magnetic_field"], span),
                 charge=q, coupling=coupling)
-        except ValueError as exc:
-            raise ConfigError(str(exc), sections["mass"].header_line) from exc
+        except CoefficientRangeError as exc:
+            raise ConfigError(str(exc),
+                              sections[exc.coefficient].header_line) from exc
 
         mode_s = sections["mode"]
         mode_s.reject_unknown({"k", "n", "angular_sign", "amp_first",

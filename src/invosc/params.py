@@ -244,6 +244,15 @@ def _sample_sign_ok(f, lo, strict):
     return bool(np.all(vals > 0) if strict else np.all(vals >= lo))
 
 
+class CoefficientRangeError(ValueError):
+    """A coefficient leaves its allowed range on the span; ``coefficient``
+    names the CoefficientSet field at fault (also its config section)."""
+
+    def __init__(self, coefficient, message):
+        super().__init__(message)
+        self.coefficient = coefficient
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The full physical input: m(t), omega(t), B(t), q, C.
@@ -270,9 +279,11 @@ class CoefficientSet:
         if span[0] >= span[1]:
             raise ValueError("coefficient spans have an empty intersection")
         if self.mass.minimum_on_span() <= 0.0 or not _sample_sign_ok(self.mass, 0.0, True):
-            raise ValueError("nonpositive mass on the configured span")
+            raise CoefficientRangeError(
+                "mass", "nonpositive mass on the configured span")
         if self.frequency.minimum_on_span() < 0.0 or not _sample_sign_ok(self.frequency, 0.0, False):
-            raise ValueError("negative frequency on the configured span")
+            raise CoefficientRangeError(
+                "frequency", "negative frequency on the configured span")
 
     @property
     def span(self):

@@ -38,7 +38,6 @@ assumed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +47,7 @@ from .bessel import bessel_j, bessel_n
 from .errors import (FallToCenter, GridTooCoarse, Inconclusive, NonFinite,
                      NonPositiveArgument, OriginUndefined, OutOfDomain,
                      ZeroNorm)
+from .g17 import format_g17
 from .params import (CoefficientSet, effective_frequency_sq,
                      frame_rotation_rate)
 
@@ -349,8 +349,8 @@ class PolarGrid:
 
 # -- assembly -------------------------------------------------------------------
 
-# field.csv rows formatted per write: one 65,536-node slice formatted at
-# once holds about 25 MB of boxed floats and text, which shows in peak RSS
+# field.csv rows formatted per write: format_g17 holds about 190 bytes of
+# temporaries per value, so one 65,536-node slice at once would hold 12 MB
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -524,38 +524,37 @@ class WaveField:
     def write_csv(self, path, digest=None):
         """One row x,y,t,re_psi,im_psi,abs2 per node and time, in %.17g.
 
-        Float-to-text conversion is nearly all of the writer's time, and
-        x, y repeat in every time slice, so they are formatted once per
-        grid: chunk by chunk, into one "x,y," line per node, kept as one
-        string per chunk (about 40 bytes per node, 2.6 MB on 65,536
-        nodes).  Each slice then formats only t, re, im and |psi|^2, and
-        the row template takes the chunk's lines as a %s field.
+        Every float goes through g17.format_g17, which gives the bytes of
+        '%.17g' without a Python call per value.  x and y repeat in every
+        time slice, so their "x,y," text is formatted once per grid, one
+        fixed-width array per chunk; each slice formats re, im and
+        |psi|^2 and joins the fields chunk by chunk.
         """
         X, Y = self.grid.xy_mesh()
         xs, ys = X.ravel(), Y.ravel()
-        starts = range(0, xs.size, _CSV_CHUNK_ROWS)
-        prefixes = []
-        for lo in starts:
-            part = slice(lo, lo + _CSV_CHUNK_ROWS)
-            cols = np.column_stack((xs[part], ys[part]))
-            prefixes.append(("%.17g,%.17g,\n" * len(cols))
-                            % tuple(cols.ravel().tolist()))
-        with open(path, "w", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest: {digest}\n")
-            fh.write(f"# mode: {self.mode.describe()}\n")
-            fh.write(f"# grid: {self.grid.describe()}\n")
-            fh.write("x,y,t,re_psi,im_psi,abs2\n")
+        chunks = [slice(lo, lo + _CSV_CHUNK_ROWS)
+                  for lo in range(0, xs.size, _CSV_CHUNK_ROWS)]
+        prefixes = [np.strings.add(format_g17(xs[part], b","),
+                                   format_g17(ys[part], b","))
+                    for part in chunks]
+        del X, Y, xs, ys                # only their text is needed now
+        head = "".join((f"# config_digest: {digest}\n" if digest else "",
+                        f"# mode: {self.mode.describe()}\n",
+                        f"# grid: {self.grid.describe()}\n",
+                        "x,y,t,re_psi,im_psi,abs2\n"))
+        with open(path, "wb") as fh:
+            fh.write(head.encode("utf-8"))
             for i, t in enumerate(self.times):
-                row = "%s" + format(t, ".17g") + ",%.17g,%.17g,%.17g\n"
+                t_field = b"%.17g," % t
                 v = self.values[i].ravel()
-                for lo, prefix in zip(starts, prefixes):
-                    part = v[lo:lo + _CSV_CHUNK_ROWS]
-                    re, im = part.real, part.imag
-                    rows = zip(prefix.splitlines(), re.tolist(), im.tolist(),
-                               (re * re + im * im).tolist())
-                    fh.write((row * len(part))
-                             % tuple(itertools.chain.from_iterable(rows)))
+                for part, prefix in zip(chunks, prefixes):
+                    re, im = v[part].real, v[part].imag
+                    rows = np.strings.add(prefix, t_field)
+                    rows = np.strings.add(rows, format_g17(re, b","))
+                    rows = np.strings.add(rows, format_g17(im, b","))
+                    rows = np.strings.add(rows, format_g17(re * re + im * im,
+                                                           b"\n"))
+                    fh.write(b"".join(rows.tolist()))
 
 
 def sample_field(mode: ModeSpec, traj, grid, times):

@@ -366,6 +366,23 @@ def test_nonpositive_mass_is_a_parse_error(tmp_path, c0_text, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,needle", [
+    ("mass", "nonpositive mass"),
+    ("frequency", "negative frequency"),
+])
+def test_coefficient_range_error_names_its_own_section(tmp_path, c0_text,
+                                                       capsys, section,
+                                                       needle):
+    old = f"[{section}]\nfamily = constant\nvalue = 1.0"
+    text = patched(c0_text, old, old.replace("1.0", "-1.0"))
+    header = text.splitlines().index(f"[{section}]") + 1
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"line {header}: {needle}" in err
+
+
 @pytest.mark.parametrize("old,new,hint", [
     ("[span]", "[wibble]\nx = 1\n\n[span]", "wibble"),
     ("rho_min = 0.0", "rho_min = 0.0\nwibble = 3", "wibble"),

@@ -46,6 +46,16 @@ def test_solving_a_bundled_chain_leaves_scipy_integrate_unloaded():
     assert "scipy.integrate" not in loaded
 
 
+def test_cli_import_builds_no_format_tables():
+    # the %.17g tables are built on the first write, so importing the
+    # command line (setup time) pays for neither them nor exact arithmetic
+    proc = _run("-c", "import sys, invosc.cli, invosc.g17 as g; "
+                      "print(g._tables.cache_info().currsize, "
+                      "'fractions' in sys.modules, 'decimal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
+
+
 def _package_imports(path):
     """Modules of the invosc package that a source file imports."""
     found = set()

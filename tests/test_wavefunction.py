@@ -9,6 +9,7 @@ width function must blow the residual up by orders of magnitude.
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -630,6 +631,28 @@ def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
         _write_csv_per_row(field, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
     assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * 4757
+
+
+def test_field_csv_writer_peak_memory(tmp_path, mode_c15):
+    # x, y text is held once per grid as fixed-width arrays; with the
+    # kernel's temporaries the writer must stay under the 5.29 MB that the
+    # writer built on Python's '%.17g' peaked at on this field
+    grid = PolarGrid(0.4, 8.0, 256, 256)
+    rng = np.random.default_rng(7)
+    shape = (3, *grid.shape)
+    values = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 0, shape)
+              + 0.01j * rng.standard_normal(shape))
+    field = WaveField(grid=grid, times=(0.0, 0.5, 1.0), values=values,
+                      mode=mode_c15)
+    path = tmp_path / "field.csv"
+    field.write_csv(path, digest="c" * 64)     # tables built outside
+    tracemalloc.start()
+    try:
+        field.write_csv(path, digest="c" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.29e6
 
 
 # -- residual ladder ----------------------------------------------------------------
