@@ -58,7 +58,6 @@ _SPLIT = 134217729.0                # 2^27 + 1, Dekker's splitting constant
 _TIE_WINDOW = 1e-9
 _FIXED_MIN, _FIXED_MAX = -4, 16     # %g keeps fixed notation for these X
 _WORDS = 3                          # uint64 words of text before the suffix
-_WIDTH = 32                         # bytes per formatted element
 
 _E16, _E17 = 10 ** 16, 10 ** 17
 _TINY = np.finfo(np.float64).smallest_normal
@@ -107,10 +106,8 @@ def _tables():
                        math.ldexp(m - (top << (bits - 52)), -bits))
         exp2[i] = t
 
-    digits = np.arange(10000)
-    chars = np.stack([digits // 1000, digits // 100 % 10, digits // 10 % 10,
-                      digits % 10], axis=1).astype(np.uint8) + ord("0")
-    quads = chars.view("<u4").ravel().astype(np.uint64)
+    quads = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                          dtype="<u4").astype(np.uint64)
 
     columns = []
     for X in range(_FIXED_MIN - 1, _FIXED_MAX + 2):
@@ -198,8 +195,8 @@ def _digits(x, scale, exp2, quads):
 
 def format_g17(values, sep=b""):
     """``('%.17g' % v).encode() + sep`` for each element of a 1-D float
-    array, as a bytes array as wide as its longest element; sep is at
-    most 3 bytes."""
+    array, as a bytes array whose width is its longest element rounded up
+    to whole 8-byte words; sep is at most 3 bytes."""
     tail = bytes(sep)
     if len(tail) > 3:
         raise ValueError("separator longer than 3 bytes")
@@ -252,17 +249,17 @@ def format_g17(values, sep=b""):
     suffix, suffix_bits = exponents.take(idx, axis=1)
     suffix |= np.uint64(int.from_bytes(tail, "little")) << suffix_bits
     suffix_bits += length
-    width = (int(suffix_bits.max(initial=0)) + 8 * len(tail) + 7) // 8
-    out = np.empty((x.size, _WIDTH // 8), dtype="<u8")
-    for j in range(_WIDTH // 8):
+    slow = np.flatnonzero(~fast).tolist()
+    fallback = [b"%.17g" % float(x[i]) + tail for i in slow]
+    width = max([int(suffix_bits.max(initial=0)) // 8 + len(tail), 1,
+                 *map(len, fallback)])
+    out = np.empty((x.size, -(-width // 8)), dtype="<u8")
+    for j in range(out.shape[1]):
         word = out[:, j]
         np.left_shift(suffix, length - np.uint64(64 * j), out=word)
         word |= suffix >> (np.uint64(64 * j) - length)
         if j < _WORDS:
             word |= T[j]
-    slow = np.flatnonzero(~fast).tolist()
-    fallback = [b"%.17g" % float(x[i]) + tail for i in slow]
-    width = max([1, width, *map(len, fallback)])
-    text = out.view(np.uint8)[:, :width].copy().view(f"S{width}").ravel()
+    text = out.view(f"S{out.shape[1] * 8}").ravel()
     text[slow] = fallback
     return text

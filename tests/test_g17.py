@@ -130,10 +130,14 @@ def test_separators(sep):
     assert _mismatch(values, sep) is None
 
 
-def test_output_is_as_wide_as_its_longest_element():
-    assert format_g17(np.array([1.0, 22.0]), b",").dtype == np.dtype("S3")
-    assert format_g17(np.array([-2.2250738585072014e-308]), b"\n").itemsize \
-        == len(b"-2.2250738585072014e-308\n")
+def test_output_width_is_the_longest_element_in_whole_words():
+    assert format_g17(np.array([1.0, 22.0]), b",").dtype == np.dtype("S8")
+    assert format_g17(np.array([1.0, -1.2345678901234567e-300]),
+                      b",").dtype == np.dtype("S32")
+    # a fallback (subnormal) element longer than every fast one widens it
+    assert format_g17(np.array([1.0, -5e-324]), b"\n").tolist() \
+        == [b"1\n", b"-4.9406564584124654e-324\n"]
+    assert format_g17(np.array([1.0, -5e-324]), b"\n").itemsize == 32
     assert format_g17(np.array([]), b",").shape == (0,)
     assert format_g17(np.array([]), b"").shape == (0,)
 
