@@ -47,7 +47,6 @@ from .bessel import bessel_j, bessel_n
 from .errors import (FallToCenter, GridTooCoarse, Inconclusive, NonFinite,
                      NonPositiveArgument, OriginUndefined, OutOfDomain,
                      ZeroNorm)
-from .g17 import format_g17
 from .params import (CoefficientSet, effective_frequency_sq,
                      frame_rotation_rate)
 
@@ -349,8 +348,8 @@ class PolarGrid:
 
 # -- assembly -------------------------------------------------------------------
 
-# field.csv rows formatted per write: format_g17 holds about 190 bytes of
-# temporaries per value, so one 65,536-node slice at once would hold 12 MB
+# field.csv rows formatted per write: format_g17 holds about 170 bytes of
+# temporaries per value, so one 65,536-node slice at once would hold 11 MB
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -530,6 +529,10 @@ class WaveField:
         fixed-width array per chunk; each slice formats re, im and
         |psi|^2 and joins the fields chunk by chunk.
         """
+        # on first use: only solve writes a field, so the kernel's module
+        # stays out of what every command pays to import the package
+        from .g17 import format_g17
+
         X, Y = self.grid.xy_mesh()
         xs, ys = X.ravel(), Y.ravel()
         chunks = [slice(lo, lo + _CSV_CHUNK_ROWS)
