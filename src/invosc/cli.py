@@ -544,23 +544,32 @@ def cmd_scan(args):
 
 
 def cmd_bessel_table(args):
-    if args.x_min <= 0 or args.x_max <= args.x_min:
+    """Rows x,j,n in '%.17g', from one J and one N call on the whole range.
+
+    J_nu is bounded on the positive axis, so only N can leave the double
+    range; the array call then raises the Overflow that the first bad
+    row would have raised, before anything is written.
+    """
+    # nan fails every comparison, so the chain also rejects it
+    if not 0 < args.x_min < args.x_max < np.inf:
         raise InvoscError("bessel-table needs 0 < x_min < x_max")
     if args.num < 2:
         raise InvoscError("bessel-table needs num >= 2")
+    # on first use, so importing the command line loads no kernel
+    from .g17 import format_g17
+
     xs = np.linspace(args.x_min, args.x_max, args.num)
-    lines = ["x,j,n"]
-    for x in xs:
-        j = bessel_j(args.nu, float(x))
-        n = bessel_n(args.nu, float(x))
-        lines.append(f"{x:.17g},{j.real:.17g},{n:.17g}")
-    text = "\n".join(lines) + "\n"
+    j = bessel_j(args.nu, xs)
+    n = bessel_n(args.nu, xs)
+    rows = np.strings.add(format_g17(xs, b","), format_g17(j, b","))
+    rows = np.strings.add(rows, format_g17(n, b"\n"))
+    data = b"".join([b"x,j,n\n", *rows.tolist()])
     if args.out:
         out = _resolve_out(args)
-        (out / "bessel_table.csv").write_text(text)
+        (out / "bessel_table.csv").write_bytes(data)
         _say(args, f"bessel-table: wrote {out / 'bessel_table.csv'}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ unitary at any step size (measured drift ~1e-15), so the run passes and
 the expected-Unstable twin is a strict xfail.
 """
 
+import itertools
 import math
 import os
 import socket
@@ -19,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invosc
@@ -428,8 +430,60 @@ def test_bessel_table_writes_a_file_with_out(tmp_path, capsys):
     ["bessel-table", "1.0", "0.0", "2.0", "3"],
     ["bessel-table", "1.0", "2.0", "1.0", "3"],
     ["bessel-table", "1.0", "1.0", "2.0", "1"],
+    ["bessel-table", "1.0", "nan", "2.0", "3"],
+    ["bessel-table", "1.0", "1.0", "inf", "3"],
 ])
 def test_bessel_table_rejects_bad_ranges(argv, capsys):
     rc = main(argv)
     assert rc == EXIT_SOLVER
     assert "bessel-table needs" in capsys.readouterr().err
+
+
+def _bessel_table_per_row(nu, x_min, x_max, num):
+    """bessel-table's text as it was before the array pass, kept as the
+    byte reference: two scalar calls and one f-string per row."""
+    lines = ["x,j,n"]
+    for x in np.linspace(x_min, x_max, num):
+        j = bessel_j(nu, float(x))
+        n = bessel_n(nu, float(x))
+        lines.append(f"{x:.17g},{j.real:.17g},{n:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def _first_difference(got, expected):
+    """None when the texts agree, else (line number, got, expected) of the
+    first line that differs; pytest's own diff of two long texts is slow."""
+    if got == expected:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(keepends=True),
+                                  expected.splitlines(keepends=True))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+@pytest.mark.parametrize("nu,x_min,x_max,num", [
+    (2.0, 0.01, 30.0, 3000),            # the order classes the bench draws
+    (2.5, 0.05, 29.5, 1000),
+    (math.sqrt(13), 0.05, 29.5, 1000),
+    (0.0, 0.001, 2.0, 500),
+    (60.0, 0.001, 2.0, 500),            # |j| near 1e-280, |n| near 1e+277
+], ids=["integer", "half", "sqrt13", "zero", "sixty"])
+def test_bessel_table_matches_the_per_row_writer(tmp_path, capsys, nu, x_min,
+                                                 x_max, num):
+    argv = ["bessel-table", repr(nu), repr(x_min), repr(x_max), str(num)]
+    expected = _bessel_table_per_row(nu, x_min, x_max, num)
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    written = (tmp_path / "bessel_table.csv").read_bytes().decode("ascii")
+    for got in (printed, written):
+        diff = _first_difference(got, expected)
+        assert diff is None, diff
+
+
+def test_bessel_table_overflow_writes_no_table(tmp_path, capsys):
+    rc = main(["bessel-table", "200", "0.001", "1", "3",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_SOLVER
+    assert capsys.readouterr().err == ("error: Overflow: N evaluation left "
+                                       "the double range\n")
+    assert not (tmp_path / "bessel_table.csv").exists()

@@ -11,7 +11,8 @@ import pytest
 
 import invosc
 
-SRC = str(Path(invosc.__file__).resolve().parent.parent)
+PACKAGE = Path(invosc.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 
 def _run(*args):
@@ -59,6 +60,15 @@ def test_cli_import_builds_no_format_tables():
     assert proc.stdout.split() == ["False", "False", "False", "0"]
 
 
+@pytest.mark.parametrize("module", sorted(
+    str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")))
+def test_module_parses_as_python_3_10(module):
+    # pyproject declares requires-python >= 3.10; the tests run on a newer
+    # interpreter, so at least keep the grammar within the floor
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    ast.parse(source, filename=module, feature_version=(3, 10))
+
+
 def _package_imports(path):
     """Modules of the invosc package that a source file imports."""
     found = set()
@@ -80,7 +90,7 @@ def _package_imports(path):
 def test_oracle_imports_only_params_and_errors():
     # the oracle is independent evidence only while it shares nothing
     # with the assembly path but the coefficient definitions
-    oracle = Path(invosc.__file__).resolve().parent / "oracle.py"
+    oracle = PACKAGE / "oracle.py"
     assert _package_imports(oracle) == {"params", "errors"}
 
 
