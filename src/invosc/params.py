@@ -382,8 +382,11 @@ class Section:
 
     def floats(self, key, default=_MISSING):
         def parse(raw):
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        return self._parse(key, default, parse, "a number list")
+            values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+            if not values:
+                raise ValueError("empty list")
+            return values
+        return self._parse(key, default, parse, "a non-empty number list")
 
     def reject_unknown(self, known):
         for key, (_, line) in self.items.items():

@@ -24,6 +24,24 @@ def make_coeffs(m=1.0, w=1.0, B=1.0, q=1.0, C=1.5, span=SPAN):
                           charge=q, coupling=C)
 
 
+def count_calls(monkeypatch, owner, names):
+    """Wrap each named attribute of ``owner`` to count its calls.
+
+    Returns {name: calls so far}; the wrappers pass every call through.
+    """
+    seen = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return seen
+
+
 def make_chain(coeffs, k=1.0, branch=+1, **kw):
     alpha0 = default_alpha0(coeffs, coeffs.span[0], branch=branch)
     return solve_chain(coeffs, k, span=coeffs.span, alpha0=alpha0, **kw)

@@ -31,6 +31,8 @@ from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
 from invosc.errors import Inconclusive
 from invosc.wavefunction import ConventionFlags, ScanRow
 
+from conftest import count_calls
+
 CONFIGS = Path(invosc.__file__).parent / "configs"
 C0 = str(CONFIGS / "static_c0.cfg")
 C15 = str(CONFIGS / "static_c15.cfg")
@@ -318,6 +320,34 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
     assert "[oracle]" in capsys.readouterr().err
 
 
+_KNOTS = np.linspace(0.0, 1.0, 12)
+
+
+@pytest.mark.parametrize("old,new,calls", [
+    ("[mass]\nfamily = constant\nvalue = 1.0",
+     "[mass]\nfamily = polynomial\ncoeffs = 1.0, 0.0, 0.0", (1, 0)),
+    ("[magnetic_field]\nfamily = constant\nvalue = 1.0",
+     "[magnetic_field]\nfamily = tabulated\n"
+     f"times = {', '.join(map(repr, _KNOTS.tolist()))}\n"
+     f"values = {', '.join(map(repr, np.cos(_KNOTS).tolist()))}", (0, 5000)),
+], ids=["polynomial-constant", "tabulated-driven"])
+def test_oracle_passes_on_the_other_coefficient_families(
+        tmp_path, c0_text, capsys, monkeypatch, old, new, calls):
+    # constant values from any family take the closed-form path, and a
+    # time-dependent family steps; both clear the bundled threshold
+    import invosc.oracle as oracle
+
+    seen = count_calls(monkeypatch, oracle, ("dstemr", "solve_banded"))
+    text = patched(c0_text, old, new)
+    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    assert "min_fidelity = 0.999\n" in text
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.startswith("oracle: PASS")
+    assert (seen["dstemr"], seen["solve_banded"]) == calls
+
+
 @pytest.fixture()
 def coarse_dt_cfg(tmp_path, c0_text):
     text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
@@ -400,6 +430,27 @@ def test_unknown_structure_is_rejected(tmp_path, c0_text, capsys, old, new,
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_PARSE
     assert hint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("oracle", "record_times"),
+    ("verify", "times"),
+    ("verify", "dt_ladder"),
+    ("solve", "field_times"),
+])
+def test_empty_number_list_is_rejected_at_its_line(tmp_path, c0_text, capsys,
+                                                    command, key):
+    lines = c0_text.splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"{key} = "))
+    lines[index] = f"{key} ="
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"line {index + 1}: {key} = '' is not a non-empty number list" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 # -- bessel-table --------------------------------------------------------------------

@@ -179,10 +179,17 @@ DRIVEN_FAMILIES = {
     "linear": {"m": TimeFunction.linear(1.0, 0.1, SPAN)},
     "sinusoidal": {"B": TimeFunction.sinusoidal(1.0, 1.0, SPAN)},
     "exponential": {"w": TimeFunction.exponential(1.0, 0.1, SPAN), "B": 0.0},
+    "polynomial": {"m": TimeFunction.polynomial((1.0, 0.1, -0.2, 0.15), SPAN)},
+    # a natural cubic spline through cos t: its third derivative jumps at
+    # each of the 10 interior knots
+    "tabulated": {"B": TimeFunction.tabulated(np.linspace(*SPAN, 12),
+                                              np.cos(np.linspace(*SPAN, 12)),
+                                              SPAN)},
 }
-# Worst of |chain - reference| / max(1, |reference|) over the families,
-# both couplings and both alpha0 branches at 201 times, measured at the
-# default tolerance: beta 8.1e-13, alpha 4.1e-11, mu 1.9e-11, f 1.2e-10.
+# Worst of |chain - reference| / max(1, |reference|) over the linear,
+# sinusoidal and exponential families, both couplings and both alpha0
+# branches at 201 times, measured at the default tolerance: beta 8.1e-13,
+# alpha 4.1e-11, mu 1.9e-11, f 1.2e-10.
 # Each bar leaves 2.5x headroom.  The reference moves by at most 6.4e-12
 # (f) between rtol 1e-12 and 1e-13, well inside every bar.
 DRIVEN_BARS = {"beta": 2e-12, "alpha": 1e-10, "mu": 5e-11, "phase": 3e-10}
@@ -210,10 +217,22 @@ def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
                 frame_rotation_rate(coeffs, t),
                 (k * k + 2.0 * mu2 * alpha) / (2.0 * m * mu2), -alpha]
 
-    sol = solve_ivp(rhs, SPAN, [1.0 + 0j, 1j * alpha0, 0j, 0j, 0j],
-                    method="DOP853", t_eval=ts, rtol=1e-13, atol=1e-15)
-    assert sol.success, sol.message
-    xi, p, beta, f, log_mu = sol.y
+    # a spline coefficient is integrated knot to knot, because its third
+    # derivative jumps at every knot and DOP853 would step across them
+    cuts = {*SPAN}
+    for fn in (coeffs.mass, coeffs.frequency, coeffs.magnetic_field):
+        if fn.family == "tabulated":
+            cuts.update(fn.params[:len(fn.params) // 2])
+    cuts = sorted(c for c in cuts if SPAN[0] <= c <= SPAN[1])
+    y0, ys = [1.0 + 0j, 1j * alpha0, 0j, 0j, 0j], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        inside = ts[(ts >= lo) & ((ts < hi) | (hi == SPAN[1]))]
+        sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", t_eval=inside,
+                        rtol=1e-13, atol=1e-15, dense_output=True)
+        assert sol.success, sol.message
+        ys.append(sol.y)
+        y0 = sol.sol(hi)
+    xi, p, beta, f, log_mu = np.concatenate(ys, axis=1)
     return {"beta": beta.real, "alpha": -1j * p / xi,
             "mu": np.exp(log_mu) if literal else xi, "phase": f}
 
@@ -224,9 +243,24 @@ def _chain_errors(traj, ref, ts):
         / np.maximum(1.0, np.abs(want)))) for name, want in ref.items()}
 
 
+# Families on which the chain, at its default tolerance, misses the bars
+# above.  Worst over both couplings and branches: polynomial beta 1.1e-11
+# (5.6x its bar), alpha 2.1e-10, mu 1.1e-10, f 3.9e-10; tabulated beta
+# 1.4e-10 (68x), alpha 2.4e-10, mu 9.9e-11.  Both converge to the
+# reference as rel_tol falls (tabulated beta 1.3e-12 at 1e-12), and the
+# knot-to-knot reference matches the exact spline integral of beta to
+# 1.4e-16, so the misses are the chain's step control.
+CHAIN_MISSES_BARS = pytest.mark.xfail(strict=True, reason=(
+    "at the default rel_tol 1e-10 the chain misses the bars on a cubic "
+    "mass and on a spline field; see CHAIN_MISSES_BARS"))
+
+
 @pytest.mark.parametrize("branch", [+1, -1])
 @pytest.mark.parametrize("coupling", MU_COUPLINGS)
-@pytest.mark.parametrize("family", sorted(DRIVEN_FAMILIES))
+@pytest.mark.parametrize("family", [
+    pytest.param(name, marks=CHAIN_MISSES_BARS)
+    if name in ("polynomial", "tabulated") else name
+    for name in sorted(DRIVEN_FAMILIES)])
 def test_driven_chain_matches_the_linearized_riccati(family, coupling,
                                                       branch):
     coeffs = make_coeffs(**DRIVEN_FAMILIES[family])

@@ -60,6 +60,25 @@ def test_cli_import_builds_no_format_tables():
     assert proc.stdout.split() == ["False", "False", "False", "0"]
 
 
+def test_oracle_run_loads_only_the_linalg_and_special_subpackages(tmp_path):
+    # the closed-form oracle path decomposes through scipy.linalg, which
+    # the stepped path already loads; another subpackage would add to
+    # every run's import time and resident memory
+    proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
+                      "from invosc.cli import main; "
+                      "rc = main(['oracle', '--quiet', '--out', sys.argv[1], "
+                      "'--config', str(Path(invosc.__file__).parent "
+                      "/ 'configs' / 'static_c0.cfg')]); "
+                      "print(rc, *sorted(name.split('.')[1] for name, mod "
+                      "in list(sys.modules.items()) "
+                      "if name.count('.') == 1 and name.startswith('scipy.') "
+                      "and not name.split('.')[1].startswith('_') "
+                      "and hasattr(mod, '__path__')))",
+                str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "linalg", "special"]
+
+
 @pytest.mark.parametrize("module", sorted(
     str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")))
 def test_module_parses_as_python_3_10(module):
