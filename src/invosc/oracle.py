@@ -18,11 +18,12 @@ rho-weighted inner product up to roundoff.  The Hamiltonian splits as
 H(t) = K/m(t) + a(t) rho^2 + b(t)/rho^2 + s(t): the kinetic stencil K
 and the rho powers are built once per propagation, and the four scalars
 are evaluated at every step midpoint in one vectorized pass.  When they
-change, each step refills one banded matrix and solves it.  When they
-never change (constant coefficients), every step applies the same
-Cayley map, and the recorded states are evaluated from one tridiagonal
-eigendecomposition of the weight-symmetrised H instead of by stepping:
-the same discrete map, at O(n^2) memory for its eigenvectors.
+change, each step refills the three bands of a tridiagonal matrix: one
+LAPACK zgtsv solve per step.  When they never change (constant
+coefficients), every step applies the same Cayley map, and the recorded
+states are evaluated from one tridiagonal eigendecomposition of the
+weight-symmetrised H instead of by stepping: the same discrete map, at
+O(n^2) memory for its eigenvectors.
 
 This module deliberately shares nothing with the assembly path except the
 coefficient definitions in params: agreement between the two routes is
@@ -36,8 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dstemr
+# unused here: bench/tracer.py patches this name (ROADMAP item 1 removes it)
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dstemr, zgtsv
 
 from .errors import MismatchedGrids, NonFinite, OutOfDomain, Unstable
 from .params import (CoefficientSet, effective_frequency_sq,
@@ -240,7 +242,8 @@ def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
     taken at each step midpoint, so time-dependent m, omega, B keep
     second-order accuracy.  The coefficient scalars of all midpoints are
     evaluated up front.  If they differ between midpoints, each step
-    fills one banded matrix and calls solve_banded.  If they are
+    fills the three bands of 1 + i dt/2 H: one LAPACK zgtsv solve per
+    step (see _stepped_states).  If they are
     identical at every midpoint, every step applies the same map, and
     the states at the recorded steps come in closed form from one
     eigendecomposition of the weight-symmetrised H (see
@@ -356,35 +359,37 @@ def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
 
 
 def _stepped_states(u, terms, dt, stencil, rho2, inv_rho2):
-    """(step, state) after every step, from one banded solve per step.
+    """(step, state) after every step, from one LAPACK zgtsv solve per step.
 
     (1 + z H) u⁺ = (1 - z H) u with z = i dt/2 and H at the step's
     midpoint, whose scalars (m, a, b, s) are column j - 1 of ``terms``.
-    ab holds the bands of 1 + z H; the explicit side reuses its
-    off-diagonals through the views upper and lower, and its diagonal
-    1 - z H_jj lives in mdiag.
+    lower, diag and upper hold the bands of 1 + z H, and zgtsv (the
+    routine solve_banded calls for one band on each side) overwrites
+    them in place; the explicit side reads upper and lower before the
+    solve, and its diagonal 1 - z H_jj lives in mdiag.
     """
     k_sub, k_diag, k_sup = stencil
     z = 0.5j * dt
-    ab = np.zeros((3, u.size), dtype=complex)
-    upper, lower = ab[0, 1:], ab[2, :-1]
-    mdiag = np.empty(u.size, dtype=complex)
+    n = u.size
+    lower = np.empty(n - 1, dtype=complex)
+    diag = np.empty(n, dtype=complex)
+    upper = np.empty(n - 1, dtype=complex)
+    mdiag = np.empty(n, dtype=complex)
     for j, column in enumerate(terms.T, start=1):
         m, a, b, s = column.tolist()
         zm = z / m
         np.multiply(zm, k_sup, out=upper)
         np.multiply(zm, k_sub, out=lower)
         zdiag = z * (k_diag / m + a * rho2 + b * inv_rho2 + s)
-        np.add(1.0, zdiag, out=ab[1])
+        np.add(1.0, zdiag, out=diag)
         np.subtract(1.0, zdiag, out=mdiag)
         rhs = mdiag * u
         rhs[:-1] -= upper * u[1:]
         rhs[1:] -= lower * u[:-1]
-        try:
-            u = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
-                             overwrite_b=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise Unstable(f"step {j}: {exc}") from exc
+        *_, u, info = zgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+        if info != 0:
+            kind = "singular matrix" if info > 0 else "illegal argument"
+            raise Unstable(f"step {j}: {kind} (zgtsv info {info})")
         yield j, u
 
 

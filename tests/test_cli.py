@@ -322,8 +322,10 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
 
 _KNOTS = np.linspace(0.0, 1.0, 12)
 
-
-@pytest.mark.parametrize("old,new,calls", [
+# one constant coefficient of a bundled config swapped for another
+# family: a polynomial mass with constant value, or a spline B through
+# cos t; calls counts (dstemr, zgtsv) in the oracle
+_OTHER_FAMILIES = pytest.mark.parametrize("old,new,calls", [
     ("[mass]\nfamily = constant\nvalue = 1.0",
      "[mass]\nfamily = polynomial\ncoeffs = 1.0, 0.0, 0.0", (1, 0)),
     ("[magnetic_field]\nfamily = constant\nvalue = 1.0",
@@ -331,13 +333,16 @@ _KNOTS = np.linspace(0.0, 1.0, 12)
      f"times = {', '.join(map(repr, _KNOTS.tolist()))}\n"
      f"values = {', '.join(map(repr, np.cos(_KNOTS).tolist()))}", (0, 5000)),
 ], ids=["polynomial-constant", "tabulated-driven"])
+
+
+@_OTHER_FAMILIES
 def test_oracle_passes_on_the_other_coefficient_families(
         tmp_path, c0_text, capsys, monkeypatch, old, new, calls):
     # constant values from any family take the closed-form path, and a
     # time-dependent family steps; both clear the bundled threshold
     import invosc.oracle as oracle
 
-    seen = count_calls(monkeypatch, oracle, ("dstemr", "solve_banded"))
+    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
     text = patched(c0_text, old, new)
     text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
     assert "min_fidelity = 0.999\n" in text
@@ -345,7 +350,25 @@ def test_oracle_passes_on_the_other_coefficient_families(
     rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "run")])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.startswith("oracle: PASS")
-    assert (seen["dstemr"], seen["solve_banded"]) == calls
+    assert (seen["dstemr"], seen["zgtsv"]) == calls
+
+
+@pytest.mark.parametrize("base", [C0, C15], ids=["static_c0", "static_c15"])
+@_OTHER_FAMILIES
+def test_solve_and_verify_pass_on_the_other_coefficient_families(
+        tmp_path, capsys, base, old, new, calls):
+    # each base keeps its own grid, ladder and bar: static_c0's coarse
+    # Cartesian grid and 4e-2 ladder carry 2e-4, static_c15's polar grid
+    # and 8e-3 ladder the acceptance bar 1e-5 of every driven config
+    text = patched(Path(base).read_text(), old, new)
+    assert ("max_rel_inf = 1e-5\n" in text) == (base == C15)
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")])
+    assert rc == EXIT_OK
+    assert f"solve: flags {WINNER_LABEL}" in capsys.readouterr().out
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.startswith("verify: PASS")
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ demonstrates).  The xfail is strict so an accidental pass gets flagged.
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -490,21 +491,23 @@ def test_constant_path_matches_an_extended_precision_stepper(setup):
                                            (_driven(), (0, 500))],
                          ids=["constant", "driven"])
 def test_constant_coefficients_decompose_once(monkeypatch, coeffs, calls):
-    seen = count_calls(monkeypatch, oracle, ("dstemr", "solve_banded"))
+    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
     prob, u0 = _ring_problem(coeffs)
     propagate(prob, u0, record_times=(0.0, 0.5, 1.0))
-    assert (seen["dstemr"], seen["solve_banded"]) == calls
+    assert (seen["dstemr"], seen["zgtsv"]) == calls
 
 
 @pytest.mark.parametrize("coeffs, solver, steps", [
     (make_coeffs(), "dstemr", 250),
-    (_driven(), "solve_banded", 1)], ids=["constant", "driven"])
+    (_driven(), "zgtsv", 1)], ids=["constant", "driven"])
 def test_non_finite_step_is_unstable(monkeypatch, coeffs, solver, steps):
     # the first state either path computes fails the norm guard: after
     # one step when stepping, at the first recorded time in closed form
     def poisoned(*args, **kwargs):
-        if solver == "solve_banded":
-            return np.full_like(args[-1], complex(math.nan, math.nan))
+        if solver == "zgtsv":
+            lower, diag, upper, rhs = args[:4]
+            return (lower, diag, upper,
+                    np.full_like(rhs, complex(math.nan, math.nan)), 0)
         size = args[0].size
         return (size, np.full(size, math.nan),
                 np.full((size, size), math.nan), 0)
@@ -523,3 +526,81 @@ def test_failed_decomposition_is_unstable(monkeypatch):
     prob, u0 = _ring_problem(make_coeffs())
     with pytest.raises(Unstable, match=r"eigendecomposition failed \(stemr info 3\)"):
         propagate(prob, u0)
+
+
+@pytest.mark.parametrize("info, kind", [(7, "singular matrix"),
+                                        (-4, "illegal argument")])
+def test_failed_step_is_unstable(monkeypatch, info, kind):
+    # zgtsv reports an exactly zero pivot, or a bad argument, through info
+    real = oracle.zgtsv
+    calls = itertools.count(1)
+
+    def failing_on_the_third(*args):
+        out = real(*args)
+        return (*out[:-1], info) if next(calls) == 3 else out
+
+    monkeypatch.setattr(oracle, "zgtsv", failing_on_the_third)
+    prob, u0 = _ring_problem(_driven())
+    with pytest.raises(Unstable,
+                       match=rf"^step 3: {kind} \(zgtsv info {info}\)$"):
+        propagate(prob, u0)
+
+
+def _banded_stepper(problem, u0, record_times):
+    """The stepped path on scipy.linalg.solve_banded, one ab per step.
+
+    The same bands and arithmetic as oracle._stepped_states, and the norm
+    bookkeeping of propagate: returns the fields at ``record_times`` and
+    the step and total norm drifts.
+    """
+    t0, t1 = problem.span
+    n_steps = max(1, int(round((t1 - t0) / problem.dt)))
+    dt = (t1 - t0) / n_steps
+    z = 0.5j * dt
+    rho2 = problem.rho * problem.rho
+    inv_rho2 = 1.0 / rho2
+    k_sub, k_diag, k_sup = oracle._kinetic_stencil(problem)
+    t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
+    terms = np.array(oracle._sector_terms(problem.coeffs, problem.n, t_mid))
+    w = problem.weights()
+
+    def norm_of(v):
+        return math.sqrt(float(w @ (v.real * v.real + v.imag * v.imag)))
+
+    recorded = {int(round((t - t0) / dt)) for t in record_times}
+    u = np.asarray(u0, dtype=complex).copy()
+    fields = [u.copy()] if 0 in recorded else []
+    norm0 = prev = norm_of(u)
+    drift_step = 0.0
+    for j, column in enumerate(terms.T, start=1):
+        m, a, b, s = column.tolist()
+        ab = np.zeros((3, u.size), dtype=complex)
+        ab[0, 1:] = z / m * k_sup[:-1]
+        ab[2, :-1] = z / m * k_sub[1:]
+        zdiag = z * (k_diag / m + a * rho2 + b * inv_rho2 + s)
+        ab[1] = 1.0 + zdiag
+        rhs = (1.0 - zdiag) * u
+        rhs[:-1] -= ab[0, 1:] * u[1:]
+        rhs[1:] -= ab[2, :-1] * u[:-1]
+        u = solve_banded((1, 1), ab, rhs)
+        norm = norm_of(u)
+        drift_step = max(drift_step, abs(norm - prev) / norm0)
+        prev = norm
+        if j in recorded:
+            fields.append(u.copy())
+    return np.array(fields), drift_step, abs(prev - norm0) / norm0
+
+
+def test_stepped_path_is_bitwise_the_banded_solve():
+    # zgtsv is the routine solve_banded calls for one band on each side,
+    # so every state, and with them oracle_snapshots.csv and the drift
+    # header of fidelity.csv, keeps its bytes
+    prob, u0 = _ring_problem(_driven())
+    times = tuple(np.linspace(0.0, 1.0, 11).tolist())
+    res = propagate(prob, u0, record_times=times)
+    fields, drift_step, drift_total = _banded_stepper(prob, u0, times)
+    assert len(res.times) == len(fields) == 11
+    for got, want in zip(res.fields, fields):
+        assert np.array_equal(got, want)
+    assert res.norm_drift_step == drift_step
+    assert res.norm_drift_total == drift_total
