@@ -9,6 +9,7 @@ The package is organized as a pipeline:
   bessel        the radial pair J_nu / N_nu of real order, complex argument
   wavefunction  assembly of the full field, residual checks, convention scan
   oracle        an independent Crank-Nicolson radial propagator
+  artifacts     the text of every artifact but the oracle's
   cli           config-driven commands emitting CSV artifacts
 
 Import the pieces you need from the submodules; this namespace re-exports
@@ -24,8 +25,8 @@ from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
 from .params import (CoefficientSet, TimeFunction, derived_fields,
                      effective_frequency_sq, frame_rotation_rate)
 from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
-                  default_alpha0, solve_chain, solve_riccati,
-                  write_trajectory_csv)
+                  default_alpha0, solve_chain, solve_riccati)
+from .artifacts import write_trajectory_csv
 from .bessel import bessel_j, bessel_n, gamma_real, wronskian_check
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
                            ModeSpec, PolarGrid, ResidualReport, ScanOutcome,

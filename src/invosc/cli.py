@@ -41,11 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import (read_digest, table_rows, write_summary,
+                        write_trajectory_csv)
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      Unstable)
-from .ode import (IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain,
-                  write_trajectory_csv)
+from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate
 from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
                      time_function_from_section)
@@ -214,6 +215,9 @@ class RunConfig:
                                   "mu_coupling", "rel_tol", "abs_tol"})
             field_times = run_s.floats("field_times", default=field_times)
             samples = run_s.int("trajectory_samples", default=samples)
+            if samples < 2:
+                raise ConfigError("trajectory_samples must be at least 2",
+                                  run_s.items["trajectory_samples"][1])
             mu_coupling = run_s.str("mu_coupling", default=mu_coupling)
             if mu_coupling not in MU_COUPLINGS:
                 raise ConfigError(
@@ -331,18 +335,9 @@ class _OutputLock:
         return False
 
 
-def _embedded_digest(path):
-    with open(path) as fh:
-        for _ in range(4):
-            line = fh.readline()
-            if line.startswith("# config_digest: "):
-                return line.split(": ", 1)[1].strip()
-    return None
-
-
 def _refuse_digest_clash(out_dir, digest):
     for prior in sorted(Path(out_dir).glob("*.csv")):
-        old = _embedded_digest(prior)
+        old = read_digest(prior)
         if old is not None and old != digest:
             raise ConfigError(
                 f"{prior.name} in the output directory was written from a "
@@ -386,12 +381,6 @@ def _run_scan(cfg, chain):
                            step=cfg.verify.dt_ladder[0])
 
 
-def _write_summary(path, digest, pairs):
-    lines = [f"# config_digest: {digest}"]
-    lines += [f"{key} = {value}" for key, value in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # -- commands -----------------------------------------------------------------
 
 def cmd_solve(args):
@@ -427,7 +416,7 @@ def cmd_solve(args):
             ("alpha0", repr(traj.alpha0)),
             ("artifacts", ",".join(artifacts)),
         ]
-        _write_summary(out / "summary.txt", cfg.digest, pairs)
+        write_summary(out / "summary.txt", pairs, cfg.digest)
     _say(args, f"solve: flags {flags.label()} ({source}), "
                f"wrote {', '.join(artifacts)}, summary.txt")
     return EXIT_OK
@@ -514,7 +503,7 @@ def cmd_oracle(args):
             ("min_fidelity", repr(min_f)),
             ("threshold", repr(cfg.oracle.min_fidelity)),
         ]
-        _write_summary(out / "oracle_summary.txt", cfg.digest, pairs)
+        write_summary(out / "oracle_summary.txt", pairs, cfg.digest)
     ok = min_f >= cfg.oracle.min_fidelity
     verdict = "PASS" if ok else "FAIL"
     _say(args, f"oracle: {verdict} min fidelity {min_f:.17g} "
@@ -555,15 +544,10 @@ def cmd_bessel_table(args):
         raise InvoscError("bessel-table needs 0 < x_min < x_max")
     if args.num < 2:
         raise InvoscError("bessel-table needs num >= 2")
-    # on first use, so importing the command line loads no kernel
-    from .g17 import format_g17
-
     xs = np.linspace(args.x_min, args.x_max, args.num)
     j = bessel_j(args.nu, xs)
     n = bessel_n(args.nu, xs)
-    rows = np.strings.add(format_g17(xs, b","), format_g17(j, b","))
-    rows = np.strings.add(rows, format_g17(n, b"\n"))
-    data = b"".join([b"x,j,n\n", *rows.tolist()])
+    data = b"".join([b"x,j,n\n", *table_rows(xs, j, n)])
     if args.out:
         out = _resolve_out(args)
         (out / "bessel_table.csv").write_bytes(data)

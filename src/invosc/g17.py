@@ -3,9 +3,9 @@ per value.
 
 format_g17(values, sep) returns, for each element v, the bytes of
 ``'%.17g' % v`` followed by ``sep``, as a fixed-width bytes array (numpy
-drops the NUL padding of each element on the way out).  field.csv is
-written through it: its bytes are behaviour, and one dtoa call per value
-was most of the time of ``solve``.
+drops the NUL padding of each element on the way out).  invosc.artifacts
+writes long float columns through it: their bytes are behaviour, and one
+dtoa call per value was most of the time of ``solve``.
 
 Digits.  For finite normal x let k = floor(log10|x|) and p = 16 - k.  The
 17 significant digits of %.17g are the integer D nearest to the exact

@@ -38,8 +38,7 @@ from .params import CoefficientSet, effective_frequency_sq, frame_rotation_rate
 
 __all__ = [
     "IntegratorConfig", "DenseFunction", "TransformTrajectory",
-    "default_alpha0", "solve_riccati", "solve_chain", "write_trajectory_csv",
-    "MU_COUPLINGS",
+    "default_alpha0", "solve_riccati", "solve_chain", "MU_COUPLINGS",
 ]
 
 # Couplings for the scale-factor equation.  "pde" ties mu to alpha the way
@@ -368,24 +367,3 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
         coeffs_desc=coeffs.describe())
     object.__setattr__(traj, "_mass_fn", coeffs.mass.value)
     return traj
-
-
-def write_trajectory_csv(traj: TransformTrajectory, path, num=512, digest=None):
-    """Write the chain at ``num`` evenly spaced times as CSV.
-
-    Floats use repr-faithful %.17g so identical runs produce identical
-    bytes.  ``digest`` (if given) is embedded as a comment header.
-    """
-    ts = np.linspace(traj.span[0], traj.span[1], num)
-    b = np.asarray(traj.beta(ts), dtype=float)
-    a = np.asarray(traj.alpha(ts))
-    m = np.asarray(traj.mu(ts))
-    f = np.asarray(traj.phase(ts))
-    with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
-        fh.write("t,beta,re_alpha,im_alpha,re_mu,im_mu,re_f,im_f\n")
-        for i in range(num):
-            row = (ts[i], b[i], a[i].real, a[i].imag,
-                   m[i].real, m[i].imag, f[i].real, f[i].imag)
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .bessel import bessel_j, bessel_n
 from .errors import (FallToCenter, GridTooCoarse, Inconclusive, NonFinite,
                      NonPositiveArgument, OriginUndefined, OutOfDomain,
@@ -348,11 +349,6 @@ class PolarGrid:
 
 # -- assembly -------------------------------------------------------------------
 
-# field.csv rows formatted per write: format_g17 holds about 170 bytes of
-# temporaries per value, so one 65,536-node slice at once would hold 11 MB
-_CSV_CHUNK_ROWS = 4096
-
-
 @dataclass(frozen=True, eq=False)
 class GridGeometry:
     """The time-independent part of assembly on one set of nodes.
@@ -521,43 +517,14 @@ class WaveField:
             raise NonFinite("field values must be finite")
 
     def write_csv(self, path, digest=None):
-        """One row x,y,t,re_psi,im_psi,abs2 per node and time, in %.17g.
-
-        Every float goes through g17.format_g17, which gives the bytes of
-        '%.17g' without a Python call per value.  x and y repeat in every
-        time slice, so their "x,y," text is formatted once per grid, one
-        fixed-width array per chunk; each slice formats re, im and
-        |psi|^2 and joins the fields chunk by chunk.
-        """
-        # on first use: only solve writes a field, so the kernel's module
-        # stays out of what every command pays to import the package
-        from .g17 import format_g17
-
-        X, Y = self.grid.xy_mesh()
-        xs, ys = X.ravel(), Y.ravel()
-        chunks = [slice(lo, lo + _CSV_CHUNK_ROWS)
-                  for lo in range(0, xs.size, _CSV_CHUNK_ROWS)]
-        prefixes = [np.strings.add(format_g17(xs[part], b","),
-                                   format_g17(ys[part], b","))
-                    for part in chunks]
-        del X, Y, xs, ys                # only their text is needed now
-        head = "".join((f"# config_digest: {digest}\n" if digest else "",
-                        f"# mode: {self.mode.describe()}\n",
-                        f"# grid: {self.grid.describe()}\n",
-                        "x,y,t,re_psi,im_psi,abs2\n"))
-        with open(path, "wb") as fh:
-            fh.write(head.encode("utf-8"))
-            for i, t in enumerate(self.times):
-                t_field = b"%.17g," % t
-                v = self.values[i].ravel()
-                for part, prefix in zip(chunks, prefixes):
-                    re, im = v[part].real, v[part].imag
-                    rows = np.strings.add(prefix, t_field)
-                    rows = np.strings.add(rows, format_g17(re, b","))
-                    rows = np.strings.add(rows, format_g17(im, b","))
-                    rows = np.strings.add(rows, format_g17(re * re + im * im,
-                                                           b"\n"))
-                    fh.write(b"".join(rows.tolist()))
+        """One row x,y,t,re_psi,im_psi,abs2 per node and time."""
+        with artifacts.Table(path, digest, [f"mode: {self.mode.describe()}",
+                                            f"grid: {self.grid.describe()}"],
+                             lead=self.grid.xy_mesh()) as table:
+            table.lines("x,y,t,re_psi,im_psi,abs2")
+            for t, v in zip(self.times, map(np.ravel, self.values)):
+                table.rows(t, v.real, v.imag,
+                           lambda p: v[p].real ** 2 + v[p].imag ** 2)
 
 
 def sample_field(mode: ModeSpec, traj, grid, times):
@@ -693,18 +660,13 @@ class ResidualReport:
                 f"rho_min:{self.rho_min:.8g}")
 
     def write_csv(self, path, digest=None):
-        with open(path, "w", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest: {digest}\n")
-            fh.write(f"# {self.summary_line()}\n")
-            fh.write("level,dt,spacing,rel_inf,rel_l2\n")
-            for i, rung in enumerate(self.rungs):
-                fh.write(f"{i},{rung.step:.17g},{rung.spacing:.17g},"
-                         f"{rung.rel_inf:.17g},{rung.rel_l2:.17g}\n")
+        with artifacts.Table(path, digest, [self.summary_line()]) as table:
+            table.lines("level,dt,spacing,rel_inf,rel_l2")
+            table.rows(range(len(self.rungs)),
+                       *zip(*map(dataclasses.astuple, self.rungs)))
             if self.per_time:
-                fh.write("time,rel_inf,rel_l2,hnorm_inf,hnorm_l2\n")
-                for row in self.per_time:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                table.lines("time,rel_inf,rel_l2,hnorm_inf,hnorm_l2")
+                table.rows(*zip(*self.per_time))
 
 
 def _residual_once(psi_at, grid, geometry, coeffs, times, dt):
@@ -886,18 +848,15 @@ class ScanOutcome:
                    margin=margin)
 
     def write_csv(self, path, digest=None):
-        with open(path, "w", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest: {digest}\n")
-            fh.write(f"# winner: {self.winner.label()} margin: {self.margin:.17g}\n")
-            fh.write("exponent_sign,exponent_half,alpha_branch,"
-                     "rel_inf,rel_l2,envelope_decays,winner\n")
-            for row in self.rows:
-                f = row.flags
-                fh.write(f"{f.exponent_sign:+d},{f.exponent_half:.17g},"
-                         f"{f.alpha_branch:+d},{row.rel_inf:.17g},"
-                         f"{row.rel_l2:.17g},{int(row.envelope_decays)},"
-                         f"{int(f == self.winner)}\n")
+        comment = f"winner: {self.winner.label()} margin: {self.margin:.17g}"
+        with artifacts.Table(path, digest, [comment]) as table:
+            table.lines("exponent_sign,exponent_half,alpha_branch,"
+                        "rel_inf,rel_l2,envelope_decays,winner")
+            table.rows(*zip(*(
+                (f"{r.flags.exponent_sign:+d}", r.flags.exponent_half,
+                 f"{r.flags.alpha_branch:+d}", r.rel_inf, r.rel_l2,
+                 int(r.envelope_decays), int(r.flags == self.winner))
+                for r in self.rows)))
 
 
 def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,

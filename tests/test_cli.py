@@ -240,6 +240,22 @@ def test_verify_refuses_mixed_digests_in_one_directory(tmp_path, c0_text,
     assert "different config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data,rc", [
+    (b"\xff\xfe\x00\x01 not utf-8\n1,2\n", EXIT_OK),
+    (b"x,y\n1,2\n", EXIT_OK),
+    (b"# config_digest: \xff\xfe\n1,2\n", EXIT_PARSE),
+], ids=["binary", "text", "binary-digest"])
+def test_verify_reads_foreign_csv_as_bytes(tmp_path, capsys, data, rc):
+    # a .csv without a digest line is skipped whatever its encoding; one
+    # with a digest line that is not this config's is a clash
+    (tmp_path / "foreign.csv").write_bytes(data)
+    assert main(["verify", "--config", C0, "--flags", WINNER_LABEL,
+                 "--out", str(tmp_path), "--quiet"]) == rc
+    err = capsys.readouterr().err
+    assert ("foreign.csv in the output directory was written from a "
+            "different config" in err) == (rc == EXIT_PARSE)
+
+
 # -- scan --------------------------------------------------------------------------
 
 def test_scan_names_the_winner(tmp_path, capsys):
@@ -474,6 +490,21 @@ def test_empty_number_list_is_rejected_at_its_line(tmp_path, c0_text, capsys,
     err = capsys.readouterr().err
     assert f"line {index + 1}: {key} = '' is not a non-empty number list" in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-5"])
+def test_trajectory_samples_below_two_is_rejected_at_its_line(
+        tmp_path, c0_text, capsys, samples):
+    text = patched(c0_text, "[run]\n",
+                   f"[run]\ntrajectory_samples = {samples}\n")
+    line = text.splitlines().index(f"trajectory_samples = {samples}") + 1
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    assert (f"line {line}: trajectory_samples must be at least 2"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
 
 
 # -- bessel-table --------------------------------------------------------------------

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from invosc import ode
+from invosc.artifacts import write_trajectory_csv
 from invosc.errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
 from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
-                        solve_chain, solve_riccati, write_trajectory_csv)
+                        solve_chain, solve_riccati)
 from invosc.params import (TimeFunction, effective_frequency_sq,
                            frame_rotation_rate)
 
