@@ -336,7 +336,10 @@ class _OutputLock:
 
 
 def _refuse_digest_clash(out_dir, digest):
+    # a directory or other non-file whose name ends in .csv holds no digest
     for prior in sorted(Path(out_dir).glob("*.csv")):
+        if not prior.is_file():
+            continue
         old = read_digest(prior)
         if old is not None and old != digest:
             raise ConfigError(

@@ -369,8 +369,9 @@ class GridGeometry:
     Build one per grid and pass it to assemble_psi at every time; it is
     what lets a call skip every per-node hypot, unique, atan2 and exp,
     and every Bessel evaluation at a (mode, mu) it has seen: the eight
-    readings of a scan share the factor of each (branch, t), and the
-    rungs of a temporal ladder the factor at each residual time.
+    readings of a scan share the factor of each (branch, t).  The rungs
+    of a temporal ladder need no memo for that: they share Psi(t) and
+    H Psi(t) themselves (see _residual_once).
     """
 
     x: np.ndarray
@@ -541,48 +542,65 @@ def sample_field(mode: ModeSpec, traj, grid, times):
 
 # -- finite-difference residual -------------------------------------------------
 
-def _derivatives(a, h, axis, periodic):
-    """4th-order first and second derivatives of a along one axis.
+def _folded_weights(c2, c1, h):
+    """4th-order 5-point weights of c2 d^2/du^2 + c1 d/du, spacing h.
 
-    A periodic axis is padded once with two wrapped nodes at each end, so
-    both stencils cover every node.  A bounded axis gets them on its
-    interior only, and each result is padded back to full shape with
-    zeros in the two nodes at either edge.  The five shifted arrays both
-    stencils read are views.
+    Returns (centre, (w(+2), w(+1), w(-1), w(-2))), w(k) being the weight
+    of the node k steps ahead.  c2 and c1 may be arrays that broadcast
+    against the nodes, so a weight can vary along the other axis, or
+    along this one (then the caller slices it to the nodes it reaches).
     """
-    pad = [(0, 0)] * a.ndim
+    a2 = c2 / (12.0 * h * h)
+    a1 = c1 / (12.0 * h)
+    return -30.0 * a2, (-a2 - a1, 16.0 * a2 + 8.0 * a1,
+                        16.0 * a2 - 8.0 * a1, a1 - a2)
+
+
+def _add_stencil(out, values, weights, axis, periodic):
+    """out += the off-centre part of a 5-point stencil along one axis.
+
+    ``weights`` are the four off-centre weights of _folded_weights.  A
+    periodic axis is padded once with two wrapped nodes at each end, so
+    the stencil covers every node; a bounded axis gets it on its interior
+    only and leaves the two nodes at either edge of ``out`` untouched.
+    Each term is one product into a scratch array and one in-place add;
+    the shifted arrays it reads are views.
+    """
+    pad = [(0, 0)] * values.ndim
     pad[axis] = (2, 2)
-    src = np.pad(a, pad, mode="wrap") if periodic else a
-    n = a.shape[axis] if periodic else a.shape[axis] - 4
-
-    def shifted(off):
-        s = [slice(None)] * a.ndim
+    src = np.pad(values, pad, mode="wrap") if periodic else values
+    n = values.shape[axis] if periodic else values.shape[axis] - 4
+    s = [slice(None)] * values.ndim
+    if not periodic:
+        s[axis] = slice(2, -2)
+    dest = out[tuple(s)]
+    term = np.empty(dest.shape, dtype=complex)
+    for off, w in zip((2, 1, -1, -2), weights):
         s[axis] = slice(2 + off, 2 + off + n)
-        return src[tuple(s)]
-
-    p2, p1, c, m1, m2 = (shifted(off) for off in (2, 1, 0, -1, -2))
-    # a bounded result is padded before the next is built, so only one
-    # interior-sized array is alive at a time
-    d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-    if not periodic:
-        d1 = np.pad(d1, pad)
-    d2 = (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h * h)
-    if not periodic:
-        d2 = np.pad(d2, pad)
-    return d1, d2
+        dest += np.multiply(w, src[tuple(s)], out=term)
 
 
-def _apply_hamiltonian(values, grid, geometry, coeffs: CoefficientSet, t):
+def _apply_hamiltonian(values, grid, coeffs: CoefficientSet, t):
     """H Psi on the grid (garbage within 2 nodes of non-periodic edges).
 
     H = -(1/2m) lap + i r (y d_x - x d_y) + (m/2) W^2 rho^2 + C/(m rho^2)
     with r and W^2 from the params module, so every consumer of the
     operator agrees on the cross-term normalization.
+
+    Each axis is one 4th-order 5-point stencil whose weights fold in
+    everything that multiplies a derivative along it: on a polar grid
+    -(1/2m)(d_rr + d_r / rho) along rho and -(1/2m) d_pp / rho^2 - i r d_p
+    along phi (y d_x - x d_y = -d_phi), weights per row; on a Cartesian
+    grid -(1/2m) d_xx + i r y d_x and -(1/2m) d_yy - i r x d_y, weights
+    per column and per row.  The centre weights of both axes join the
+    potential, so H Psi is one centre product plus four shifted
+    multiply-adds per axis.
     """
     m = coeffs.mass.value(t)
     W2 = effective_frequency_sq(coeffs, t)
     rate = frame_rotation_rate(coeffs, t)
     C = coeffs.coupling
+    kinetic = -0.5 / m
 
     if isinstance(grid, PolarGrid):
         drho, dphi = grid.spacing()
@@ -590,36 +608,31 @@ def _apply_hamiltonian(values, grid, geometry, coeffs: CoefficientSet, t):
         r_col = rho[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_r = np.where(r_col > 0.0, 1.0 / r_col, 0.0)
-        # summed in place, in the order d_rr + inv_r d_r + inv_r^2 d_pp,
-        # so the bits match the plain sum with fewer full-grid temporaries
-        d_r, lap = _derivatives(values, drho, 0, periodic=False)
-        lap += inv_r * d_r
-        del d_r
-        d_p, d_pp = _derivatives(values, dphi, 1, periodic=True)
-        lap += inv_r * inv_r * d_pp
-        del d_pp
-        # y d_x - x d_y = -d_phi
-        cross = (-1j * rate) * d_p if rate != 0.0 else 0.0
-        rho2 = r_col * r_col
-        pot = 0.5 * m * W2 * rho2
+        inv_r2 = inv_r * inv_r
+        c_rho, w_rho = _folded_weights(kinetic, kinetic * inv_r, drho)
+        w_rho = tuple(w[2:-2] for w in w_rho)
+        c_phi, w_phi = _folded_weights(kinetic * inv_r2, -1j * rate, dphi)
+        pot = 0.5 * m * W2 * (r_col * r_col)
         if C != 0.0:
-            pot = pot + (C / m) * inv_r * inv_r
+            pot = pot + (C / m) * inv_r2
+        out = (pot + c_rho + c_phi) * values
+        _add_stencil(out, values, w_rho, 0, periodic=False)
+        _add_stencil(out, values, w_phi, 1, periodic=True)
     else:
         hx, hy = grid.spacing()
-        X, Y = geometry.x, geometry.y
-        d_x, lap = _derivatives(values, hx, 0, periodic=False)
-        d_y, d_yy = _derivatives(values, hy, 1, periodic=False)
-        lap += d_yy
-        del d_yy
-        cross = (1j * rate) * (Y * d_x - X * d_y) if rate != 0.0 else 0.0
-        rho2 = X * X + Y * Y
+        xs, ys = grid.axes()
+        x_col, y_row = xs[:, None], ys[None, :]
+        c_x, w_x = _folded_weights(kinetic, (1j * rate) * y_row, hx)
+        c_y, w_y = _folded_weights(kinetic, (-1j * rate) * x_col, hy)
+        rho2 = x_col * x_col + y_row * y_row
         pot = 0.5 * m * W2 * rho2
         if C != 0.0:
             with np.errstate(divide="ignore"):
-                inv_r2 = np.where(rho2 > 0.0, 1.0 / rho2, 0.0)
-            pot = pot + (C / m) * inv_r2
-
-    return (-0.5 / m) * lap + cross + pot * values
+                pot = pot + (C / m) * np.where(rho2 > 0.0, 1.0 / rho2, 0.0)
+        out = (pot + (c_x + c_y)) * values
+        _add_stencil(out, values, w_x, 0, periodic=False)
+        _add_stencil(out, values, w_y, 1, periodic=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -669,43 +682,42 @@ class ResidualReport:
                 table.rows(*zip(*self.per_time))
 
 
-def _residual_once(psi_at, grid, geometry, coeffs, times, dt):
-    """One ladder level; returns (rel_inf, rel_l2, per-time rows)."""
+def _residual_once(psi_at, grid, geometry, coeffs, times, steps):
+    """The ladder levels on one grid, one per time step in ``steps``.
+
+    Returns one (rel_inf, rel_l2, per-time rows) per step.  Psi(t) and
+    H Psi(t) do not depend on the step, so each residual time assembles
+    Psi(t) and applies the operator once, and every level shares H Psi
+    and its norms; a level adds only Psi(t - dt) and Psi(t + dt).
+    """
     mask = geometry.active
     if not np.any(mask):
         raise GridTooCoarse("no active residual points inside the grid")
-    rows = []
-    num_r2 = 0.0
+    rows = [[] for _ in steps]
+    num_r2 = [0.0] * len(steps)
+    worst_inf = [0.0] * len(steps)
     num_h2 = 0.0
-    worst_inf = 0.0
     worst_h = 0.0
     for t in times:
-        minus = psi_at(t - dt)
-        plus = psi_at(t + dt)
-        dpsi_dt = (plus - minus) / (2.0 * dt)
-        # drop both slices before mid and H mid are built, so one fewer
-        # full-grid array is alive at the peak
-        del minus, plus
-        mid = psi_at(t)
-        h_mid = _apply_hamiltonian(mid, grid, geometry, coeffs, t)
-        resid = 1j * dpsi_dt - h_mid
-        r = np.abs(resid[mask])
+        h_mid = _apply_hamiltonian(psi_at(t), grid, coeffs, t)
         h = np.abs(h_mid[mask])
         h_inf = float(np.max(h))
         h_l2 = float(np.sqrt(np.sum(h * h)))
         if h_inf == 0.0:
             raise ZeroNorm("H Psi vanishes on the active region; "
                            "the relative residual is undefined")
-        r_inf = float(np.max(r))
-        r_l2 = float(np.sqrt(np.sum(r * r)))
-        rows.append((t, r_inf / h_inf, r_l2 / h_l2, h_inf, h_l2))
-        worst_inf = max(worst_inf, r_inf)
         worst_h = max(worst_h, h_inf)
-        num_r2 += r_l2 * r_l2
         num_h2 += h_l2 * h_l2
-    rel_inf = worst_inf / worst_h
-    rel_l2 = math.sqrt(num_r2 / num_h2)
-    return rel_inf, rel_l2, tuple(rows)
+        for i, dt in enumerate(steps):
+            dpsi_dt = (psi_at(t + dt) - psi_at(t - dt)) / (2.0 * dt)
+            r = np.abs((1j * dpsi_dt - h_mid)[mask])
+            r_inf = float(np.max(r))
+            r_l2 = float(np.sqrt(np.sum(r * r)))
+            rows[i].append((t, r_inf / h_inf, r_l2 / h_l2, h_inf, h_l2))
+            worst_inf[i] = max(worst_inf[i], r_inf)
+            num_r2[i] += r_l2 * r_l2
+    return [(w / worst_h, math.sqrt(n2 / num_h2), tuple(rw))
+            for w, n2, rw in zip(worst_inf, num_r2, rows)]
 
 
 def _residual_floor(grid, coeffs):
@@ -731,9 +743,11 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
     time step to spacing^2 so the 4th-order spatial truncation stays in
     charge.  ``psi(x_mesh, y_mesh, t)`` overrides the assembled field,
     which keeps the operator testable against known exact solutions;
-    otherwise ``mode`` and ``traj`` drive assemble_psi.  One GridGeometry is built per distinct grid of the
-    ladder; ``geometry`` supplies the one of ``grid`` instead, so
-    repeated calls on one grid (convention_scan) share it.
+    otherwise ``mode`` and ``traj`` drive assemble_psi.  One GridGeometry
+    is built per distinct grid of the ladder; ``geometry`` supplies the
+    one of ``grid`` instead, so repeated calls on one grid
+    (convention_scan) share it.  H is applied once per residual time on
+    each grid: every rung of a temporal ladder shares it.
 
     The finite-difference operator always acts on the assembled 2D
     field, never on its factors, so the residual stays independent
@@ -762,7 +776,7 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
         steps = (8e-3, 4e-3, 2e-3) if steps is None else tuple(float(s) for s in steps)
         if any(s <= 0 for s in steps):
             raise ValueError("steps must be positive")
-        plan = [(grid, dt) for dt in steps]
+        plan = [(grid, steps)]
     else:
         if levels < 1:
             raise ValueError("spatial refinement needs levels >= 1")
@@ -770,19 +784,20 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
         g = grid
         for _ in range(levels):
             h0 = g.spacing()[0]
-            plan.append((g, h0 * h0))
+            plan.append((g, (h0 * h0,)))
             g = g.refined(2)
 
     span = traj.span if traj is not None else None
-    reports = []
-    for g, dt in plan:
-        if span is not None:
+    if span is not None:
+        for dt in (dt for _, level_steps in plan for dt in level_steps):
             lo = min(times) - dt
             hi = max(times) + dt
             if lo < span[0] - 1e-12 or hi > span[1] + 1e-12:
                 raise OutOfDomain(
                     f"residual stencil needs t in [{lo:g}, {hi:g}], "
                     f"outside the trajectory span {span}")
+    reports = []
+    for g, level_steps in plan:
         geo = geometry if g is grid else GridGeometry.of_grid(g, winding,
                                                               rho_floor)
         if psi is None:
@@ -791,9 +806,11 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
         else:
             psi_at = lambda t, geo=geo: np.asarray(psi(geo.x, geo.y, t),
                                                    dtype=complex)
-        rel_inf, rel_l2, rows = _residual_once(psi_at, g, geo, coeffs, times,
-                                               dt)
-        reports.append((LadderRung(dt, g.spacing()[0], rel_inf, rel_l2), rows))
+        levels_out = _residual_once(psi_at, g, geo, coeffs, times,
+                                    level_steps)
+        for dt, (rel_inf, rel_l2, rows) in zip(level_steps, levels_out):
+            reports.append((LadderRung(dt, g.spacing()[0], rel_inf, rel_l2),
+                            rows))
 
     rungs = tuple(r for r, _ in reports)
     order = None

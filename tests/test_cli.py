@@ -256,6 +256,13 @@ def test_verify_reads_foreign_csv_as_bytes(tmp_path, capsys, data, rc):
             "different config" in err) == (rc == EXIT_PARSE)
 
 
+def test_verify_skips_a_directory_named_like_a_csv(tmp_path, capsys):
+    (tmp_path / "x.csv").mkdir()
+    assert main(["verify", "--config", C0, "--flags", WINNER_LABEL,
+                 "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 # -- scan --------------------------------------------------------------------------
 
 def test_scan_names_the_winner(tmp_path, capsys):

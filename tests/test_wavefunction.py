@@ -25,9 +25,12 @@ from invosc.wavefunction import (CartesianGrid, ConventionFlags,
                                  normalize_on_disk, order_from_coupling,
                                  sample_field, schrodinger_residual,
                                  sector_winding, theta_from_xy)
-from invosc.wavefunction import _derivatives
+from invosc import wavefunction
+from invosc.params import effective_frequency_sq, frame_rotation_rate
+from invosc.wavefunction import (_add_stencil, _apply_hamiltonian,
+                                 _folded_weights)
 
-from conftest import SPAN, WINNER, make_chain, make_coeffs
+from conftest import SPAN, WINNER, count_calls, make_chain, make_coeffs
 
 RESIDUAL_GRID = PolarGrid(0.4, 8.0, 96, 96)
 COARSE_STEPS = (4e-2, 2e-2, 1e-2)
@@ -687,16 +690,146 @@ def _rolled_stencils(a, h, axis):
 def test_derivatives_match_the_rolled_stencils(axis, periodic):
     rng = np.random.default_rng(11)
     a = rng.standard_normal((13, 11)) + 1j * rng.standard_normal((13, 11))
-    for want, got in zip(_rolled_stencils(a, 0.3, axis),
-                         _derivatives(a, 0.3, axis, periodic)):
+    edges = [slice(None)] * 2
+    for want, (c2, c1) in zip(_rolled_stencils(a, 0.3, axis),
+                              [(0.0, 1.0), (1.0, 0.0)]):
+        centre, weights = _folded_weights(c2, c1, 0.3)
+        got = centre * a
         if not periodic:
-            # a bounded axis has no stencil within two nodes of its edges
+            # a bounded axis has no stencil within two nodes of its edges,
+            # and the stencil leaves them as it found them
             want = np.moveaxis(want.copy(), axis, 0)
             want[:2] = want[-2:] = 0.0
             want = np.moveaxis(want, 0, axis)
+            for edge in (slice(0, 2), slice(-2, None)):
+                edges[axis] = edge
+                got[tuple(edges)] = 0.0
+        _add_stencil(got, a, weights, axis, periodic)
+        # folded weights round each term once instead of the sum: a few
+        # ulps of the largest term
+        bound = (abs(centre) + sum(map(abs, weights))) * np.max(np.abs(a))
         assert got.shape == a.shape
-        assert np.ascontiguousarray(got).tobytes() == \
-            np.ascontiguousarray(want).tobytes()
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * bound
+
+
+def _derivatives(a, h, axis, periodic):
+    """4th-order first and second derivatives of a along one axis, each
+    padded back with zeros on a bounded axis: the separate stencils the
+    folded one replaced."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (2, 2)
+    src = np.pad(a, pad, mode="wrap") if periodic else a
+    n = a.shape[axis] if periodic else a.shape[axis] - 4
+
+    def shifted(off):
+        s = [slice(None)] * a.ndim
+        s[axis] = slice(2 + off, 2 + off + n)
+        return src[tuple(s)]
+
+    p2, p1, c, m1, m2 = (shifted(off) for off in (2, 1, 0, -1, -2))
+    # a bounded result is padded before the next is built, so only one
+    # interior-sized array is alive at a time
+    d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+    if not periodic:
+        d1 = np.pad(d1, pad)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h * h)
+    if not periodic:
+        d2 = np.pad(d2, pad)
+    return d1, d2
+
+
+def _reference_hamiltonian(values, grid, geometry, coeffs, t):
+    """H Psi from the separate derivatives, summed term by term: the
+    operator as it was before its weights were folded per axis."""
+    m = coeffs.mass.value(t)
+    W2 = effective_frequency_sq(coeffs, t)
+    rate = frame_rotation_rate(coeffs, t)
+    C = coeffs.coupling
+
+    if isinstance(grid, PolarGrid):
+        drho, dphi = grid.spacing()
+        rho, _ = grid.axes()
+        r_col = rho[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_r = np.where(r_col > 0.0, 1.0 / r_col, 0.0)
+        # summed in place, in the order d_rr + inv_r d_r + inv_r^2 d_pp,
+        # so the bits match the plain sum with fewer full-grid temporaries
+        d_r, lap = _derivatives(values, drho, 0, periodic=False)
+        lap += inv_r * d_r
+        del d_r
+        d_p, d_pp = _derivatives(values, dphi, 1, periodic=True)
+        lap += inv_r * inv_r * d_pp
+        del d_pp
+        # y d_x - x d_y = -d_phi
+        cross = (-1j * rate) * d_p if rate != 0.0 else 0.0
+        rho2 = r_col * r_col
+        pot = 0.5 * m * W2 * rho2
+        if C != 0.0:
+            pot = pot + (C / m) * inv_r * inv_r
+    else:
+        hx, hy = grid.spacing()
+        X, Y = geometry.x, geometry.y
+        d_x, lap = _derivatives(values, hx, 0, periodic=False)
+        d_y, d_yy = _derivatives(values, hy, 1, periodic=False)
+        lap += d_yy
+        del d_yy
+        cross = (1j * rate) * (Y * d_x - X * d_y) if rate != 0.0 else 0.0
+        rho2 = X * X + Y * Y
+        pot = 0.5 * m * W2 * rho2
+        if C != 0.0:
+            with np.errstate(divide="ignore"):
+                inv_r2 = np.where(rho2 > 0.0, 1.0 / rho2, 0.0)
+            pot = pot + (C / m) * inv_r2
+
+    return (-0.5 / m) * lap + cross + pot * values
+
+
+@pytest.mark.parametrize("grid,C", [
+    (PolarGrid(0.4, 8.0, 48, 40), 1.5),
+    (CartesianGrid.centered(6.0, 44, rho_min=0.5), 1.5),
+    (PolarGrid(0.0, 6.0, 40, 36), 0.0),
+    (CartesianGrid.centered(6.0, 41), 0.0),
+], ids=["polar", "cartesian", "polar-disk-C0", "cartesian-origin-C0"])
+def test_folded_operator_matches_the_separate_derivatives(grid, C):
+    # random nodes weigh every stencil term alike; a smooth field makes
+    # the terms cancel, which is where folded weights round differently
+    coeffs = make_coeffs(m=1.3, w=0.9, B=0.8, C=C)
+    assert frame_rotation_rate(coeffs, 0.4) != 0.0
+    rng = np.random.default_rng(5)
+    X, Y = grid.xy_mesh()
+    smooth = np.exp(-0.2 * (X * X + Y * Y) + 1j * (0.7 * X - 0.4 * Y))
+    mask = grid.active_mask()
+    geometry = GridGeometry.of_grid(grid, 0)
+    for values in (rng.standard_normal(grid.shape)
+                   + 1j * rng.standard_normal(grid.shape), smooth):
+        want = _reference_hamiltonian(values, grid, geometry, coeffs,
+                                      0.4)[mask]
+        got = _apply_hamiltonian(values, grid, coeffs, 0.4)[mask]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_operator_applies_once_per_residual_time(monkeypatch, mode_c15,
+                                                 chain_c15, coeffs_c15):
+    calls = count_calls(monkeypatch, wavefunction, ["_apply_hamiltonian"])
+    schrodinger_residual(mode_c15, chain_c15, coeffs_c15, RESIDUAL_GRID,
+                         (0.4, 0.6), steps=COARSE_STEPS)
+    assert calls["_apply_hamiltonian"] == 2
+    schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                         PolarGrid(0.4, 8.0, 24, 24), (0.4,),
+                         refinement="spatial", levels=3)
+    assert calls["_apply_hamiltonian"] == 2 + 3
+
+
+def test_shared_operator_leaves_each_rung_as_if_alone(mode_c15, chain_c15,
+                                                      coeffs_c15):
+    times = (0.4, 0.6)
+    ladder = schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                                  RESIDUAL_GRID, times, steps=COARSE_STEPS)
+    for rung, step in zip(ladder.rungs, COARSE_STEPS):
+        alone = schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                                     RESIDUAL_GRID, times, steps=(step,))
+        assert rung == alone.rungs[0]
+    assert ladder.per_time == alone.per_time
 
 
 def test_temporal_ladder_converges_at_second_order(mode_c15, chain_c15,
