@@ -7,34 +7,52 @@ import io
 import numpy as np
 
 DIGEST = b"# config_digest: "
-_CHUNK_ROWS = 4096      # format_g17 holds ~170 bytes of temporaries a value
+_CHUNK_ROWS = 4096      # one format_columns call a chunk: see invosc.g17
 
 
-def _text(column, sep):
-    column = np.atleast_1d(column)
-    if column.dtype.kind != "f" or column.size < 128:  # g17 setup: 0.18 ms
-        form = "%.17g" if column.dtype.kind == "f" else "%s"
-        return np.array([(form % v).encode() + sep for v in column.tolist()])
-    from .g17 import format_g17         # here: importing cli loads no kernel
-    return format_g17(column, sep)
+def _texts(values, seps):
+    """The text of each column of a chunk; the float arrays of the chunk's
+    length go through one kernel call."""
+    values = [np.atleast_1d(v) for v in values]
+    texts = [None] * len(values)
+    block = [i for i, v in enumerate(values)
+             if v.dtype.kind == "f" and v.size >= 128]
+    if block:                               # g17 setup: about 0.15 ms a call
+        from .g17 import format_columns     # here: importing cli loads no kernel
+        for i, text in zip(block, format_columns(
+                np.stack([values[i] for i in block]), [seps[i] for i in block])):
+            texts[i] = text
+    for i, (v, sep) in enumerate(zip(values, seps)):
+        if texts[i] is None:
+            form = "%.17g" if v.dtype.kind == "f" else "%s"
+            texts[i] = np.array([(form % u).encode() + sep for u in v.tolist()])
+    return texts
 
 
-def _chunks(columns, last, lead=None):
+def _chunks(columns, last, lead=None, join=False):
+    """The text of each chunk of rows: a bytes array of one row an element,
+    or, with ``join``, the rows as one bytes object.  Nothing of a chunk is
+    held while the next one is formatted."""
     count = max(np.size(c) for c in columns if not callable(c))
+    seps = [b","] * (len(columns) - 1) + [last]
     for i, lo in enumerate(range(0, count, _CHUNK_ROWS)):
         part = slice(lo, lo + _CHUNK_ROWS)
-        text = lead[i] if lead else b""
-        for column, sep in zip(columns, [b","] * (len(columns) - 1) + [last]):
-            text = np.strings.add(text, _text(
-                column(part) if callable(column)
-                else column[part] if np.ndim(column) else column, sep))
+        texts = _texts([column(part) if callable(column)
+                        else column[part] if np.ndim(column) else column
+                        for column in columns], seps)
+        text = lead[i] if lead else texts.pop(0)
+        while texts:
+            text = np.strings.add(text, texts.pop(0))
+        if join:
+            text = b"".join(text.tolist())
         yield text
+        del text
 
 
 def table_rows(*columns, lead=None):
     """The bytes of one row per element of the columns, _CHUNK_ROWS at a time;
     a column may also be a scalar or a function of a slice of rows."""
-    return (b"".join(text.tolist()) for text in _chunks(columns, b"\n", lead))
+    return _chunks(columns, b"\n", lead, join=True)
 
 
 class Table(io.BufferedWriter):

@@ -34,6 +34,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import socket
 import sys
@@ -45,9 +46,10 @@ from .artifacts import (read_digest, table_rows, write_summary,
                         write_trajectory_csv)
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
-                     Unstable)
-from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
-from .oracle import RadialProblem, propagate
+                     OutOfDomain, Unstable)
+from .ode import (IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain,
+                  within_span)
+from .oracle import RadialProblem, propagate, snap_times
 from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
                      time_function_from_section)
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
@@ -204,6 +206,13 @@ class RunConfig:
                 dt=orc_s.float("dt"),
                 record_times=orc_s.floats("record_times"),
                 min_fidelity=orc_s.float("min_fidelity"))
+            # where the oracle could count its steps; else it names the dt
+            if oracle.dt > 0 and (span[1] - span[0]) / oracle.dt < math.inf:
+                try:
+                    snap_times(span, oracle.dt, oracle.record_times)
+                except OutOfDomain as exc:
+                    raise ConfigError(f"record_times: {exc}",
+                                      orc_s.items["record_times"][1]) from exc
 
         field_times = (span[0], span[1])
         samples = 512
@@ -214,6 +223,10 @@ class RunConfig:
             run_s.reject_unknown({"field_times", "trajectory_samples",
                                   "mu_coupling", "rel_tol", "abs_tol"})
             field_times = run_s.floats("field_times", default=field_times)
+            if not within_span(field_times, span):
+                raise ConfigError(
+                    f"field_times must lie in the span [{span[0]!r}, "
+                    f"{span[1]!r}]", run_s.items["field_times"][1])
             samples = run_s.int("trajectory_samples", default=samples)
             if samples < 2:
                 raise ConfigError("trajectory_samples must be at least 2",
@@ -280,7 +293,11 @@ class RunConfig:
 def _resolve_out(args):
     out = args.out or os.environ.get(OUT_DIR_ENV) or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out} is not a directory: "
+                          f"{exc.strerror}") from exc
     return path
 
 

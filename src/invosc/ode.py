@@ -105,6 +105,15 @@ def _quartic(r, theta):
         r[..., 3] + one * r[..., 4])))
 
 
+def within_span(t, span):
+    """Whether every time in ``t`` lies in ``span`` up to a slack of 1e-12
+    of its largest endpoint magnitude (at least 1e-12); NaN does not."""
+    t = np.asarray(t, dtype=float)
+    t0, t1 = span
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    return bool(np.all((t >= t0 - slack) & (t <= t1 + slack)))
+
+
 class DenseFunction:
     """Piecewise-quartic interpolant of one solution component.
 
@@ -123,8 +132,7 @@ class DenseFunction:
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         t0, t1 = self.span
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if not np.all((t_arr >= t0 - slack) & (t_arr <= t1 + slack)):
+        if not within_span(t_arr, self.span):
             raise OutOfDomain(f"t={t} outside span [{t0}, {t1}]")
         idx = np.clip(np.searchsorted(self._ts, t_arr, side="right") - 1,
                       0, len(self._ts) - 2)

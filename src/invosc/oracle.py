@@ -235,6 +235,25 @@ def _kinetic_stencil(problem: RadialProblem):
     return -rm * scale, (rp + rm) * scale, -rp * scale
 
 
+def snap_times(span, dt, times=None):
+    """(n_steps, step, {j: t0 + j step}): the n_steps equal steps of about
+    ``dt`` that cover ``span``, and each of ``times`` (default the span's
+    endpoints) snapped to the nearest step.  Raises OutOfDomain for a time
+    farther than half a step from every step, NaN included."""
+    t0, t1 = span
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    step = (t1 - t0) / n_steps
+    steps = {}
+    for t in (t0, t1) if times is None else map(float, times):
+        # the range test fails for NaN before round() can reject it
+        j = int(round((t - t0) / step)) if t0 - step <= t <= t1 + step else -1
+        if j < 0 or j > n_steps or abs(t0 + j * step - t) > 0.5 * step + 1e-12:
+            raise OutOfDomain(f"requested time {t:g} outside span "
+                              f"[{t0}, {t1}]")
+        steps.setdefault(j, t0 + j * step)
+    return n_steps, step, steps
+
+
 def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
     """Crank-Nicolson propagation of the sector equation.
 
@@ -279,21 +298,9 @@ def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
             f"(|u0| there is {abs(u[-1]) / peak:.2e} of peak); "
             "enlarge rho_max")
 
-    t0, t1 = problem.span
-    n_steps = max(1, int(round((t1 - t0) / problem.dt)))
-    dt = (t1 - t0) / n_steps
-
-    if record_times is None:
-        record_times = (t0, t1)
-    record_times = tuple(float(t) for t in record_times)
-    record_steps = {}
-    for t in record_times:
-        # the range test fails for NaN before round() can reject it
-        j = int(round((t - t0) / dt)) if t0 - dt <= t <= t1 + dt else -1
-        if j < 0 or j > n_steps or abs(t0 + j * dt - t) > 0.5 * dt + 1e-12:
-            raise OutOfDomain(f"requested time {t:g} outside span "
-                              f"[{t0}, {t1}]")
-        record_steps.setdefault(j, t0 + j * dt)
+    t0 = problem.span[0]
+    n_steps, dt, record_steps = snap_times(problem.span, problem.dt,
+                                           record_times)
 
     weights = problem.weights()
 
@@ -413,7 +420,11 @@ def _spectral_states(u, sector, dt, stencil, rho2, inv_rho2, weights, steps):
     query allocates and frees a second n² array first: after that free
     the allocator kept V resident once V was freed too.  The snapshots
     are rebuilt by matrix-vector products, which left less memory
-    resident than one matrix-matrix product.
+    resident than one matrix-matrix product.  The products go through
+    einsum, on one thread, not through BLAS: at n = 1023 a second
+    OpenBLAS thread made them slower, on a host with two shared CPUs
+    several times slower, and its idle workers kept spinning into the
+    next command.
     """
     k_sub, k_diag, k_sup = stencil
     m, a, b, s = sector
@@ -429,9 +440,10 @@ def _spectral_states(u, sector, dt, stencil, rho2, inv_rho2, weights, steps):
                        f"(stemr info {info})")
     root_w = np.sqrt(weights)
     y = root_w * u
-    c = y.real @ v + 1j * (y.imag @ v)
+    c = np.einsum("i,ij->j", y.real, v) + 1j * np.einsum("i,ij->j", y.imag, v)
     c = c * np.exp(-2j * np.outer(steps, np.arctan(0.5 * dt * lam)))
-    return [(j, (v @ cj.real + 1j * (v @ cj.imag)) / root_w)
+    return [(j, (np.einsum("ij,j->i", v, cj.real)
+                 + 1j * np.einsum("ij,j->i", v, cj.imag)) / root_w)
             for j, cj in zip(steps, c)]
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import invosc
 from invosc.cli import RunConfig
-from invosc.g17 import _K_MAX, _K_MIN, _digits, _tables, format_g17
+from invosc.g17 import (_K_MAX, _K_MIN, _digits, _tables, format_columns,
+                        format_g17)
 from invosc.wavefunction import ConventionFlags, sample_field
 
 C15 = Path(invosc.__file__).parent / "configs" / "static_c15.cfg"
@@ -99,24 +100,24 @@ def test_exact_ties_round_half_even():
 
 
 def test_power_table_is_within_the_error_bound():
-    # the module's exactness argument assumes hi + lo within 2^-105 of
-    # 10^(16 - k) 2^-t, in [1, 2), and hi_hi + hi_lo an exact 26-bit split
-    scale, exp2, *_ = _tables()
+    # the module's exactness argument assumes H + lo within 2^-106 of
+    # 10^(16 - k), and hh + hl an exact split of H into 26-bit halves
+    scale, *_ = _tables()
     for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
-        hi, hi_hi, hi_lo, lo = (Fraction(float(v)) for v in scale[:, i])
-        exact = Fraction(10) ** (16 - k) / Fraction(2) ** int(exp2[i])
-        assert 1 <= exact < 2
-        assert abs(hi + lo - exact) <= exact / 2 ** 105
-        assert hi_hi + hi_lo == hi
-        assert (math.frexp(hi_hi)[0] * 2 ** 26).is_integer()
+        high, hh, hl, lo = (Fraction(float(v)) for v in scale[:, i])
+        exact = Fraction(10) ** (16 - k)
+        assert abs(high + lo - exact) <= exact / 2 ** 106
+        assert hh + hl == high
+        for half in (hh, hl):
+            assert half == 0 or (math.frexp(half)[0] * 2 ** 26).is_integer()
 
 
 def test_exact_ties_take_the_fallback():
     # the double-double value of a tie sits within 2^-46 of the half, so
     # only Python's correctly rounded dtoa may decide it
-    scale, exp2, quads, *_ = _tables()
+    scale, *_ = _tables()
     ties = _exact_ties(np.random.default_rng(3), per_decade=50)
-    assert not _digits(ties, scale, exp2, quads)[2].any()
+    assert not _digits(ties, scale)[2].any()
 
 
 def test_every_g_layout_branch():
@@ -128,6 +129,47 @@ def test_separators(sep):
     values = np.array([0.0, -0.0, 1.5, -2.5e-7, 1e300, np.nan, 123456789.0,
                        1.0 / 3.0, 6.02214076e23])
     assert _mismatch(values, sep) is None
+
+
+@pytest.mark.parametrize("seps", [(b",", b",", b"\n"), (b"a\tb", b"", b";")])
+def test_columns_take_one_separator_each(seps):
+    # a table chunk's float columns in one call: row i of the block ends
+    # every value with seps[i]
+    rng = np.random.default_rng(23)
+    block = rng.integers(0, 2 ** 64, (3, 5000), dtype=np.uint64).view(
+        np.float64)
+    block[0, :300] = _powers_of_ten()[::7][:300]
+    block[1, :400] = _exact_ties(rng, per_decade=10)[:400]
+    block[2, :1000] = rng.standard_normal(1000) * 10.0 ** rng.integers(
+        -6, 18, 1000)
+    block[:, -1] = [0.0, -0.0, 5e-324]
+    got = format_columns(block, seps)
+    assert got.shape == block.shape
+    for row, sep, text in zip(block, seps, got):
+        assert b"".join(text.tolist()) == ((b"%.17g" + sep) * row.size) % (
+            tuple(row.tolist()))
+
+
+def test_values_below_ten_in_every_layout():
+    # below 10 in magnitude the point always follows d0, and the kernel
+    # skips placing it among d1...d16: fixed notation from 1e-4, both
+    # scientific ranges, trailing zeros, +-0 and the fallback's subnormals
+    rng = np.random.default_rng(29)
+    values = _every_layout(rng, per_exponent=500)
+    values = values[np.abs(values) < 10.0]
+    assert (np.abs(values) < 1e-4).any() and (np.abs(values) >= 1.0).any()
+    values = np.concatenate([values, [0.0, -0.0, 5e-324, 9.999999999999998,
+                                      -1e-5, 0.5, 1e-300]])
+    assert _mismatch(values, b",") is None
+    assert _mismatch(rng.permutation(values)[:5000], b"\n") is None
+
+
+def test_columns_accept_strided_rows_and_no_rows():
+    z = np.array([complex(1.5, -0.0), complex(-1e-5, 3e300), 0.25 + 1j])
+    got = format_columns(np.stack([z.real, z.imag]), [b",", b"\n"])
+    assert got.tolist() == [[b"1.5,", b"-1.0000000000000001e-05,", b"0.25,"],
+                            [b"-0\n", b"3.0000000000000002e+300\n", b"1\n"]]
+    assert format_columns(np.zeros((2, 0)), [b",", b"\n"]).shape == (2, 0)
 
 
 def test_output_width_is_the_longest_element_in_whole_words():
@@ -147,6 +189,12 @@ def test_rejects_bad_arguments():
         format_g17(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="separator"):
         format_g17(np.zeros(2), b"abcd")
+    with pytest.raises(ValueError, match="2-D"):
+        format_columns(np.zeros(2), [b","])
+    with pytest.raises(ValueError, match="one separator a row"):
+        format_columns(np.zeros((2, 2)), [b","])
+    with pytest.raises(ValueError, match="separator"):
+        format_columns(np.zeros((1, 2)), [b"abcd"])
 
 
 def test_fast_path_formats_the_bundled_field():
@@ -159,8 +207,8 @@ def test_fast_path_formats_the_bundled_field():
     v = field.values.ravel()
     columns = [X.ravel(), Y.ravel(), v.real, v.imag, v.real * v.real
                + v.imag * v.imag]
-    scale, exp2, quads, *_ = _tables()
-    fast = np.concatenate([_digits(np.ascontiguousarray(c), scale, exp2,
-                                   quads)[2] for c in columns])
+    scale, *_ = _tables()
+    fast = np.concatenate([_digits(np.ascontiguousarray(c), scale)[2]
+                           for c in columns])
     assert fast.size == 11 * 65536
     assert fast.mean() >= 0.999

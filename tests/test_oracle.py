@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import invosc.oracle as oracle
 from invosc.errors import (MismatchedGrids, NonFinite, OutOfDomain, Unstable)
@@ -124,6 +124,37 @@ def test_regular_sector_uses_cell_centers(harmonic):
 def test_nonzero_winding_is_singular_even_without_coupling(harmonic):
     prob = RadialProblem(harmonic, 1, 6.0, 512, 1e-3, SPAN)
     assert not prob.mirror_inner
+
+
+_NU_CUSP = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "for 0 < nu < 1 the vertex grid's hard zero at the axis does not "
+    "resolve the rho^nu cusp of the radial factor (ROADMAP item 3)"))
+
+
+@pytest.mark.parametrize("nu", [
+    0.0, pytest.param(0.1, marks=_NU_CUSP), pytest.param(0.25, marks=_NU_CUSP),
+    pytest.param(0.5, marks=_NU_CUSP), 1.0, 2.0])
+def test_sector_operator_eigenvalues_converge_at_second_order(nu):
+    # the oracle's own operator (kinetic stencil plus sector terms) in a
+    # harmonic trap with m = W = 1 and n = 0, C = nu^2 / 2: its lowest
+    # three levels against the exact 2 n_r + nu + 1 as N_rho doubles
+    coeffs = make_coeffs(m=1.0, w=1.0, B=0.0, C=0.5 * nu * nu)
+    errors = []
+    for n_rho in (1024, 2048, 4096):
+        prob = RadialProblem(coeffs, 0, 12.0, n_rho, 1e-3, SPAN)
+        k_sub, k_diag, k_sup = oracle._kinetic_stencil(prob)
+        m, a, b, s = oracle._sector_terms(coeffs, 0, SPAN[0])
+        rho2 = prob.rho * prob.rho
+        # symmetric under the weights: the same spectrum as a real
+        # symmetric tridiagonal matrix
+        levels = eigh_tridiagonal(
+            k_diag / m + a * rho2 + b / rho2 + s,
+            -np.sqrt(k_sub[1:] * k_sup[:-1]) / m, eigvals_only=True,
+            select="i", select_range=(0, 2))
+        errors.append(np.max(np.abs(levels - (np.arange(3) * 2 + nu + 1))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert errors[-1] < 2e-5
+    assert np.all(orders > 1.9), orders
 
 
 def test_problem_refinement_and_description(coeffs_c15):

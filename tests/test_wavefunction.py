@@ -636,6 +636,53 @@ def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
     assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * 4757
 
 
+class _ListGrid:
+    """The grid interface the field writer reads, over given node
+    coordinates: a shape of (rows, 1) holds any number of rows."""
+
+    def __init__(self, x, y):
+        self.x, self.y = np.asarray(x, float), np.asarray(y, float)
+        self.shape = (self.x.size, 1)
+
+    def describe(self):
+        return f"list {self.x.size}"
+
+    def xy_mesh(self):
+        return self.x[:, None], self.y[:, None]
+
+
+_FALLBACK = [5e-324, -2.5e-310, 1000000000000000.25, -0.0, 0.0,
+             np.nextafter(1e16, 0.0), np.nextafter(1e-5, 1.0),
+             -np.nextafter(1e17, np.inf), 1e300]
+
+
+@pytest.mark.parametrize("digest", ["c" * 64, None], ids=["digest", "none"])
+@pytest.mark.parametrize("rows", [1, 4096, 4097])
+def test_chunk_edges_match_the_per_row_writer(tmp_path, mode_c15, rows,
+                                              digest):
+    # one row, exactly one chunk and one chunk and a row per time; the
+    # values the kernel hands to Python's '%.17g' sit on the rows at the
+    # chunk edges, in the lead columns and in the field
+    times = (0.25, 1e-300, -0.0)
+    rng = np.random.default_rng(rows)
+    x, y = rng.standard_normal((2, rows)) * 10.0 ** rng.uniform(-5, 5, rows)
+    values = (rng.standard_normal((3, rows, 1))
+              + 1j * rng.standard_normal((3, rows, 1)))
+    for i, edge in enumerate(sorted({0, rows - 1, min(4095, rows - 1),
+                                     min(4096, rows - 1)})):
+        a, b = _FALLBACK[i % 9], _FALLBACK[(i + 4) % 9]
+        x[edge], y[edge] = a, b
+        values[:, edge, 0] = complex(b, a), complex(-a, b), complex(a, -b)
+    field = WaveField(grid=_ListGrid(x, y), times=times, values=values,
+                      mode=mode_c15)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    with np.errstate(over="ignore", under="ignore"):
+        field.write_csv(new, digest=digest)
+        _write_csv_per_row(field, old, digest=digest)
+    assert new.read_bytes() == old.read_bytes()
+    assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * rows
+
+
 def test_field_csv_writer_peak_memory(tmp_path, mode_c15):
     # x, y text is held once per grid as fixed-width arrays; with the
     # kernel's temporaries the writer must stay under the 5.29 MB that the
