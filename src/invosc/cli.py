@@ -207,7 +207,8 @@ class RunConfig:
                 record_times=orc_s.floats("record_times"),
                 min_fidelity=orc_s.float("min_fidelity"))
             # where the oracle could count its steps; else it names the dt
-            if oracle.dt > 0 and (span[1] - span[0]) / oracle.dt < math.inf:
+            if (0 < oracle.dt < math.inf
+                    and (span[1] - span[0]) / oracle.dt < math.inf):
                 try:
                     snap_times(span, oracle.dt, oracle.record_times)
                 except OutOfDomain as exc:

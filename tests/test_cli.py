@@ -429,7 +429,31 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
     assert "[oracle]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [("dt = 2e-4", "dt = 0"),
+                                      ("dt = 2e-4", "dt = 1e400"),
+                                      ("rho_max = 8.0", "rho_max = inf")],
+                         ids=["zero-dt", "infinite-dt", "infinite-rho_max"])
+def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
+                                                          capsys, old, new):
+    # 1e400 reads as inf, which would make one step of the whole span;
+    # an infinite wall leaves no finite grid point
+    text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
+    cfg = write_cfg(tmp_path, patched(text, old, new))
+    rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SOLVER
+    name = new.split(" = ")[0]
+    assert capsys.readouterr().err == (
+        f"error: {name} must be positive and finite\n")
+
+
 _KNOTS = np.linspace(0.0, 1.0, 12)
+
+# static_c0's constant field, and a tabulated cos t in its place
+_TABULATED_FIELD = (
+    "[magnetic_field]\nfamily = constant\nvalue = 1.0",
+    "[magnetic_field]\nfamily = tabulated\n"
+    f"times = {', '.join(map(repr, _KNOTS.tolist()))}\n"
+    f"values = {', '.join(map(repr, np.cos(_KNOTS).tolist()))}")
 
 # one constant coefficient of a bundled config swapped for another
 # family: a polynomial mass with constant value, or a spline B through
@@ -437,10 +461,7 @@ _KNOTS = np.linspace(0.0, 1.0, 12)
 _OTHER_FAMILIES = pytest.mark.parametrize("old,new,calls", [
     ("[mass]\nfamily = constant\nvalue = 1.0",
      "[mass]\nfamily = polynomial\ncoeffs = 1.0, 0.0, 0.0", (1, 0)),
-    ("[magnetic_field]\nfamily = constant\nvalue = 1.0",
-     "[magnetic_field]\nfamily = tabulated\n"
-     f"times = {', '.join(map(repr, _KNOTS.tolist()))}\n"
-     f"values = {', '.join(map(repr, np.cos(_KNOTS).tolist()))}", (0, 5000)),
+    (*_TABULATED_FIELD, (0, 5000)),
 ], ids=["polynomial-constant", "tabulated-driven"])
 
 
@@ -494,6 +515,26 @@ def test_oracle_stays_unitary_at_coarse_dt(tmp_path, coarse_dt_cfg, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("oracle: PASS")
+    summary = (out_dir / "oracle_summary.txt").read_text()
+    drift = float(summary.split("norm_drift_total = ")[1].splitlines()[0])
+    assert drift < 1e-9
+
+
+def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
+                                                 monkeypatch):
+    # the tabulated field steps (20 zgtsv solves at dt = 0.05), so this
+    # reaches the stepped path that the closed-form case above skips
+    import invosc.oracle as oracle
+
+    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
+    text = patched(c0_text, *_TABULATED_FIELD)
+    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(text, "dt = 2e-4", "dt = 0.05")
+    out_dir = tmp_path / "run"
+    rc = main(["oracle", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert (seen["dstemr"], seen["zgtsv"]) == (0, 20)
+    assert rc == EXIT_OK
     summary = (out_dir / "oracle_summary.txt").read_text()
     drift = float(summary.split("norm_drift_total = ")[1].splitlines()[0])
     assert drift < 1e-9
