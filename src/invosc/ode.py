@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
-from .params import CoefficientSet, effective_frequency_sq, frame_rotation_rate
+from .params import CoefficientSet, coefficient_terms
 
 __all__ = [
     "IntegratorConfig", "DenseFunction", "TransformTrajectory",
@@ -240,7 +240,8 @@ def default_alpha0(coeffs: CoefficientSet, t0=None, branch=+1):
     the scan-selected conventions.
     """
     t0 = coeffs.span[0] if t0 is None else t0
-    return branch * coeffs.mass.value(t0) * math.sqrt(effective_frequency_sq(coeffs, t0))
+    m, w2, _ = coefficient_terms(coeffs, t0)
+    return branch * m * math.sqrt(w2)
 
 
 def solve_riccati(coeffs: CoefficientSet, alpha0=None, span=None, cfg=None):
@@ -341,13 +342,12 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
     ceiling = _BLOWUP_FACTOR * max(abs(a0), 1.0)
 
     def rhs(t, y):
-        m = coeffs.mass.value(t)
+        m, w2, rate = coefficient_terms(coeffs, t)
         a = y[1]
         mu2 = mu0_sq * np.exp(2.0 * y[2])
         if abs(mu2) < 1e-280:
             raise ZeroCrossing(f"mu vanished at t={t:.6g}", crossing_time=float(t))
-        return np.array([frame_rotation_rate(coeffs, t),
-                         1j * (m * effective_frequency_sq(coeffs, t) - a * a / m),
+        return np.array([rate, 1j * (m * w2 - a * a / m),
                          -a if literal else 1j * a / m,
                          (k * k + 2.0 * mu2 * a) / (2.0 * m * mu2)])
 

@@ -12,23 +12,22 @@ y d_x - x d_y = -d_phi, i (y d_x - x d_y) exp(i n phi) = n exp(i n phi),
 so the shift is +r n.  A finite-difference fit of the 2D operator in the
 tests pins this sign.
 
-Propagation is Crank-Nicolson on the flux (conservative) form of the
-radial operator, which keeps the scheme exactly unitary in the
-rho-weighted inner product up to roundoff.  The Hamiltonian splits as
-H(t) = K/m(t) + a(t) rho^2 + b(t)/rho^2 + s(t), and H is symmetric in
-the finite-volume weights W, so both paths carry the weight-symmetrised
-state y = W^{1/2} u under the real symmetric tridiagonal
-S = W^{1/2} H W^{-1/2}.  S's parts (the kinetic stencil, the rho powers,
-one off-diagonal) are built once per propagation, and the four scalars
-are evaluated at every step midpoint in one vectorized pass.  The
-weighted norm of u is then |y|, one reduction.  When the scalars change,
-each step makes one LAPACK zgtsv solve with 1 + z S, z = i dt/2, and
-takes y⁺ = 2 (1 + z S)⁻¹ y - y, which needs no explicit-side product.
-When they never change (constant coefficients), every step applies the
-same Cayley map, and the recorded states are evaluated from one
-eigendecomposition of S instead of by stepping: the same discrete map,
-at O(n^2) memory for its eigenvectors.  Either way u = y / W^{1/2} is
-formed only at the recorded steps.
+With nu = sqrt(n^2 + 2C) the oracle carries w = u / rho^nu, which is
+smooth and even at the axis for every nu >= 0, and the 1/rho^2 term
+drops out exactly:
+
+    i w_t = -(1/2m) rho^-(2nu+1) (rho^(2nu+1) w_r)_r
+            + [(m/2) W^2 rho^2 + r n] w
+
+on the cell centres of one radial layout for every sector (see
+RadialProblem and _kinetic_stencil).  Propagation is Crank-Nicolson on
+this flux form, exactly unitary in the weighted inner product up to
+roundoff.  H(t) = K/m(t) + a(t) rho^2 + s(t) is symmetric in the cell
+measures M, so both paths carry y = M^{1/2} w under the real symmetric
+tridiagonal S = M^{1/2} H M^{-1/2}, and |y| is the weighted norm of u.
+Changing coefficients take one LAPACK zgtsv solve per step; constant
+ones give the recorded states in closed form from one
+eigendecomposition of S (see propagate).
 
 This module deliberately shares nothing with the assembly path except the
 coefficient definitions in params: agreement between the two routes is
@@ -46,9 +45,9 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dstemr, zgtsv
 
-from .errors import MismatchedGrids, NonFinite, OutOfDomain, Unstable
-from .params import (CoefficientSet, effective_frequency_sq,
-                     frame_rotation_rate)
+from .errors import (FallToCenter, MismatchedGrids, NonFinite, OutOfDomain,
+                     Unstable)
+from .params import CoefficientSet, coefficient_terms
 
 __all__ = ["RadialProblem", "PropagationResult", "effective_potential",
            "propagate", "fidelity"]
@@ -64,15 +63,12 @@ _CSV_CHUNK_ROWS = 4096
 
 
 def _sector_terms(coeffs: CoefficientSet, n, t):
-    """(m, a, b, s) with sector potential a rho^2 + b / rho^2 + s at t.
+    """(m, a, s) with a rho^2 + s the potential of w at t.
 
     Scalar or array t; an array of midpoints is evaluated in one pass.
     """
-    m = coeffs.mass.value(t)
-    a = 0.5 * m * effective_frequency_sq(coeffs, t)
-    b = (coeffs.coupling + 0.5 * n * n) / m
-    s = _CROSS_TERM * n * frame_rotation_rate(coeffs, t)
-    return m, a, b, s
+    m, w2, rate = coefficient_terms(coeffs, t)
+    return m, 0.5 * m * w2, _CROSS_TERM * n * rate
 
 
 def effective_potential(coeffs: CoefficientSet, n, rho, t):
@@ -85,7 +81,8 @@ def effective_potential(coeffs: CoefficientSet, n, rho, t):
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0):
         raise OutOfDomain("effective potential needs rho > 0")
-    _, a, b, s = _sector_terms(coeffs, n, t)
+    m, a, s = _sector_terms(coeffs, n, t)
+    b = (coeffs.coupling + 0.5 * n * n) / m
     out = a * rho_arr * rho_arr + b * (1.0 / (rho_arr * rho_arr)) + s
     return out if out.ndim else float(out)
 
@@ -94,11 +91,11 @@ def effective_potential(coeffs: CoefficientSet, n, rho, t):
 class RadialProblem:
     """Grid and stepping description for one sector propagation.
 
-    The radial grid holds the interior points rho_j = j drho for
-    j = 1 .. N_rho - 1 with drho = rho_max / N_rho; both walls carry
-    u = 0, except that the nu = 0 case (C = 0, n = 0, where the regular
-    solution is flat at the origin) mirrors the inner ghost point
-    instead.
+    The unknowns sit at the cell centres rho_j = (j + 1/2) drho,
+    j = 0 .. N_rho - 1, with drho = rho_max / N_rho, for every sector.
+    They carry w = u / rho^nu; the first cell's inner face is the axis,
+    whose zero weight needs no boundary condition, and u = 0 one cell
+    beyond the last.
     """
 
     coeffs: CoefficientSet
@@ -125,38 +122,27 @@ class RadialProblem:
                               f"span ({lo}, {hi})")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "span", (float(t0), float(t1)))
+        if 2.0 * self.coeffs.coupling + self.n * self.n < 0.0:
+            raise FallToCenter("2C + n^2 < 0: no regular radial solution")
 
     @property
     def drho(self):
         return self.rho_max / self.n_rho
 
     @property
-    def mirror_inner(self):
-        """Whether the sector is regular on the axis (flat nu = 0 profile)."""
-        return self.coeffs.coupling == 0.0 and self.n == 0
+    def nu(self):
+        """Radial order sqrt(n^2 + 2C): u goes as rho^nu at the axis."""
+        return math.sqrt(2.0 * self.coeffs.coupling + self.n * self.n)
 
     @property
     def rho(self):
-        """Grid points carrying unknowns.
-
-        Singular sectors use vertex points j drho, j = 1 .. N-1, with a
-        hard zero at rho_min = rho_max/N and at the outer wall.  The
-        nu = 0 sector instead uses cell centers (j + 1/2) drho: the
-        mirrored-stencil limit, where the inner cell face sits exactly
-        on the axis and its flux vanishes identically (the face area
-        carries a factor rho = 0), so axis regularity costs no
-        approximation at all.
-        """
-        if self.mirror_inner:
-            return (np.arange(self.n_rho) + 0.5) * self.drho
-        return np.arange(1, self.n_rho) * self.drho
+        """Cell centres (j + 1/2) drho, one per unknown."""
+        return (np.arange(self.n_rho) + 0.5) * self.drho
 
     def weights(self):
-        """Finite-volume rho-measure weights on the unknowns.
-
-        Cell j owns [rho_j - drho/2, rho_j + drho/2], whose exact
-        rho-measure is rho_j drho in both grid layouts.
-        """
+        """Weights of the u inner product: the cell measures of w,
+        rho_j^(2nu+1) drho, over rho_j^(2nu), which is rho_j drho for
+        every nu and never under- or overflows."""
         return self.rho * self.drho
 
     def refined(self, factor=2):
@@ -175,7 +161,7 @@ class PropagationResult:
 
     problem: RadialProblem
     times: tuple
-    fields: np.ndarray              # (len(times), n_rho - 1)
+    fields: np.ndarray              # (len(times), n_rho)
     norm_drift_step: float          # max relative change between checked states
     norm_drift_total: float         # end-to-start relative norm change
     fidelities: tuple | None = None  # vs. reference, when one was given
@@ -224,21 +210,24 @@ class PropagationResult:
 
 
 def _kinetic_stencil(problem: RadialProblem):
-    """Sub/diag/super of K, the kinetic part of H times m(t).
+    """Sub/diag/super of K, the kinetic part of H times m(t), on w.
 
-    Conservative discretization of -(1/2)(1/rho) d_rho(rho d_rho u):
-    fluxes at the cell faces rho_j +- drho/2 divided by the cell
-    measure keep the matrix symmetric under the finite-volume weights,
-    which is what makes the Cayley step exactly unitary in that inner
-    product.  On the cell-centered nu = 0 grid the innermost rm is
-    exactly zero, so the axis face drops out without a special case.
+    Conservative discretization of -(1/2) rho^-(2nu+1) d_rho(rho^(2nu+1)
+    d_rho w): the flux through each face rho_j +- drho/2, weighted by
+    the face's rho^(2nu+1), over the cell measure rho_j^(2nu+1) drho.
+    Only the ratios (face/centre)^(2nu+1), of (2j + 2)/(2j + 1) and
+    2j/(2j + 1), enter, so no power of rho is formed and none under- or
+    overflows.  The matrix is symmetric under the cell measures, which
+    is what makes the Cayley step exactly unitary in that inner
+    product.  The axis face's ratio is exactly zero, so it drops out
+    without a special case.
     """
-    rho = problem.rho
-    dr = problem.drho
-    rp = rho + 0.5 * dr
-    rm = rho - 0.5 * dr
-    scale = 1.0 / (2.0 * rho * dr * dr)
-    return -rm * scale, (rp + rm) * scale, -rp * scale
+    q = 2.0 * problem.nu + 1.0
+    centre = 2.0 * np.arange(problem.n_rho) + 1.0
+    scale = 1.0 / (2.0 * problem.drho * problem.drho)
+    inner = ((centre - 1.0) / centre) ** q * scale
+    outer = ((centre + 1.0) / centre) ** q * scale
+    return -inner, inner + outer, -outer
 
 
 def snap_times(span, dt, times=None):
@@ -261,18 +250,18 @@ def snap_times(span, dt, times=None):
 
 
 def _symmetrised_operator(problem: RadialProblem):
-    """(basis, off): the parts of S = W^{1/2} H W^{-1/2}.
+    """(basis, off): the parts of S = M^{1/2} H M^{-1/2}.
 
-    H = K/m + a rho^2 + b/rho^2 + s is symmetric in the weights w, so S
-    is real symmetric tridiagonal for every sector.  Its diagonal is
-    that of H, k_diag/m + a rho^2 + b/rho^2 + s: the rows of ``basis``
-    (k_diag, rho^2, 1/rho^2, 1) weighted by (1/m, a, b, s).  Its
-    off-diagonal is -sqrt(K_{j,j+1} K_{j+1,j})/m = off/m; both
-    off-diagonals of K are negative, hence the sign.
+    H = K/m + a rho^2 + s is symmetric in the cell measures M, so S is
+    real symmetric tridiagonal for every sector.  Its diagonal is that
+    of H, k_diag/m + a rho^2 + s: the rows of ``basis`` (k_diag, rho^2,
+    1) weighted by (1/m, a, s).  Its off-diagonal is
+    -sqrt(K_{j,j+1} K_{j+1,j})/m = off/m; both off-diagonals of K are
+    negative, hence the sign.
     """
     rho2 = problem.rho * problem.rho
     k_sub, k_diag, k_sup = _kinetic_stencil(problem)
-    basis = np.array([k_diag, rho2, 1.0 / rho2, np.ones_like(rho2)])
+    basis = np.array([k_diag, rho2, np.ones_like(rho2)])
     return basis, -np.sqrt(k_sub[1:] * k_sup[:-1])
 
 
@@ -291,12 +280,13 @@ def _norm(y):
 def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
     """Crank-Nicolson propagation of the sector equation.
 
-    Applies (1 + i dt/2 H(t_mid)) u⁺ = (1 - i dt/2 H(t_mid)) u with H
+    Applies (1 + i dt/2 H(t_mid)) w⁺ = (1 - i dt/2 H(t_mid)) w with H
     taken at each step midpoint, so time-dependent m, omega, B keep
     second-order accuracy.  Both paths carry the weight-symmetrised
-    state y = W^{1/2} u and the symmetric S = W^{1/2} H W^{-1/2}, built
-    once here (see _symmetrised_operator): the same map, since
-    W^{1/2}(1 + z H) = (1 + z S) W^{1/2}.  The coefficient scalars of
+    state y = M^{1/2} w = W^{1/2} u, W = problem.weights(), and the
+    symmetric S = M^{1/2} H M^{-1/2}, built once here (see
+    _symmetrised_operator): the same map, since
+    M^{1/2}(1 + z H) = (1 + z S) M^{1/2}.  The coefficient scalars of
     all midpoints are evaluated up front.  If they differ between
     midpoints, each step makes one LAPACK zgtsv solve with 1 + z S (see
     _stepped_states).  If they are identical at every midpoint, every
@@ -402,13 +392,13 @@ def _stepped_states(y, terms, dt, operator):
     """(step, y) after every step, from one LAPACK zgtsv solve per step.
 
     (1 + z S) y⁺ = (1 - z S) y with z = i dt/2 and S at the step's
-    midpoint, whose scalars (m, a, b, s) are column j - 1 of ``terms``.
+    midpoint, whose scalars (m, a, s) are column j - 1 of ``terms``.
     Since 1 - z S = 2 - (1 + z S), the update is implicit only:
     y⁺ = (1 + z S)⁻¹ (2 y) - y, and no explicit-side product is formed.
-    The solve takes 2 y rather than y so that its result is already the
-    2 w of y⁺ = 2 w - y (scaling by 2 is exact).  The diagonal of
-    1 + z S is 1 + i (dt/2)(k_diag/m + a rho^2 + b/rho^2 + s), its
-    imaginary part one einsum of the basis rows with (dt/2)(1/m, a, b, s).
+    The solve takes 2 y rather than y so that its result is already
+    2 (1 + z S)⁻¹ y (scaling by 2 is exact).  The diagonal of
+    1 + z S is 1 + i (dt/2)(k_diag/m + a rho^2 + s), its imaginary
+    part one einsum of the basis rows with (dt/2)(1/m, a, s).
     S is symmetric, so both bands are z off/m, filled by one product.
     zgtsv (the routine solve_banded calls for one band on each side)
     overwrites the bands, the diagonal and the right-hand side in place,
@@ -419,8 +409,8 @@ def _stepped_states(y, terms, dt, operator):
     basis, off = operator
     c = 0.5 * dt
     z = 1j * c
-    m, a, b, s = terms
-    scales = np.stack([c / m, c * a, c * b, c * s], axis=1)
+    m, a, s = terms
+    scales = np.stack([c / m, c * a, c * s], axis=1)
     unit = np.ones(y.size, dtype=complex)
     # both bands in one product: complex rows spare the cast of off
     off_pair = np.array([off, off], dtype=complex)
@@ -441,7 +431,7 @@ def _stepped_states(y, terms, dt, operator):
 def _spectral_states(y, sector, dt, operator, steps):
     """(step, y) pairs at each of ``steps`` (ascending, all >= 1).
 
-    With constant scalars ``sector`` = (m, a, b, s) every step applies
+    With constant scalars ``sector`` = (m, a, s) every step applies
     the same Cayley map (1 + z S)⁻¹(1 - z S), z = i dt/2, to y.  One
     decomposition S = V diag(lam) Vᵀ (LAPACK stemr) gives every power
     of it,
@@ -462,10 +452,10 @@ def _spectral_states(y, sector, dt, operator, steps):
     several times slower, and its idle workers kept spinning into the
     next command.
     """
-    (k_diag, rho2, inv_rho2, _), off = operator
-    m, a, b, s = sector
+    (k_diag, rho2, _), off = operator
+    m, a, s = sector
     n = rho2.size
-    diag = k_diag / m + a * rho2 + b * inv_rho2 + s
+    diag = k_diag / m + a * rho2 + s
     sub = np.zeros(n)               # stemr reads n entries and uses n - 1
     sub[:-1] = off / m
     # range 0 asks for every eigenpair; vl, vu, il, iu are then unused

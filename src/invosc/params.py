@@ -317,24 +317,31 @@ def derived_fields(coeffs: CoefficientSet, t, rho):
     return b, e_phi
 
 
-def frame_rotation_rate(coeffs: CoefficientSet, t):
-    """Angular rate q*B/(4m) of the frame rotation that cancels the
-    velocity-dependent cross term.
+def coefficient_terms(coeffs: CoefficientSet, t):
+    """(m, W^2, r) at t from one value() call per coefficient.
 
-    This single definition feeds the rotation angle quadrature, the
-    residual operator's cross term, and the radial sector shift, so the
-    three stay mutually consistent by construction.
+    W^2 = omega^2 + q^2 B^2 / (4 m^2) is the trap frequency squared after
+    the magnetic term is folded in, and r = q B / (4 m) the angular rate
+    of the frame rotation that cancels the velocity-dependent cross
+    term.  This single definition feeds the chain, the rotation angle
+    quadrature, the residual operator's cross term and the radial
+    sector shift, so they stay mutually consistent by construction.
     """
-    return coeffs.charge * coeffs.magnetic_field.value(t) / (4.0 * coeffs.mass.value(t))
+    m = coeffs.mass.value(t)
+    w = coeffs.frequency.value(t)
+    b = coeffs.magnetic_field.value(t)
+    return (m, w * w + (coeffs.charge * b) ** 2 / (4.0 * m * m),
+            coeffs.charge * b / (4.0 * m))
+
+
+def frame_rotation_rate(coeffs: CoefficientSet, t):
+    """r = q B / (4 m) at t; see coefficient_terms."""
+    return coefficient_terms(coeffs, t)[2]
 
 
 def effective_frequency_sq(coeffs: CoefficientSet, t):
-    """omega^2 + q^2 B^2 / (4 m^2): the trap frequency squared after the
-    magnetic term is folded in."""
-    w = coeffs.frequency.value(t)
-    b = coeffs.magnetic_field.value(t)
-    m = coeffs.mass.value(t)
-    return w * w + (coeffs.charge * b) ** 2 / (4.0 * m * m)
+    """W^2 = omega^2 + q^2 B^2 / (4 m^2) at t; see coefficient_terms."""
+    return coefficient_terms(coeffs, t)[1]
 
 
 # -- config file scanning -----------------------------------------------------

@@ -48,8 +48,7 @@ from .bessel import bessel_j, bessel_n
 from .errors import (FallToCenter, GridTooCoarse, Inconclusive, NonFinite,
                      NonPositiveArgument, OriginUndefined, OutOfDomain,
                      ZeroNorm)
-from .params import (CoefficientSet, effective_frequency_sq,
-                     frame_rotation_rate)
+from .params import CoefficientSet, coefficient_terms
 
 __all__ = [
     "ConventionFlags", "ModeSpec", "CartesianGrid", "PolarGrid", "WaveField",
@@ -596,9 +595,7 @@ def _apply_hamiltonian(values, grid, coeffs: CoefficientSet, t):
     potential, so H Psi is one centre product plus four shifted
     multiply-adds per axis.
     """
-    m = coeffs.mass.value(t)
-    W2 = effective_frequency_sq(coeffs, t)
-    rate = frame_rotation_rate(coeffs, t)
+    m, W2, rate = coefficient_terms(coeffs, t)
     C = coeffs.coupling
     kinetic = -0.5 / m
 

@@ -18,7 +18,8 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 import invosc.oracle as oracle
-from invosc.errors import (MismatchedGrids, NonFinite, OutOfDomain, Unstable)
+from invosc.errors import (FallToCenter, MismatchedGrids, NonFinite,
+                           OutOfDomain, Unstable)
 from invosc.oracle import (PropagationResult, RadialProblem,
                            effective_potential, fidelity, propagate)
 from invosc.params import TimeFunction
@@ -105,51 +106,36 @@ def test_cross_term_fit_matches_the_derived_constant():
 
 # -- problem geometry --------------------------------------------------------------
 
-def test_singular_sector_uses_vertex_grid(coeffs_c15):
-    prob = RadialProblem(coeffs_c15, -1, 8.0, 512, 1e-3, SPAN)
-    assert not prob.mirror_inner
-    assert prob.rho.shape == (511,)
-    assert prob.rho[0] == pytest.approx(prob.drho)
-    assert prob.rho[-1] == pytest.approx(8.0 - prob.drho)
-    assert np.allclose(prob.weights(), prob.rho * prob.drho)
-
-
-def test_regular_sector_uses_cell_centers(harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3, SPAN)
-    assert prob.mirror_inner
+@pytest.mark.parametrize("n, C", [(-1, 1.5), (0, 0.0), (1, 0.0)])
+def test_every_sector_uses_the_cell_centres(n, C):
+    # singular (nu = 2), regular (nu = 0) and pure winding (nu = 1)
+    # sectors share one layout: N unknowns at (j + 1/2) drho, measured
+    # by rho_j drho in u
+    prob = RadialProblem(make_coeffs(C=C), n, 8.0, 512, 1e-3, SPAN)
+    assert prob.nu == math.sqrt(n * n + 2.0 * C)
     assert prob.rho.shape == (512,)
     assert prob.rho[0] == pytest.approx(0.5 * prob.drho)
+    assert prob.rho[-1] == pytest.approx(8.0 - 0.5 * prob.drho)
+    assert np.allclose(prob.weights(), prob.rho * prob.drho)
+    # the axis face carries no flux
+    k_sub, _, _ = oracle._kinetic_stencil(prob)
+    assert k_sub[0] == 0.0
 
 
-def test_nonzero_winding_is_singular_even_without_coupling(harmonic):
-    prob = RadialProblem(harmonic, 1, 6.0, 512, 1e-3, SPAN)
-    assert not prob.mirror_inner
-
-
-_NU_CUSP = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "for 0 < nu < 1 the vertex grid's hard zero at the axis does not "
-    "resolve the rho^nu cusp of the radial factor (ROADMAP item 3)"))
-
-
-@pytest.mark.parametrize("nu", [
-    0.0, pytest.param(0.1, marks=_NU_CUSP), pytest.param(0.25, marks=_NU_CUSP),
-    pytest.param(0.5, marks=_NU_CUSP), 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
 def test_sector_operator_eigenvalues_converge_at_second_order(nu):
-    # the oracle's own operator (kinetic stencil plus sector terms) in a
-    # harmonic trap with m = W = 1 and n = 0, C = nu^2 / 2: its lowest
-    # three levels against the exact 2 n_r + nu + 1 as N_rho doubles
+    # the oracle's own operator (the symmetrised S and the sector terms)
+    # in a harmonic trap with m = W = 1 and n = 0, C = nu^2 / 2: its
+    # lowest three levels against the exact 2 n_r + nu + 1 as N_rho
+    # doubles
     coeffs = make_coeffs(m=1.0, w=1.0, B=0.0, C=0.5 * nu * nu)
     errors = []
     for n_rho in (1024, 2048, 4096):
         prob = RadialProblem(coeffs, 0, 12.0, n_rho, 1e-3, SPAN)
-        k_sub, k_diag, k_sup = oracle._kinetic_stencil(prob)
-        m, a, b, s = oracle._sector_terms(coeffs, 0, SPAN[0])
-        rho2 = prob.rho * prob.rho
-        # symmetric under the weights: the same spectrum as a real
-        # symmetric tridiagonal matrix
+        basis, off = oracle._symmetrised_operator(prob)
+        m, a, s = oracle._sector_terms(coeffs, 0, SPAN[0])
         levels = eigh_tridiagonal(
-            k_diag / m + a * rho2 + b / rho2 + s,
-            -np.sqrt(k_sub[1:] * k_sup[:-1]) / m, eigvals_only=True,
+            np.array([1.0 / m, a, s]) @ basis, off / m, eigvals_only=True,
             select="i", select_range=(0, 2))
         errors.append(np.max(np.abs(levels - (np.arange(3) * 2 + nu + 1))))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
@@ -165,6 +151,27 @@ def test_problem_refinement_and_description(coeffs_c15):
     assert "n=-1" in prob.describe() and "N=256" in prob.describe()
 
 
+def test_large_order_keeps_the_operator_finite():
+    # nu = 50 in a stiff trap (omega = 100, so the state peaks at
+    # rho = sqrt(nu / (m omega)) = 0.71): the innermost cell centre is
+    # 3.9e-4, where rho^(2 nu + 1) would underflow to 0.  The measures
+    # and face ratios stay finite and positive, and a driven propagation
+    # stays unitary.
+    coeffs = make_coeffs(m=TimeFunction.linear(1.0, 0.1, SPAN), w=100.0,
+                         B=0.0, C=0.5 * (50.0 ** 2 - 1.0))
+    prob = RadialProblem(coeffs, 1, 1.6, 2048, 1e-3, (0.0, 0.01))
+    assert prob.nu == 50.0
+    assert prob.rho[0] ** 101 == 0.0
+    k_sub, k_diag, k_sup = oracle._kinetic_stencil(prob)
+    for part in (prob.weights(), -k_sub[1:], k_diag, -k_sup):
+        assert np.all(np.isfinite(part)) and np.all(part > 0.0)
+    # (rho / rho_peak)^50 exp(-(omega / 2)(rho^2 - rho_peak^2))
+    u0 = np.exp(50.0 * np.log(prob.rho / math.sqrt(0.5))
+                - 50.0 * (prob.rho ** 2 - 0.5))
+    res = propagate(prob, u0)
+    assert res.norm_drift_total < 1e-9
+
+
 def test_problem_validation(coeffs_c15):
     with pytest.raises(ValueError):
         RadialProblem(coeffs_c15, 0, 8.0, 128, 1e-3, SPAN)
@@ -176,6 +183,8 @@ def test_problem_validation(coeffs_c15):
         RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (1.0, 0.0))
     with pytest.raises(OutOfDomain):
         RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (0.0, 2.0))
+    with pytest.raises(FallToCenter):
+        RadialProblem(make_coeffs(C=-1.0), 1, 8.0, 512, 1e-3, SPAN)
 
 
 # -- propagation guards --------------------------------------------------------------
@@ -367,7 +376,7 @@ def _write_snapshots_per_row(result, path, digest=None):
 def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
                                                           digest):
     # 4199 unknowns per snapshot: one full chunk plus a partial tail
-    prob = RadialProblem(harmonic, 1, 7.3, 4200, 1e-2, SPAN)
+    prob = RadialProblem(harmonic, 1, 7.3, 4199, 1e-2, SPAN)
     times = (0.0, 1.0 / 3.0, 1.0)
     rng = np.random.default_rng(11)
     shape = (len(times), prob.rho.size)
@@ -400,27 +409,32 @@ def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
 # -- hoisted propagator against the per-step reference ---------------------------------
 
 def _per_step_reference(problem, u0):
-    """The plain loop: rebuild H at every midpoint and solve it banded."""
-    rho, dr = problem.rho, problem.drho
+    """The plain loop on w = u / rho^nu: rebuild H = K/m + V at every
+    midpoint from the oracle's kinetic stencil and solve it banded.  V is
+    the sector potential of u less its nu^2 / (2 m rho^2), which the
+    substitution removes."""
+    rho = problem.rho
     t0, t1 = problem.span
     n_steps = max(1, int(round((t1 - t0) / problem.dt)))
     dt = (t1 - t0) / n_steps
     z = 0.5j * dt
-    u = np.asarray(u0, dtype=complex).copy()
+    k_sub, k_diag, k_sup = oracle._kinetic_stencil(problem)
+    power = rho ** problem.nu
+    w = np.asarray(u0, dtype=complex) / power
     for j in range(n_steps):
         t = t0 + (j + 0.5) * dt
-        scale = 1.0 / (2.0 * problem.coeffs.mass.value(t) * rho * dr * dr)
-        rp, rm = rho + 0.5 * dr, rho - 0.5 * dr
-        sub, sup = -rm * scale, -rp * scale
-        diag = (rp + rm) * scale + effective_potential(problem.coeffs,
-                                                       problem.n, rho, t)
-        hu = diag * u
-        hu[:-1] += sup[:-1] * u[1:]
-        hu[1:] += sub[1:] * u[:-1]
-        ab = np.zeros((3, u.size), dtype=complex)
+        m = problem.coeffs.mass.value(t)
+        sub, sup = k_sub / m, k_sup / m
+        diag = k_diag / m + (effective_potential(problem.coeffs, problem.n,
+                                                 rho, t)
+                             - problem.nu ** 2 / (2.0 * m * rho * rho))
+        hw = diag * w
+        hw[:-1] += sup[:-1] * w[1:]
+        hw[1:] += sub[1:] * w[:-1]
+        ab = np.zeros((3, w.size), dtype=complex)
         ab[0, 1:], ab[1], ab[2, :-1] = z * sup[:-1], 1.0 + z * diag, z * sub[1:]
-        u = solve_banded((1, 1), ab, u - z * hu)
-    return u
+        w = solve_banded((1, 1), ab, w - z * hw)
+    return power * w
 
 
 def _driven():
@@ -459,23 +473,23 @@ def test_hoisted_propagator_matches_the_per_step_loop(coeffs, closed_form):
 def _extended_cn_reference(problem, u0):
     """The constant CN map stepped in clongdouble by a Thomas sweep.
 
-    The map is built from the problem's grid and its constant m, omega,
-    B, q, C and n, by the formulas of the oracle module docstring, all in
-    extended precision; 1 + zH is diagonally dominant, so the sweep needs
-    no pivoting.
+    The map is the oracle's own symmetrised operator, with the constant
+    m, omega, B, q and n of the problem evaluated by the formulas of the
+    oracle module docstring in extended precision; it acts on
+    y = W^{1/2} u, W = problem.weights().  1 + zS is diagonally dominant,
+    so the sweep needs no pivoting.
     """
     ld = np.longdouble
     c = problem.coeffs
     m, w, bf = (ld(f.value(problem.span[0])) for f in
                 (c.mass, c.frequency, c.magnetic_field))
     q, n = ld(c.charge), ld(problem.n)
-    rho, dr = problem.rho.astype(ld), ld(problem.drho)
-    scale = 1 / (2 * m * rho * dr * dr)
-    rp, rm = rho + dr / 2, rho - dr / 2
-    sub, sup = (-rm * scale)[1:], (-rp * scale)[:-1]
-    diag = ((rp + rm) * scale + m / 2 * (w * w + q * q * bf * bf / (4 * m * m))
-            * rho * rho + (ld(c.coupling) + n * n / 2) / (m * rho * rho)
+    (k_diag, rho2, _), off = (part.astype(ld) for part in
+                              oracle._symmetrised_operator(problem))
+    sub = sup = off / m
+    diag = (k_diag / m + m / 2 * (w * w + q * q * bf * bf / (4 * m * m)) * rho2
             + n * q * bf / (4 * m))
+    root_w = np.sqrt(problem.weights().astype(ld))
     t0, t1 = problem.span
     n_steps = max(1, int(round((t1 - t0) / problem.dt)))
     z = np.clongdouble(1j) * (ld(t1 - t0) / n_steps) / 2
@@ -483,10 +497,10 @@ def _extended_cn_reference(problem, u0):
     # per step on the explicit side (1 - zH) u
     lo, up = list(z * sub), list(z * sup)
     den, ratio = [1 + z * diag[0]], []
-    for j in range(1, rho.size):
+    for j in range(1, diag.size):
         ratio.append(up[j - 1] / den[-1])
         den.append(1 + z * diag[j] - lo[j - 1] * ratio[-1])
-    u = np.asarray(u0).astype(np.clongdouble)
+    u = np.asarray(u0).astype(np.clongdouble) * root_w
     for _ in range(n_steps):
         r = (1 - z * diag) * u
         r[:-1] -= z * sup * u[1:]
@@ -498,7 +512,7 @@ def _extended_cn_reference(problem, u0):
         for j in range(len(r) - 2, -1, -1):
             r[j] -= ratio[j] * r[j + 1]
         u = np.array(r)
-    return u
+    return u / root_w
 
 
 def _mirror_problem():
@@ -591,10 +605,7 @@ def _banded_stepper(problem, u0, record_times):
     n_steps = max(1, int(round((t1 - t0) / problem.dt)))
     dt = (t1 - t0) / n_steps
     c = 0.5 * dt
-    rho2 = problem.rho * problem.rho
-    k_sub, k_diag, k_sup = oracle._kinetic_stencil(problem)
-    basis = np.array([k_diag, rho2, 1.0 / rho2, np.ones_like(rho2)])
-    off = -np.sqrt(k_sub[1:] * k_sup[:-1])
+    basis, off = oracle._symmetrised_operator(problem)
     t_mid = t0 + (np.arange(n_steps) + 0.5) * dt
     terms = np.array(oracle._sector_terms(problem.coeffs, problem.n, t_mid))
     root_w = np.sqrt(problem.weights())
@@ -608,9 +619,9 @@ def _banded_stepper(problem, u0, record_times):
     y = root_w * u
     norm0 = prev = norm_of(y)
     drift_step = 0.0
-    for j, (m, a, b, s) in enumerate(terms.T.tolist(), start=1):
-        # 1 + i (dt/2)(k_diag/m + a rho^2 + b/rho^2 + s) and z off/m
-        scale = np.array([c / m, c * a, c * b, c * s])
+    for j, (m, a, s) in enumerate(terms.T.tolist(), start=1):
+        # 1 + i (dt/2)(k_diag/m + a rho^2 + s) and z off/m
+        scale = np.array([c / m, c * a, c * s])
         ab = np.zeros((3, y.size), dtype=complex)
         ab[0, 1:] = ab[2, :-1] = 1j * c / m * off
         ab[1] = 1.0 + 1j * np.einsum("i,ij->j", scale, basis)
