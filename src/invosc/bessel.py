@@ -12,8 +12,11 @@ ACM TOMS 644) in two regimes:
 
 Off-axis |z| > VALIDATED_COMPLEX_RADIUS raises DomainTooLarge: the caller
 should shrink the grid or the time window rather than trust an unvalidated
-regime.  N is scipy.special.yv.  Both regimes are property-tested against
-mpmath at 40 digits over |z| <= 30.
+regime.  N is Im H1_nu(x) from scipy.special.hankel1, which AMOS makes
+equal to scipy.special.yv bit for bit at about half of its cost; yv itself
+runs only where that value is not finite (see bessel_n).  J and N are
+property-tested against mpmath at 40 digits over |z| <= 30.  NaN or
+infinite arguments raise NonFinite before any library call.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv, yv
+from scipy.special import hankel1, jv, yv
 
-from .errors import DomainTooLarge, NonPositiveArgument, Overflow, Pole
+from .errors import (DomainTooLarge, NonFinite, NonPositiveArgument,
+                     Overflow, Pole)
 
 __all__ = ["VALIDATED_COMPLEX_RADIUS", "gamma_real", "bessel_j", "bessel_n",
            "wronskian_check"]
@@ -61,6 +65,13 @@ def _check_order(nu):
     return nu
 
 
+def _check_finite(name, values):
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        bad = np.asarray(values)[~finite].flat[0]
+        raise NonFinite(f"{name} must be finite, got {bad}")
+
+
 def bessel_j(nu, z):
     """J_nu(z) for nonnegative real order and scalar/array argument.
 
@@ -71,6 +82,7 @@ def bessel_j(nu, z):
     """
     nu = _check_order(nu)
     z_in = np.asarray(z)
+    _check_finite("J_nu argument z", z_in)
     real_in = not np.iscomplexobj(z_in) and (z_in.size == 0 or bool(np.all(z_in >= 0)))
     zf = np.atleast_1d(z_in).astype(complex).ravel()
     out = np.empty(zf.shape, dtype=complex)
@@ -102,16 +114,29 @@ def bessel_j(nu, z):
 
 
 def bessel_n(nu, x):
-    """N_nu(x) on the positive real axis, nonnegative real order."""
+    """N_nu(x) on the positive real axis, nonnegative real order.
+
+    For real x > 0 AMOS's ZBESY makes two Hankel calls and returns
+    (H1 - H2)/2i, which is Im H1_nu(x) (Amos, ACM TOMS 644), so one
+    hankel1 call gives the value of yv bit for bit.  Points where that
+    value is not finite go to yv alone: there N overflows toward the
+    origin (yv gives -inf, so Overflow is raised), or x > 2^51, where the
+    Hankel call gives NaN and yv a finite non-AMOS fallback.
+    """
     nu = _check_order(nu)
     x_in = np.asarray(x, dtype=float)
+    _check_finite("N_nu argument x", x_in)
     if np.any(x_in <= 0.0):
         raise NonPositiveArgument("N_nu needs x > 0")
-    out = yv(nu, x_in)
-    if not np.all(np.isfinite(out)):
-        raise Overflow("N evaluation left the double range")
+    xs = np.atleast_1d(x_in)
+    out = np.ascontiguousarray(hankel1(nu, xs).imag)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        out[bad] = yv(nu, xs[bad])
+        if not np.all(np.isfinite(out[bad])):
+            raise Overflow("N evaluation left the double range")
     if x_in.ndim == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -124,6 +149,7 @@ def wronskian_check(nu, x):
     """
     nu = _check_order(nu)
     x = float(x)
+    _check_finite("wronskian_check argument x", x)
     if x <= 0.0:
         raise NonPositiveArgument("wronskian_check needs x > 0")
     j0, j1 = float(jv(nu, x)), float(jv(nu - 1.0, x))

@@ -10,7 +10,8 @@ shares code with the module under test:
   of N_nu for the real N spot values.
 
 The property checks at the end compare seeded samples over the whole
-validated domain against ``mpmath.besselj``/``bessely`` at 40 digits.
+validated domain against ``mpmath.besselj``/``bessely`` at 40 digits, and
+N is checked against ``scipy.special.yv`` bit for bit over the double range.
 """
 
 import math
@@ -19,10 +20,12 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import hankel1, yv
 
+from invosc import bessel
 from invosc.bessel import bessel_j, bessel_n, gamma_real, wronskian_check
-from invosc.errors import (DomainTooLarge, NonPositiveArgument, Overflow,
-                           Pole)
+from invosc.errors import (DomainTooLarge, NonFinite, NonPositiveArgument,
+                           Overflow, Pole)
 
 # mpmath dps=40: besselj(2.5, 3.7 + 0.2j)
 J_COMPLEX_REF = 0.4617433206681554439843833 - 0.003205716463664856660341146j
@@ -200,6 +203,28 @@ def test_n_needs_strictly_positive_argument():
         bessel_n(0.0, np.array([1.0, -1.0]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn,arg", [
+    (bessel_j, NAN), (bessel_j, INF), (bessel_j, complex(1.0, NAN)),
+    (bessel_j, np.array([1.0, INF])),
+    (bessel_n, NAN), (bessel_n, INF), (bessel_n, np.array([1.0, NAN])),
+    (wronskian_check, NAN), (wronskian_check, INF),
+], ids=["j-nan", "j-inf", "j-complex-nan", "j-array-inf", "n-nan", "n-inf",
+        "n-array-nan", "wronskian-nan", "wronskian-inf"])
+def test_non_finite_argument_is_an_input_error(fn, arg, monkeypatch):
+    # refused before any library call, naming the argument, rather than
+    # reported as an overflow of the result (or, for the Wronskian, a nan)
+    def unreachable(*args):
+        raise AssertionError("library kernel called on a non-finite argument")
+
+    for name in ("jv", "yv", "hankel1"):
+        monkeypatch.setattr(bessel, name, unreachable)
+    with pytest.raises(NonFinite, match="argument [xz] must be finite"):
+        fn(1.0, arg)
+
+
 def test_wronskian_check_needs_positive_x():
     with pytest.raises(NonPositiveArgument):
         wronskian_check(1.0, 0.0)
@@ -298,3 +323,43 @@ def test_j_irrational_order_at_the_validated_edge():
         ref = mpmath.besselj(order, mpmath.mpc(z))
         err = float(abs(bessel_j(float(order), z) - ref) / abs(ref))
     assert err < PROPERTY_REL_TOL
+
+
+# -- N is Im H1: the bits of yv over the double range ----------------------------
+
+# orders 0-60 in quarter steps plus five large ones, x log-spaced over
+# 1e-300..1e300: N overflows toward the origin at every order, and past
+# x = 2^51 AMOS stops, so the Hankel call gives NaN and yv its fallback
+IDENTITY_ORDERS = [0.25 * i for i in range(241)] + [100.0, 170.5, 200.0,
+                                                    500.0, 1000.0]
+IDENTITY_X = np.logspace(-300.0, 300.0, 1800)
+AMOS_LIMIT = 2.0 ** 51
+
+
+def test_n_is_yv_bit_for_bit_over_the_double_range():
+    fallback_points = 0
+    for nu in IDENTITY_ORDERS:
+        ref = yv(nu, IDENTITY_X)
+        finite = np.isfinite(ref)
+        got = bessel_n(nu, IDENTITY_X[finite])
+        assert got.tobytes() == ref[finite].tobytes(), nu
+        fallback_points += np.count_nonzero(finite & (IDENTITY_X > AMOS_LIMIT))
+        # where yv is not finite N has overflowed: the whole set raises,
+        # and so do its smallest and largest x alone
+        overflow = IDENTITY_X[~finite]
+        for x in (overflow, overflow[:1], overflow[-1:]):
+            if x.size:
+                with pytest.raises(Overflow):
+                    bessel_n(nu, x)
+    assert fallback_points == len(IDENTITY_ORDERS) * np.count_nonzero(
+        IDENTITY_X > AMOS_LIMIT)
+
+
+def test_n_overflow_raises_where_both_kernels_overflow():
+    # both kernels leave the double range at nu = 200, x = 0.01
+    assert not np.isfinite(hankel1(200.0, 0.01).imag)
+    assert yv(200.0, 0.01) == -INF
+    with pytest.raises(Overflow):
+        bessel_n(200.0, 0.01)
+    with pytest.raises(Overflow):
+        bessel_n(200.0, np.array([1.0, 0.01]))
