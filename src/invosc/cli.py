@@ -558,7 +558,8 @@ def cmd_bessel_table(args):
 
     J_nu is bounded on the positive axis, so only N can leave the double
     range; the array call then raises the Overflow that the first bad
-    row would have raised, before anything is written.
+    row would have raised, before anything is written.  So does J's
+    DomainTooLarge for a range that reaches past 2^51.
     """
     # nan fails every comparison, so the chain also rejects it
     if not 0 < args.x_min < args.x_max < np.inf:

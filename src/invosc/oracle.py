@@ -376,15 +376,14 @@ def propagate(problem: RadialProblem, u0, record_times=None, reference=None):
         if j in record_steps:
             record(j, y / root_w)
 
-    order = np.argsort(times)
+    # both paths yield ascending steps, so the snapshots are in time order
     return PropagationResult(
         problem=problem,
-        times=tuple(times[i] for i in order),
-        fields=np.asarray([fields[i] for i in order]),
+        times=tuple(times),
+        fields=np.asarray(fields),
         norm_drift_step=max_step_drift,
         norm_drift_total=abs(prev_norm - norm0) / norm0,
-        fidelities=(tuple(fidelities[i] for i in order)
-                    if fidelities is not None else None),
+        fidelities=tuple(fidelities) if fidelities is not None else None,
     )
 
 

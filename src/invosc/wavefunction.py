@@ -319,9 +319,9 @@ class PolarGrid:
                 np.linspace(0.0, 2.0 * math.pi, self.n_phi, endpoint=False))
 
     def xy_mesh(self):
+        # trig of the n_phi angles only: the same bits as over the mesh
         rho, phi = self.axes()
-        R, P = np.meshgrid(rho, phi, indexing="ij")
-        return R * np.cos(P), R * np.sin(P)
+        return np.outer(rho, np.cos(phi)), np.outer(rho, np.sin(phi))
 
     def outer_radius(self):
         return self.rho_max

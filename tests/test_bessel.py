@@ -10,8 +10,11 @@ shares code with the module under test:
   of N_nu for the real N spot values.
 
 The property checks at the end compare seeded samples over the whole
-validated domain against ``mpmath.besselj``/``bessely`` at 40 digits, and
-N is checked against ``scipy.special.yv`` bit for bit over the double range.
+validated domain against ``mpmath.besselj``/``bessely`` at 40 digits.
+J is checked bit for bit against its former two-path form (real ``jv`` on
+the nonnegative axis, complex ``jv`` elsewhere) and N against
+``scipy.special.yv``, both up to AMOS's real limit 2^51, past which every
+argument is refused.
 """
 
 import math
@@ -20,7 +23,7 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import hankel1, yv
+from scipy.special import hankel1, jv, yv
 
 from invosc import bessel
 from invosc.bessel import bessel_j, bessel_n, gamma_real, wronskian_check
@@ -103,8 +106,8 @@ def test_conjugate_symmetry_is_exact(z):
 
 @pytest.mark.parametrize("nu", [0.0, 1.5, 4.0])
 def test_real_axis_and_complex_paths_agree(nu):
-    # x = 12 on the axis goes through the real library evaluator; a
-    # vanishing imaginary part forces the complex one instead.
+    # a vanishing imaginary part moves the argument off the axis, where the
+    # imaginary part of the value is no longer set to zero
     on_axis = bessel_j(nu, 12.0)
     off_axis = bessel_j(nu, 12.0 + 1e-30j)
     assert abs(off_axis - on_axis) / abs(on_axis) < 1e-11
@@ -219,7 +222,7 @@ def test_non_finite_argument_is_an_input_error(fn, arg, monkeypatch):
     def unreachable(*args):
         raise AssertionError("library kernel called on a non-finite argument")
 
-    for name in ("jv", "yv", "hankel1"):
+    for name in ("jv", "hankel1"):
         monkeypatch.setattr(bessel, name, unreachable)
     with pytest.raises(NonFinite, match="argument [xz] must be finite"):
         fn(1.0, arg)
@@ -325,34 +328,120 @@ def test_j_irrational_order_at_the_validated_edge():
     assert err < PROPERTY_REL_TOL
 
 
-# -- N is Im H1: the bits of yv over the double range ----------------------------
+# -- one AMOS call each: the bits of the former kernels up to 2^51 ------------
 
 # orders 0-60 in quarter steps plus five large ones, x log-spaced over
 # 1e-300..1e300: N overflows toward the origin at every order, and past
-# x = 2^51 AMOS stops, so the Hankel call gives NaN and yv its fallback
+# x = 2^51 AMOS stops, so the Hankel call gives NaN and yv a non-AMOS
+# fallback
 IDENTITY_ORDERS = [0.25 * i for i in range(241)] + [100.0, 170.5, 200.0,
                                                     500.0, 1000.0]
 IDENTITY_X = np.logspace(-300.0, 300.0, 1800)
 AMOS_LIMIT = 2.0 ** 51
+PAST_LIMIT = np.nextafter(AMOS_LIMIT, np.inf)
+
+
+def test_amos_limit_is_the_module_constant():
+    assert bessel.AMOS_REAL_LIMIT == AMOS_LIMIT
+    # the last double at which AMOS still answers, at every order tried
+    for nu in (0.0, 1.5, 2.0, 60.0, 1000.0):
+        assert np.isfinite(hankel1(nu, AMOS_LIMIT))
+        assert np.isnan(hankel1(nu, PAST_LIMIT))
 
 
 def test_n_is_yv_bit_for_bit_over_the_double_range():
-    fallback_points = 0
+    # up to AMOS's limit; past it, see the next test
+    inside = IDENTITY_X[IDENTITY_X <= AMOS_LIMIT]
     for nu in IDENTITY_ORDERS:
-        ref = yv(nu, IDENTITY_X)
+        ref = yv(nu, inside)
         finite = np.isfinite(ref)
-        got = bessel_n(nu, IDENTITY_X[finite])
+        got = bessel_n(nu, inside[finite])
         assert got.tobytes() == ref[finite].tobytes(), nu
-        fallback_points += np.count_nonzero(finite & (IDENTITY_X > AMOS_LIMIT))
         # where yv is not finite N has overflowed: the whole set raises,
         # and so do its smallest and largest x alone
-        overflow = IDENTITY_X[~finite]
+        overflow = inside[~finite]
         for x in (overflow, overflow[:1], overflow[-1:]):
             if x.size:
                 with pytest.raises(Overflow):
                     bessel_n(nu, x)
-    assert fallback_points == len(IDENTITY_ORDERS) * np.count_nonzero(
-        IDENTITY_X > AMOS_LIMIT)
+
+
+def test_n_past_the_amos_limit_is_refused():
+    # scipy's non-AMOS fallback has lost the phase x mod 2 pi there, so
+    # every point raises, alone or in the array
+    past = IDENTITY_X[IDENTITY_X > AMOS_LIMIT]
+    assert past.size
+    for nu in IDENTITY_ORDERS:
+        for x in (past, past[:1], past[-1:]):
+            with pytest.raises(DomainTooLarge):
+                bessel_n(nu, x)
+
+
+def _j_two_paths(nu, z):
+    """bessel_j as it was before the single complex call: real jv on the
+    nonnegative real axis, complex jv everywhere else; the bit reference."""
+    z_in = np.asarray(z)
+    zf = np.atleast_1d(z_in).astype(complex).ravel()
+    out = np.empty(zf.shape, dtype=complex)
+    right = (zf.imag == 0.0) & (zf.real >= 0.0)
+    out[right] = jv(nu, zf.real[right])
+    out[~right] = jv(nu, zf[~right])
+    out = out.reshape(np.atleast_1d(z_in).shape)
+    if not np.iscomplexobj(z_in) and np.all(z_in >= 0):
+        out = out.real
+    return out[()].item() if z_in.ndim == 0 else out
+
+
+def _assert_same_bits(got, ref, label):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype, label
+    assert got.tobytes() == ref.tobytes(), label
+
+
+def test_j_is_the_two_path_form_bit_for_bit():
+    x = np.concatenate([[0.0, -0.0],
+                        np.logspace(-300.0, math.log10(AMOS_LIMIT), 600),
+                        [AMOS_LIMIT]])
+    rng = _sample("two paths")
+    z = (rng.uniform(0.05, 30.0, PROPERTY_SAMPLES)
+         * np.exp(1j * rng.uniform(-0.6, 0.6, PROPERTY_SAMPLES)))
+    # off-axis points, both axes with either sign of a zero imaginary part
+    mixed = np.concatenate([z[:8], x[::50], -x[1::50],
+                            [complex(2.0, -0.0), complex(-2.0, -0.0),
+                             complex(-2.0, 0.0), 0j]])
+    for nu in IDENTITY_ORDERS:
+        for label, arg in (("real", x), ("complex", z), ("mixed", mixed)):
+            _assert_same_bits(bessel_j(nu, arg), _j_two_paths(nu, arg),
+                              (nu, label))
+    for arg in (0.0, -0.0, 2.5, AMOS_LIMIT, -AMOS_LIMIT, -2.5, 3.7 + 0.2j):
+        got, ref = bessel_j(2.5, arg), _j_two_paths(2.5, arg)
+        assert type(got) is type(ref), arg
+        _assert_same_bits(got, ref, arg)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_j_at_the_amos_limit_and_past_it(sign):
+    edge = sign * AMOS_LIMIT
+    for nu in (0.0, 2.5, 60.0):
+        val = bessel_j(nu, edge)
+        assert np.isfinite(val)
+        assert val == _j_two_paths(nu, edge)
+    past = sign * PAST_LIMIT
+    for arg in (past, np.array([1.0, past, 2.0])):
+        with pytest.raises(DomainTooLarge, match="2\\^51"):
+            bessel_j(2.0, arg)
+
+
+def test_n_at_the_amos_limit_and_past_it():
+    for nu in (0.0, 2.5, 60.0):
+        val = bessel_n(nu, AMOS_LIMIT)
+        assert np.isfinite(val)
+        assert val == yv(nu, AMOS_LIMIT)
+    for arg in (PAST_LIMIT, np.array([1.0, PAST_LIMIT, 2.0])):
+        with pytest.raises(DomainTooLarge, match="2\\^51"):
+            bessel_n(2.0, arg)
+    with pytest.raises(DomainTooLarge):
+        wronskian_check(2.0, PAST_LIMIT)
 
 
 def test_n_overflow_raises_where_both_kernels_overflow():

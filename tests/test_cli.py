@@ -726,3 +726,18 @@ def test_bessel_table_overflow_writes_no_table(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: Overflow: N evaluation left "
                                        "the double range\n")
     assert not (tmp_path / "bessel_table.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel-table", "0", "0.1", "1e308", "3"],
+    ["bessel-table", "2", "0.5", "1e16", "3"],
+], ids=["1e308", "1e16"])
+def test_bessel_table_past_the_amos_limit_writes_no_table(tmp_path, capsys,
+                                                          argv):
+    # past x = 2^51 scipy's values carry no correct digit, so the whole
+    # table is refused rather than printed
+    rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainTooLarge: ") and "2^51" in err
+    assert not (tmp_path / "bessel_table.csv").exists()

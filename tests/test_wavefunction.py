@@ -218,6 +218,20 @@ def test_polar_grid_geometry():
     assert g.outer_radius() == 8.0
 
 
+@pytest.mark.parametrize("grid", [PolarGrid(0.4, 8.0, 96, 80),
+                                  PolarGrid(0.0, 4.0, 17, 40)],
+                         ids=["annulus", "disk"])
+def test_polar_xy_mesh_is_the_meshgrid_form_bit_for_bit(grid):
+    # trig of the n_phi angles times each radius rounds exactly as trig
+    # over the full (rho, phi) mesh does
+    rho, phi = grid.axes()
+    R, P = np.meshgrid(rho, phi, indexing="ij")
+    X, Y = grid.xy_mesh()
+    assert X.shape == Y.shape == grid.shape
+    assert X.tobytes() == (R * np.cos(P)).tobytes()
+    assert Y.tobytes() == (R * np.sin(P)).tobytes()
+
+
 def test_polar_disk_grid_masks_the_degenerate_ring():
     g = PolarGrid(0.0, 4.0, 16, 8)
     mask = g.active_mask()
