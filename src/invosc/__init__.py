@@ -22,18 +22,17 @@ from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
                      MismatchedGrids, NonFinite, NonPositiveArgument,
                      OriginUndefined, OutOfDomain, Overflow, Pole,
                      ToleranceNotMet, Unstable, ZeroCrossing, ZeroNorm)
-from .params import (CoefficientSet, TimeFunction, derived_fields,
-                     effective_frequency_sq, frame_rotation_rate)
+from .params import CoefficientSet, TimeFunction
 from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
-                  default_alpha0, solve_chain, solve_riccati)
+                  default_alpha0, solve_chain)
 from .artifacts import write_trajectory_csv
-from .bessel import bessel_j, bessel_n, gamma_real, wronskian_check
+from .bessel import bessel_j, bessel_n
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
                            ModeSpec, PolarGrid, ResidualReport, ScanOutcome,
                            WaveField, assemble_psi, convention_scan,
-                           normalize_on_disk, order_from_coupling,
-                           sample_field, schrodinger_residual,
-                           sector_winding, theta_from_xy)
+                           order_from_coupling, sample_field,
+                           schrodinger_residual, sector_winding,
+                           theta_from_xy)
 from .oracle import (PropagationResult, RadialProblem, effective_potential,
                      fidelity, propagate)
 
@@ -45,14 +44,13 @@ __all__ = [
     "NonFinite", "NonPositiveArgument", "OriginUndefined", "OutOfDomain",
     "Overflow", "Pole", "ToleranceNotMet", "Unstable", "ZeroCrossing",
     "ZeroNorm",
-    "CoefficientSet", "TimeFunction", "derived_fields",
-    "effective_frequency_sq", "frame_rotation_rate",
+    "CoefficientSet", "TimeFunction",
     "IntegratorConfig", "MU_COUPLINGS", "TransformTrajectory",
-    "default_alpha0", "solve_chain", "solve_riccati", "write_trajectory_csv",
-    "bessel_j", "bessel_n", "gamma_real", "wronskian_check",
+    "default_alpha0", "solve_chain", "write_trajectory_csv",
+    "bessel_j", "bessel_n",
     "CartesianGrid", "ConventionFlags", "GridGeometry", "ModeSpec",
     "PolarGrid", "ResidualReport", "ScanOutcome", "WaveField",
-    "assemble_psi", "convention_scan", "normalize_on_disk", "order_from_coupling",
+    "assemble_psi", "convention_scan", "order_from_coupling",
     "sample_field", "schrodinger_residual", "sector_winding",
     "theta_from_xy",
     "PropagationResult", "RadialProblem", "effective_potential", "fidelity",

@@ -1,5 +1,5 @@
 """Bessel functions of real order: J for complex argument, N (= Y) on the
-positive real axis, and the real Gamma function.
+positive real axis.
 
 The radial factor of the assembled solution is J_nu(k rho / mu) with mu
 complex, so J must accept complex argument; N is needed only for annular
@@ -23,36 +23,15 @@ import math
 import numpy as np
 from scipy.special import hankel1, jv
 
-from .errors import (DomainTooLarge, NonFinite, NonPositiveArgument,
-                     Overflow, Pole)
+from .errors import DomainTooLarge, NonFinite, NonPositiveArgument, Overflow
 
-__all__ = ["VALIDATED_COMPLEX_RADIUS", "AMOS_REAL_LIMIT", "gamma_real",
-           "bessel_j", "bessel_n", "wronskian_check"]
+__all__ = ["VALIDATED_COMPLEX_RADIUS", "AMOS_REAL_LIMIT", "bessel_j",
+           "bessel_n"]
 
 # Off-axis |z| up to which complex jv is property-tested against mpmath.
 VALIDATED_COMPLEX_RADIUS = 30.0
 # Real |x| up to which AMOS evaluates: hankel1 is NaN from the next double.
 AMOS_REAL_LIMIT = 2.0 ** 51
-
-
-# -- gamma ---------------------------------------------------------------------
-
-def gamma_real(x):
-    """Gamma(x) for real x, avoiding silent pole or overflow surprises.
-
-    Relative accuracy rides on the platform gamma, about 1e-15 on the
-    tested range |x| <= 170; the identities are property-tested rather
-    than assumed.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("gamma_real needs finite x")
-    if x <= 0.0 and x == math.floor(x):
-        raise Pole(f"gamma has a pole at {x:g}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise Overflow(f"gamma({x:g}) exceeds double range") from None
 
 
 # -- public operations -----------------------------------------------------------
@@ -133,22 +112,3 @@ def bessel_n(nu, x):
         return out.item()
     return out
 
-
-def wronskian_check(nu, x):
-    """J_nu N'_nu - J'_nu N_nu - 2/(pi x): zero in exact arithmetic.
-
-    Derivatives use the downward recurrence f' = f_{nu-1} - (nu/x) f_nu,
-    which needs one extra order of each kind; order nu-1 may be negative,
-    which jv and hankel1 accept.  N is Im H1_nu, as in bessel_n, on the
-    same domain.
-    """
-    nu = _check_order(nu)
-    x = float(x)
-    _check_domain("wronskian_check argument x", np.asarray(x))
-    if x <= 0.0:
-        raise NonPositiveArgument("wronskian_check needs x > 0")
-    j0, j1 = float(jv(nu, x)), float(jv(nu - 1.0, x))
-    n0, n1 = float(hankel1(nu, x).imag), float(hankel1(nu - 1.0, x).imag)
-    jp = j1 - (nu / x) * j0
-    npr = n1 - (nu / x) * n0
-    return j0 * npr - jp * n0 - 2.0 / (math.pi * x)

@@ -135,6 +135,11 @@ class RunConfig:
         if flags_override is not None:
             digest_src += f"\n# cli_flags_override = {flags_override}\n"
         digest = hashlib.sha256(digest_src.encode()).hexdigest()
+        if flags_override not in (None, "scan"):
+            try:
+                ConventionFlags.from_label(flags_override)
+            except ValueError as exc:
+                raise ConfigError(f"--flags: {exc}") from None
 
         sections = parse_sections(text)
         for name, section in sections.items():
@@ -178,7 +183,11 @@ class RunConfig:
                               mode_s.items["angular_sign"][1])
         flags_raw = mode_s.str("flags")
         if flags_raw != "scan":
-            ConventionFlags.from_label(flags_raw)   # validate early
+            try:
+                ConventionFlags.from_label(flags_raw)
+            except ValueError as exc:
+                raise ConfigError(f"flags: {exc}",
+                                  mode_s.items["flags"][1]) from None
 
         grid = cls._read_grid(sections["grid"])
 

@@ -4,7 +4,7 @@ per value.
 format_columns(block, seps) returns, for each element v of row i of a 2-D
 float block, the bytes of ``'%.17g' % v`` followed by ``seps[i]``, as a
 fixed-width bytes array of the block's shape (numpy drops the NUL padding
-of each element on the way out); format_g17(values, sep) is the 1-D case.
+of each element on the way out).
 invosc.artifacts writes the float columns of a table chunk through one
 call: their bytes are behaviour, and one dtoa call per value was most of
 the time of ``solve``.
@@ -62,7 +62,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["format_columns", "format_g17"]
+__all__ = ["format_columns"]
 
 _LO, _HI = 1e-290, 1e290            # the fast path's range of |x|
 _K_MIN, _K_MAX = -291, 290          # floor(log10|x|) over that range
@@ -330,12 +330,3 @@ def format_columns(block, seps):
     text[slow] = fallback
     return text.reshape(shape)
 
-
-def format_g17(values, sep=b""):
-    """``('%.17g' % v).encode() + sep`` for each element of a 1-D float
-    array, as a bytes array whose width is its longest element rounded up
-    to whole 8-byte words; sep is at most 3 bytes."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("values must be 1-D")
-    return format_columns(x[None], [sep])[0]

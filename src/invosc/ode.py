@@ -27,7 +27,6 @@ but importing it costs a quarter second and 20 MB of resident memory.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from .params import CoefficientSet, coefficient_terms
 
 __all__ = [
     "IntegratorConfig", "DenseFunction", "TransformTrajectory",
-    "default_alpha0", "solve_riccati", "solve_chain", "MU_COUPLINGS",
+    "default_alpha0", "solve_chain", "MU_COUPLINGS",
 ]
 
 # Couplings for the scale-factor equation.  "pde" ties mu to alpha the way
@@ -244,17 +243,6 @@ def default_alpha0(coeffs: CoefficientSet, t0=None, branch=+1):
     return branch * m * math.sqrt(w2)
 
 
-def solve_riccati(coeffs: CoefficientSet, alpha0=None, span=None, cfg=None):
-    """Gaussian width alpha(t): alpha' = i (m W^2 - alpha^2 / m).
-
-    Equivalent to requiring (m/2) W^2 - alpha^2/(2m) + i alpha'/2 = 0, the
-    condition that kills the quadratic potential term.  Solutions can
-    escape in finite time; that surfaces as BlowUp with the escape time.
-    This is the alpha component of the chain solved at k = 0.
-    """
-    return solve_chain(coeffs, 0.0, span, alpha0, cfg=cfg).alpha
-
-
 class _ScaledExp:
     """mu0 * exp(g(t)) wrapper keeping mu structurally nonzero."""
 
@@ -268,47 +256,17 @@ class _ScaledExp:
 
 @dataclass(frozen=True)
 class TransformTrajectory:
-    """Dense record of the full chain (beta, alpha, mu, f) over a span.
-
-    ``mu_coupling`` names which link closed the mu equation: "pde" uses
-    the rate -i alpha / m (the choice under which the assembled
-    wavefunction actually satisfies the original equation; see the
-    wavefunction module's residual check), "literal" uses alpha itself.
-    ``mu_log_rate(t)`` returns the effective rate r(t) with mu' = -r mu,
-    whichever coupling is active, so the chain-consistency check is
-    expressible for both.
-    """
+    """Dense record of the full chain (beta, alpha, mu, f) over a span,
+    with the start alpha0 and the tolerances it was solved to."""
 
     span: tuple[float, float]
     beta: DenseFunction
     alpha: DenseFunction
     mu: _ScaledExp
     phase: DenseFunction
-    k: float
     alpha0: complex
-    mu0: complex
-    mu_coupling: str
     rel_tol: float
     abs_tol: float
-    coeffs_desc: str = ""
-
-    def mu_log_rate(self, t):
-        if self.mu_coupling == "literal":
-            return self.alpha(t)
-        return -1j * self.alpha(t) / self._mass(t)
-
-    def _mass(self, t):
-        # mass is recoverable from the description only at config level;
-        # the chain keeps a private evaluator injected by solve_chain.
-        return self.__dict__["_mass_fn"](t)
-
-    def digest(self):
-        """Stable hex digest of everything that determines the trajectory."""
-        text = (f"{self.coeffs_desc}|k={self.k!r}|alpha0={self.alpha0!r}"
-                f"|mu0={self.mu0!r}|coupling={self.mu_coupling}"
-                f"|rtol={self.rel_tol!r}|atol={self.abs_tol!r}"
-                f"|span={self.span!r}")
-        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
@@ -366,12 +324,9 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
                 crossing_time=float(t_zero))
 
     ts, rcont = _dopri5(rhs, span, [0.0, a0, 0.0, 0.0], cfg, watcher)
-    traj = TransformTrajectory(
+    return TransformTrajectory(
         span=span, beta=DenseFunction(ts, rcont[:, 0], real=True),
         alpha=DenseFunction(ts, rcont[:, 1]),
         mu=_ScaledExp(mu0, DenseFunction(ts, rcont[:, 2])),
-        phase=DenseFunction(ts, rcont[:, 3]), k=k, alpha0=a0, mu0=mu0,
-        mu_coupling=mu_coupling, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        coeffs_desc=coeffs.describe())
-    object.__setattr__(traj, "_mass_fn", coeffs.mass.value)
-    return traj
+        phase=DenseFunction(ts, rcont[:, 3]), alpha0=a0,
+        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)

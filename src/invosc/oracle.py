@@ -145,11 +145,6 @@ class RadialProblem:
         every nu and never under- or overflows."""
         return self.rho * self.drho
 
-    def refined(self, factor=2):
-        """Same physics on a grid with factor x more radial points."""
-        import dataclasses
-        return dataclasses.replace(self, n_rho=self.n_rho * factor)
-
     def describe(self):
         return (f"radial n={self.n} N={self.n_rho} rho_max={self.rho_max:g} "
                 f"dt={self.dt:g} span=({self.span[0]:g},{self.span[1]:g})")

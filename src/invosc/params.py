@@ -5,8 +5,8 @@ by three scalar functions of time: the mass m(t), the trap frequency
 omega(t), and the magnetic field B(t) in symmetric gauge, plus the constant
 charge q and the inverse-square coupling C.  Everything downstream (the
 transformation chain, the residual operator, the radial propagator) pulls
-its coefficients from here, so the evaluators must be cheap, vectorized,
-and analytically differentiable.
+its coefficients from here, so the evaluators must be cheap and
+vectorized.
 
 Natural units throughout: hbar = c = 1.
 """
@@ -41,9 +41,9 @@ class TimeFunction:
 
     Instances are built through the family constructors (``constant``,
     ``linear``, ...) rather than directly; the constructors validate the
-    family parameters and precompute whatever the evaluators need.  Both
-    ``value`` and ``derivative`` accept scalars or numpy arrays and are
-    pure; out-of-span input raises ``OutOfDomain``.
+    family parameters and precompute whatever ``value`` needs.  ``value``
+    accepts scalars or numpy arrays and is pure; out-of-span input raises
+    ``OutOfDomain``.
     """
 
     family: str
@@ -142,22 +142,16 @@ class TimeFunction:
             raise OutOfDomain(f"t={first} outside span [{t0}, {t1}]")
         return t
 
-    def _finite(self, t, out, what):
-        """out, or NonFinite; a scalar t gives a Python float."""
+    def value(self, t):
+        """The function at t, or NonFinite; a scalar t gives a Python float."""
+        t = self._check_span(t)
+        out = self._raw_value(t)
         scalar = t.ndim == 0
         if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
-            raise NonFinite(f"{self.family} {what} produced non-finite values")
+            raise NonFinite(f"{self.family} evaluation produced non-finite values")
         return float(out) if scalar else out
 
-    def value(self, t):
-        t = self._check_span(t)
-        return self._finite(t, self._raw_value(t), "evaluation")
-
     __call__ = value
-
-    def derivative(self, t):
-        t = self._check_span(t)
-        return self._finite(t, self._raw_derivative(t), "derivative")
 
     def _raw_value(self, t):
         p = self.params
@@ -173,22 +167,6 @@ class TimeFunction:
         if self.family == "polynomial":
             return np.polynomial.polynomial.polyval(t, p)
         return self._spline(t)
-
-    def _raw_derivative(self, t):
-        p = self.params
-        if self.family == "constant":
-            return np.zeros_like(t) if t.ndim else np.asarray(0.0)
-        if self.family == "linear":
-            return np.broadcast_to(p[1], t.shape).copy() if t.ndim else np.asarray(p[1])
-        if self.family == "exponential":
-            return p[0] * p[1] * np.exp(p[1] * t)
-        if self.family == "sinusoidal":
-            amp, gam, off = p
-            return -amp * gam * np.sin(gam * t)
-        if self.family == "polynomial":
-            dcoef = np.polynomial.polynomial.polyder(p)
-            return np.polynomial.polynomial.polyval(t, dcoef)
-        return self._spline(t, 1)
 
     # -- sign analysis --------------------------------------------------------
 
@@ -257,9 +235,7 @@ class CoefficientRangeError(ValueError):
 class CoefficientSet:
     """The full physical input: m(t), omega(t), B(t), q, C.
 
-    The scalar potential is pinned to zero by the gauge choice; the field
-    exists only so the assumption is visible at the call sites.  Mass
-    positivity and frequency nonnegativity are enforced at construction by
+    The scalar potential is zero by the gauge choice.  Mass positivity and frequency nonnegativity are enforced at construction by
     exact per-family bounds plus a 1024-point sample sweep.
     """
 
@@ -268,11 +244,8 @@ class CoefficientSet:
     magnetic_field: TimeFunction
     charge: float
     coupling: float
-    scalar_potential: float = 0.0
 
     def __post_init__(self):
-        if self.scalar_potential != 0.0:
-            raise ValueError("scalar potential is fixed at zero by the gauge choice")
         if not (math.isfinite(self.charge) and math.isfinite(self.coupling)):
             raise NonFinite("charge and coupling must be finite")
         span = self.span
@@ -292,29 +265,12 @@ class CoefficientSet:
         return (t0, t1)
 
     def describe(self):
-        """Canonical one-line description used in provenance digests."""
+        """Canonical one-line description, as the run summary records it."""
         def one(f):
             ps = ",".join(f"{p!r}" for p in f.params)
             return f"{f.family}({ps})@[{f.span[0]!r},{f.span[1]!r}]"
         return (f"m={one(self.mass)};w={one(self.frequency)};"
                 f"B={one(self.magnetic_field)};q={self.charge!r};C={self.coupling!r}")
-
-
-def derived_fields(coeffs: CoefficientSet, t, rho):
-    """Physical fields implied by the symmetric-gauge potential.
-
-    Returns (B_z, E_phi) with B_z = B(t) and the induced azimuthal electric
-    field E_phi = (1/2) * rho * dB/dt.  E_phi is exactly linear in rho.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be nonnegative")
-    b = coeffs.magnetic_field.value(t)
-    bdot = coeffs.magnetic_field.derivative(t)
-    e_phi = 0.5 * rho * bdot
-    if rho.ndim == 0:
-        return float(b), float(e_phi)
-    return b, e_phi
 
 
 def coefficient_terms(coeffs: CoefficientSet, t):
@@ -332,16 +288,6 @@ def coefficient_terms(coeffs: CoefficientSet, t):
     b = coeffs.magnetic_field.value(t)
     return (m, w * w + (coeffs.charge * b) ** 2 / (4.0 * m * m),
             coeffs.charge * b / (4.0 * m))
-
-
-def frame_rotation_rate(coeffs: CoefficientSet, t):
-    """r = q B / (4 m) at t; see coefficient_terms."""
-    return coefficient_terms(coeffs, t)[2]
-
-
-def effective_frequency_sq(coeffs: CoefficientSet, t):
-    """W^2 = omega^2 + q^2 B^2 / (4 m^2) at t; see coefficient_terms."""
-    return coefficient_terms(coeffs, t)[1]
 
 
 # -- config file scanning -----------------------------------------------------

@@ -54,8 +54,8 @@ __all__ = [
     "ConventionFlags", "ModeSpec", "CartesianGrid", "PolarGrid", "WaveField",
     "LadderRung", "ResidualReport", "ScanRow", "ScanOutcome",
     "order_from_coupling", "theta_from_xy", "assemble_psi", "sample_field",
-    "schrodinger_residual", "convention_scan", "normalize_on_disk",
-    "sector_winding", "GridGeometry",
+    "schrodinger_residual", "convention_scan", "sector_winding",
+    "GridGeometry",
 ]
 
 
@@ -72,6 +72,7 @@ class ConventionFlags:
     The source text writes the envelope once as exp[alpha rho^2] and once
     as multiplication by exp[-alpha rho^2 / 2]; rather than pick a side,
     all eight combinations are enumerable and the scan measures them.
+    The default is the naive reading: exp[+alpha rho^2], branch +.
     """
 
     exponent_sign: int = +1
@@ -85,11 +86,6 @@ class ConventionFlags:
             raise ValueError("exponent_half must be 1 or 1/2")
         if self.alpha_branch not in (+1, -1):
             raise ValueError("alpha_branch must be +1 or -1")
-
-    @classmethod
-    def literal(cls):
-        """The naive reading of the exponent: exp[+alpha rho^2], branch +."""
-        return cls(+1, 1.0, +1)
 
     @classmethod
     def all_combinations(cls):
@@ -118,7 +114,10 @@ class ConventionFlags:
             if "=" not in part:
                 raise ValueError(f"malformed flag item {part!r}")
             key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"repeated flag key {key!r}")
+            fields[key] = val.strip()
         unknown = set(fields) - {"s", "h", "branch"}
         if unknown or set(fields) != {"s", "h", "branch"}:
             raise ValueError(f"flags need exactly s=, h=, branch=; got {text!r}")
@@ -157,7 +156,7 @@ class ModeSpec:
     amp_first: complex = 1.0 + 0j
     amp_second: complex = 0.0 + 0j
     angular_sign: int = +1
-    conventions: ConventionFlags = ConventionFlags.literal()
+    conventions: ConventionFlags = ConventionFlags()
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0):
@@ -502,13 +501,12 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
 
 @dataclass(frozen=True)
 class WaveField:
-    """Sampled field on a grid at a tuple of times, with provenance."""
+    """Sampled field of one mode on a grid at a tuple of times."""
 
     grid: object
     times: tuple
     values: np.ndarray          # shape (len(times), *grid.shape)
     mode: ModeSpec
-    traj_digest: str = ""
 
     def __post_init__(self):
         if self.values.shape != (len(self.times), *self.grid.shape):
@@ -535,8 +533,7 @@ def sample_field(mode: ModeSpec, traj, grid, times):
     for i, t in enumerate(times):
         values[i] = assemble_psi(mode, traj, geometry.x, geometry.y, t,
                                  geometry=geometry)
-    return WaveField(grid=grid, times=times, values=values, mode=mode,
-                     traj_digest=traj.digest())
+    return WaveField(grid=grid, times=times, values=values, mode=mode)
 
 
 # -- finite-difference residual -------------------------------------------------
@@ -913,38 +910,3 @@ def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
         err.rows = outcome.rows
         raise err
     return outcome
-
-
-# -- normalization ----------------------------------------------------------------
-
-def normalize_on_disk(field: WaveField, rho_max):
-    """Rescale amplitudes so the first time slice has unit disk norm.
-
-    Polar grids integrate trapezoid-in-rho with the exact 2 pi angular
-    factor; Cartesian grids use a 2D trapezoid with the disk indicator.
-    Returns (rescaled field, the pre-normalization squared norm).
-    """
-    rho_max = float(rho_max)
-    v0 = field.values[0]
-    dens = (v0.real * v0.real + v0.imag * v0.imag)
-    if isinstance(field.grid, PolarGrid):
-        rho, _ = field.grid.axes()
-        keep = rho <= rho_max + 1e-12
-        ring = dens[keep].mean(axis=1) * rho[keep]
-        norm = 2.0 * math.pi * float(np.trapezoid(ring, rho[keep]))
-    else:
-        X, Y = field.grid.xy_mesh()
-        xs, ys = field.grid.axes()
-        inside = np.hypot(X, Y) <= rho_max
-        norm = float(np.trapezoid(np.trapezoid(np.where(inside, dens, 0.0),
-                                               ys, axis=1), xs))
-    if not (norm > 0.0) or not math.isfinite(norm):
-        raise ZeroNorm(f"disk norm is {norm!r}; nothing to normalize")
-    scale = 1.0 / math.sqrt(norm)
-    mode = dataclasses.replace(field.mode,
-                               amp_first=field.mode.amp_first * scale,
-                               amp_second=field.mode.amp_second * scale)
-    out = WaveField(grid=field.grid, times=field.times,
-                    values=field.values * scale, mode=mode,
-                    traj_digest=field.traj_digest)
-    return out, norm

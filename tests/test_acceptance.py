@@ -14,18 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from invosc.bessel import wronskian_check
 from invosc.errors import FallToCenter
-from invosc.ode import (IntegratorConfig, default_alpha0, solve_chain,
-                        solve_riccati)
+from invosc.ode import IntegratorConfig, default_alpha0, solve_chain
 from invosc.oracle import RadialProblem, propagate
-from invosc.params import TimeFunction, effective_frequency_sq
+from invosc.params import TimeFunction, coefficient_terms
 from invosc.wavefunction import (CartesianGrid, ModeSpec, PolarGrid,
                                  assemble_psi, convention_scan,
                                  order_from_coupling, schrodinger_residual,
                                  sector_winding, theta_from_xy)
 
-from conftest import SPAN, WINNER, make_chain, make_coeffs
+from conftest import SPAN, WINNER, make_chain, make_coeffs, wronskian_check
 
 # fixed-step RK4 (h = 1e-6) endpoints, computed outside this package
 RK4_ALPHA_1 = {
@@ -63,13 +61,12 @@ def test_criterion_2_riccati_plugback():
     cfg = IntegratorConfig(rel_tol=1e-10)
     h = 1e-5
     for name, coeffs in families.items():
-        alpha = solve_riccati(coeffs, cfg=cfg)
+        alpha = solve_chain(coeffs, 0.0, cfg=cfg).alpha
         # the harmonic term the transformation is built to cancel,
         # relative to its own (m/2) W^2 scale
         for t in np.linspace(SPAN[0] + 2 * h, SPAN[1] - 2 * h, 401):
             t = float(t)
-            m = coeffs.mass.value(t)
-            w2 = effective_frequency_sq(coeffs, t)
+            m, w2, _ = coefficient_terms(coeffs, t)
             a = alpha(t)
             adot = (alpha(t + h) - alpha(t - h)) / (2.0 * h)
             resid = 0.5 * m * w2 - a * a / (2.0 * m) + 0.5j * adot
@@ -199,7 +196,7 @@ def test_criterion_6_reduction_chain():
     # beta, mu, f for both scale couplings
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     c15 = make_coeffs()
-    omega0 = math.sqrt(effective_frequency_sq(c15, 0.0))
+    omega0 = math.sqrt(coefficient_terms(c15, 0.0)[1])
     k = 1.0
     for coupling in ("pde", "literal"):
         traj = solve_chain(c15, k, span=SPAN,

@@ -26,9 +26,11 @@ import pytest
 from scipy.special import hankel1, jv, yv
 
 from invosc import bessel
-from invosc.bessel import bessel_j, bessel_n, gamma_real, wronskian_check
+from invosc.bessel import bessel_j, bessel_n
 from invosc.errors import (DomainTooLarge, NonFinite, NonPositiveArgument,
-                           Overflow, Pole)
+                           Overflow)
+
+from conftest import wronskian_check
 
 # mpmath dps=40: besselj(2.5, 3.7 + 0.2j)
 J_COMPLEX_REF = 0.4617433206681554439843833 - 0.003205716463664856660341146j
@@ -116,7 +118,7 @@ def test_real_axis_and_complex_paths_agree(nu):
 @pytest.mark.parametrize("nu", [0.5, 2.5, 7.0])
 def test_small_argument_power_law(nu):
     x = 1e-4
-    leading = (x / 2.0) ** nu / gamma_real(nu + 1.0)
+    leading = (x / 2.0) ** nu / math.gamma(nu + 1.0)
     assert abs(bessel_j(nu, x) - leading) / leading < 1e-8
 
 
@@ -233,27 +235,6 @@ def test_wronskian_check_needs_positive_x():
         wronskian_check(1.0, 0.0)
     with pytest.raises(NonPositiveArgument):
         wronskian_check(1.0, -1.0)
-
-
-# -- gamma helper ---------------------------------------------------------------
-
-def test_gamma_matches_platform_away_from_poles():
-    xs = [0.5, 1.0, 1.5, 7.25, 42.0, 170.0, -0.5, -2.5, -10.25, -169.5]
-    for x in xs:
-        ref = math.gamma(x)
-        assert abs(gamma_real(x) - ref) <= 1e-13 * abs(ref)
-
-
-def test_gamma_pole_and_overflow_are_typed():
-    for x in (0.0, -1.0, -4.0):
-        with pytest.raises(Pole):
-            gamma_real(x)
-    with pytest.raises(Overflow):
-        gamma_real(172.0)
-    with pytest.raises(ValueError):
-        gamma_real(float("inf"))
-    with pytest.raises(ValueError):
-        gamma_real(float("nan"))
 
 
 # -- properties against mpmath over the validated domain -------------------------

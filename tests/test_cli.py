@@ -540,6 +540,30 @@ def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
     assert drift < 1e-9
 
 
+def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
+                                           monkeypatch):
+    # zgtsv reporting a zero pivot on the third of the 20 driven steps
+    # is the Unstable that a coarse dt never raises (see below)
+    import invosc.oracle as oracle
+
+    real = oracle.zgtsv
+    calls = itertools.count(1)
+
+    def failing_on_the_third(*args):
+        out = real(*args)
+        return (*out[:-1], 7) if next(calls) == 3 else out
+
+    monkeypatch.setattr(oracle, "zgtsv", failing_on_the_third)
+    text = patched(c0_text, *_TABULATED_FIELD)
+    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(text, "dt = 2e-4", "dt = 0.05")
+    rc = main(["oracle", "--config", write_cfg(tmp_path, text),
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_UNSTABLE
+    assert capsys.readouterr().err == (
+        "error: Unstable: step 3: singular matrix (zgtsv info 7)\n")
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "a coarse step was expected to trip the norm-drift guard, but the "
     "midpoint scheme is unitary at any dt (measured drift ~1e-15 at "
@@ -638,6 +662,29 @@ def test_trajectory_samples_below_two_is_rejected_at_its_line(
     assert rc == EXIT_PARSE
     assert (f"line {line}: trajectory_samples must be at least 2"
             in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags_line,argv,message", [
+    ("flags = s=+2,h=1,branch=+", [], "flags: unrecognized flag value '+2'"),
+    (None, ["--flags", "s=+2,h=1,branch=+"],
+     "--flags: unrecognized flag value '+2'"),
+    (None, ["--flags", "s=+1,h=1,branch=+,s=-1"],
+     "--flags: repeated flag key 's'"),
+], ids=["config-value", "cli-value", "cli-repeated-key"])
+def test_malformed_flags_are_a_parse_error(tmp_path, c0_text, capsys,
+                                           flags_line, argv, message):
+    # the config line carries its number; the override has none, and is
+    # refused before the output directory is made
+    text = c0_text
+    if flags_line is not None:
+        text = patched(text, "flags = scan", flags_line)
+        message = f"line {text.splitlines().index(flags_line) + 1}: {message}"
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir), *argv])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

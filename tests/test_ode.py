@@ -15,9 +15,8 @@ from invosc import ode
 from invosc.artifacts import write_trajectory_csv
 from invosc.errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
 from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
-                        solve_chain, solve_riccati)
-from invosc.params import (TimeFunction, effective_frequency_sq,
-                           frame_rotation_rate)
+                        solve_chain)
+from invosc.params import TimeFunction, coefficient_terms
 
 from conftest import SPAN, make_chain, make_coeffs
 
@@ -27,6 +26,11 @@ RK4_ALPHA_1 = {
     "ramp": 1.1736322210853809 + 0.066170509639284322j,
     "sin_field": 1.0844360039622294 - 0.051237882731258351j,
 }
+
+
+def width(coeffs, **kw):
+    """alpha(t) alone: the alpha component of the chain solved at k = 0."""
+    return solve_chain(coeffs, 0.0, **kw).alpha
 
 
 def fixture_family(name):
@@ -40,7 +44,7 @@ def fixture_family(name):
 @pytest.mark.parametrize("name", sorted(RK4_ALPHA_1))
 def test_riccati_against_fixed_step_oracle(name):
     coeffs = fixture_family(name)
-    alpha = solve_riccati(coeffs)
+    alpha = width(coeffs)
     got = complex(alpha(1.0))
     want = RK4_ALPHA_1[name]
     assert abs(got - want) <= 1e-8 * abs(want)
@@ -51,13 +55,12 @@ def test_riccati_plugback_residual(name):
     """The quadratic-potential term the width transformation exists to kill
     actually vanishes along alpha: (m/2)W^2 - alpha^2/(2m) + i alpha'/2 = 0."""
     coeffs = fixture_family(name)
-    alpha = solve_riccati(coeffs)
+    alpha = width(coeffs)
     h = 1e-5
     ts = np.linspace(SPAN[0] + 2 * h, SPAN[1] - 2 * h, 401)
     worst = 0.0
     for t in ts:
-        m = coeffs.mass.value(t)
-        w2 = effective_frequency_sq(coeffs, t)
+        m, w2, _ = coefficient_terms(coeffs, t)
         a = alpha(t)
         adot = (alpha(t + h) - alpha(t - h)) / (2 * h)
         res = 0.5 * m * w2 - a * a / (2 * m) + 0.5j * adot
@@ -67,7 +70,7 @@ def test_riccati_plugback_residual(name):
 
 def test_default_alpha0_is_m_times_w():
     coeffs = make_coeffs(m=2.0, w=1.5, B=4.0, q=1.0)
-    w0 = math.sqrt(effective_frequency_sq(coeffs, 0.0))
+    w0 = math.sqrt(coefficient_terms(coeffs, 0.0)[1])
     assert default_alpha0(coeffs) == pytest.approx(2.0 * w0)
     assert default_alpha0(coeffs, branch=-1) == pytest.approx(-2.0 * w0)
 
@@ -77,7 +80,7 @@ def test_riccati_blowup_reports_escape_time():
     # imaginary axis: a = tan(t + pi/4), escaping at t = pi/4.
     coeffs = make_coeffs(B=0.0, C=0.0, span=(0.0, 2.0))
     with pytest.raises(BlowUp) as err:
-        solve_riccati(coeffs, alpha0=1j, span=(0.0, 2.0))
+        width(coeffs, alpha0=1j, span=(0.0, 2.0))
     assert err.value.escape_time == pytest.approx(math.pi / 4, abs=5e-2)
 
 
@@ -107,9 +110,9 @@ def test_beta_vanishes_identically_without_field():
 
 def test_dense_output_matches_tighter_solution():
     coeffs = fixture_family("sin_field")
-    loose = solve_riccati(coeffs)
-    tight = solve_riccati(coeffs, cfg=IntegratorConfig(rel_tol=1e-12,
-                                                       abs_tol=1e-14))
+    loose = width(coeffs)
+    tight = width(coeffs, cfg=IntegratorConfig(rel_tol=1e-12,
+                                               abs_tol=1e-14))
     ts = np.linspace(0.013, 0.987, 173)   # deliberately off any step grid
     dev = max(abs(loose(t) - tight(t)) / abs(tight(t)) for t in ts)
     assert dev < 1e-8
@@ -117,32 +120,31 @@ def test_dense_output_matches_tighter_solution():
 
 def test_tolerance_actually_steers_accuracy():
     coeffs = fixture_family("ramp")
-    ref = solve_riccati(coeffs, cfg=IntegratorConfig(1e-13, 1e-15))(1.0)
-    coarse = abs(solve_riccati(coeffs, cfg=IntegratorConfig(1e-6, 1e-8))(1.0) - ref)
-    fine = abs(solve_riccati(coeffs, cfg=IntegratorConfig(1e-10, 1e-12))(1.0) - ref)
+    ref = width(coeffs, cfg=IntegratorConfig(1e-13, 1e-15))(1.0)
+    coarse = abs(width(coeffs, cfg=IntegratorConfig(1e-6, 1e-8))(1.0) - ref)
+    fine = abs(width(coeffs, cfg=IntegratorConfig(1e-10, 1e-12))(1.0) - ref)
     assert fine < coarse / 10
 
 
 def test_max_steps_surfaces_as_tolerance_not_met():
     coeffs = fixture_family("ramp")
     with pytest.raises(ToleranceNotMet):
-        solve_riccati(coeffs, cfg=IntegratorConfig(max_steps=5))
+        width(coeffs, cfg=IntegratorConfig(max_steps=5))
 
 
 def test_chain_consistency_both_couplings():
-    """mu actually follows the advertised log rate: mu'/mu = -mu_log_rate."""
+    """mu follows its coupling's log rate r, mu'/mu = -r: r = alpha under
+    "literal", -i alpha / m under "pde"."""
     coeffs = fixture_family("ramp")
     h = 1e-6
     for coupling in ("pde", "literal"):
         traj = make_chain(coeffs, mu_coupling=coupling)
         for t in (0.1, 0.5, 0.9):
             rate_fd = -(traj.mu(t + h) - traj.mu(t - h)) / (2 * h * traj.mu(t))
-            assert abs(rate_fd - traj.mu_log_rate(t)) < 1e-6, coupling
-        if coupling == "literal":
-            assert traj.mu_log_rate(0.5) == traj.alpha(0.5)
-        else:
-            m = coeffs.mass.value(0.5)
-            assert traj.mu_log_rate(0.5) == -1j * traj.alpha(0.5) / m
+            rate = traj.alpha(t)
+            if coupling == "pde":
+                rate = -1j * rate / coeffs.mass.value(t)
+            assert abs(rate_fd - rate) < 1e-6, coupling
 
 
 @pytest.mark.parametrize("coupling", MU_COUPLINGS)
@@ -156,7 +158,7 @@ def test_chain_matches_closed_forms_over_the_span(constants, coupling):
     checked at the default tolerance at every one of 1001 times."""
     coeffs = make_coeffs(**constants)
     m, q = coeffs.mass.value(0.0), coeffs.charge
-    w = math.sqrt(effective_frequency_sq(coeffs, 0.0))
+    w = math.sqrt(coefficient_terms(coeffs, 0.0)[1])
     k = 1.0
     traj = make_chain(coeffs, k=k, mu_coupling=coupling)
     for t in np.linspace(0.0, 1.0, 1001):
@@ -211,11 +213,10 @@ def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
 
     def rhs(t, y):
         xi, p, _, _, log_mu = y
-        m = coeffs.mass.value(t)
+        m, w2, rate = coefficient_terms(coeffs, t)
         alpha = -1j * p / xi
         mu2 = np.exp(2.0 * log_mu) if literal else xi * xi
-        return [p / m, -m * effective_frequency_sq(coeffs, t) * xi,
-                frame_rotation_rate(coeffs, t),
+        return [p / m, -m * w2 * xi, rate,
                 (k * k + 2.0 * mu2 * alpha) / (2.0 * m * mu2), -alpha]
 
     # a spline coefficient is integrated knot to knot, because its third
@@ -313,15 +314,6 @@ def test_out_of_span_evaluation_raises():
 def test_solve_chain_rejects_unknown_coupling():
     with pytest.raises(ValueError, match="mu_coupling"):
         solve_chain(make_coeffs(C=0.0), 1.0, mu_coupling="middle")
-
-
-def test_trajectory_digest_tracks_inputs():
-    coeffs = make_coeffs(C=0.0)
-    a = make_chain(coeffs)
-    b = make_chain(coeffs)
-    c = make_chain(coeffs, mu_coupling="literal")
-    assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -145,7 +145,7 @@ def test_sector_operator_eigenvalues_converge_at_second_order(nu):
 
 def test_problem_refinement_and_description(coeffs_c15):
     prob = RadialProblem(coeffs_c15, -1, 8.0, 256, 1e-3, SPAN)
-    fine = prob.refined()
+    fine = dataclasses.replace(prob, n_rho=2 * prob.n_rho)
     assert fine.n_rho == 512
     assert fine.drho == pytest.approx(prob.drho / 2.0)
     assert "n=-1" in prob.describe() and "N=256" in prob.describe()

@@ -1,8 +1,11 @@
 """Package-level contracts: what ``import invosc`` loads, and the module
-entry points of the command line, each run in a fresh interpreter."""
+entry points of the command line, each run in a fresh interpreter; and
+README's Python API example, run as written."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ import invosc
 
 PACKAGE = Path(invosc.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(*args):
@@ -126,3 +130,23 @@ def test_module_entry_point_help_is_clean(module):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("usage: invosc")
+
+
+def test_readme_python_api_runs_and_names_real_functions(capsys):
+    # the fenced example under "## Python API" runs as written, and every
+    # name the paragraph after it lists, as `invosc.module` (`name`, ...),
+    # is an attribute of that module
+    section = README.read_text().split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    code, prose = re.fullmatch(r"\s*```python\n(.*?)\n```\n(.*)", section,
+                               re.S).groups()
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("rel_inf:")
+    listed = re.findall(r"`(invosc\.\w+)`\s*\(([^)]*)\)", prose)
+    assert [module for module, _ in listed] == ["invosc.oracle",
+                                                "invosc.bessel"]
+    for module, names in listed:
+        owner = importlib.import_module(module)
+        for name in re.findall(r"`(\w+)`", names):
+            assert name in owner.__all__, (module, name)
+            assert callable(getattr(owner, name)), (module, name)

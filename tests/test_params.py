@@ -1,4 +1,4 @@
-"""Coefficient families, their derived quantities, and config scanning."""
+"""Coefficient families, the terms built from them, and config scanning."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
-from invosc.params import (CoefficientSet, TimeFunction, derived_fields,
-                           effective_frequency_sq, frame_rotation_rate,
+from invosc.params import (CoefficientSet, TimeFunction, coefficient_terms,
                            parse_sections, time_function_from_section)
 
 from conftest import SPAN, make_coeffs
@@ -15,29 +14,25 @@ from conftest import SPAN, make_coeffs
 
 # -- families -------------------------------------------------------------------
 
-def test_family_values_and_derivatives():
+def test_family_values():
     cases = [
-        (TimeFunction.constant(2.5, SPAN), lambda t: 2.5, lambda t: 0.0),
-        (TimeFunction.linear(1.0, 0.1, SPAN), lambda t: 1.0 + 0.1 * t,
-         lambda t: 0.1),
-        (TimeFunction.exponential(1.0, 0.1, SPAN), lambda t: math.exp(0.1 * t),
-         lambda t: 0.1 * math.exp(0.1 * t)),
+        (TimeFunction.constant(2.5, SPAN), lambda t: 2.5),
+        (TimeFunction.linear(1.0, 0.1, SPAN), lambda t: 1.0 + 0.1 * t),
+        (TimeFunction.exponential(1.0, 0.1, SPAN), lambda t: math.exp(0.1 * t)),
         (TimeFunction.sinusoidal(1.0, 2.0, SPAN, offset=0.5),
-         lambda t: 0.5 + math.cos(2.0 * t), lambda t: -2.0 * math.sin(2.0 * t)),
+         lambda t: 0.5 + math.cos(2.0 * t)),
         (TimeFunction.polynomial((1.0, 0.0, 3.0), SPAN),
-         lambda t: 1.0 + 3.0 * t * t, lambda t: 6.0 * t),
+         lambda t: 1.0 + 3.0 * t * t),
     ]
-    for f, val, der in cases:
+    for f, val in cases:
         for t in (0.0, 0.3, 1.0):
             assert f.value(t) == pytest.approx(val(t), rel=1e-14), f.family
-            assert f.derivative(t) == pytest.approx(der(t), abs=1e-14), f.family
 
 
 def test_family_array_evaluation():
     f = TimeFunction.linear(1.0, 2.0, SPAN)
     t = np.array([0.0, 0.25, 1.0])
     assert np.allclose(f.value(t), 1.0 + 2.0 * t)
-    assert np.allclose(f.derivative(t), 2.0)
 
 
 def test_tabulated_exact_at_nodes():
@@ -65,7 +60,7 @@ def test_out_of_span_raises():
     with pytest.raises(OutOfDomain):
         f.value(1.5)
     with pytest.raises(OutOfDomain):
-        f.derivative(-0.2)
+        f.value(-0.2)
     # a hair past the endpoint is representation slack, not an error
     assert f.value(1.0 + 1e-13) == 1.0
 
@@ -84,7 +79,7 @@ PARITY_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("method", ["value", "derivative"])
+@pytest.mark.parametrize("method", ["value"])
 @pytest.mark.parametrize("family", sorted(PARITY_FAMILIES))
 def test_scalar_and_array_evaluation_agree(family, method):
     # scalars take float comparisons and math.isfinite, arrays numpy
@@ -109,7 +104,7 @@ def test_scalar_and_array_evaluation_agree(family, method):
         assert str(scalar_err.value).startswith(f"t={float(t)!r} outside span")
 
 
-@pytest.mark.parametrize("method", ["value", "derivative"])
+@pytest.mark.parametrize("method", ["value"])
 def test_overflowing_exponential_is_non_finite_in_both_forms(method):
     fn = getattr(TimeFunction.exponential(1.0, 800.0, SPAN), method)
     with np.errstate(over="ignore"):
@@ -143,14 +138,6 @@ def test_negative_frequency_rejected():
     make_coeffs(w=0.0)
 
 
-def test_scalar_potential_pinned_to_zero():
-    with pytest.raises(ValueError):
-        CoefficientSet(mass=TimeFunction.constant(1.0, SPAN),
-                       frequency=TimeFunction.constant(1.0, SPAN),
-                       magnetic_field=TimeFunction.constant(1.0, SPAN),
-                       charge=1.0, coupling=0.0, scalar_potential=0.5)
-
-
 def test_common_span_is_the_intersection():
     c = CoefficientSet(mass=TimeFunction.constant(1.0, (0.0, 0.5)),
                        frequency=TimeFunction.constant(1.0, SPAN),
@@ -177,35 +164,24 @@ def test_describe_mentions_every_input():
         assert token in text
 
 
-# -- derived quantities -----------------------------------------------------------
+# -- coefficient terms ------------------------------------------------------------
 
 def test_frame_rotation_rate_value():
     c = make_coeffs(m=0.5, B=3.0, q=2.0)
-    assert frame_rotation_rate(c, 0.0) == pytest.approx(3.0)  # qB/(4m)
+    assert coefficient_terms(c, 0.0)[2] == pytest.approx(3.0)  # qB/(4m)
 
 
 def test_effective_frequency_sq_value():
     c = make_coeffs(m=2.0, w=1.5, B=4.0, q=1.0)
     # omega^2 + q^2 B^2/(4 m^2) = 2.25 + 16/16
-    assert effective_frequency_sq(c, 0.0) == pytest.approx(3.25)
+    assert coefficient_terms(c, 0.0)[1] == pytest.approx(3.25)
 
 
 def test_zero_field_kills_rate_but_not_frequency():
     c = make_coeffs(B=0.0, w=2.0)
-    assert frame_rotation_rate(c, 0.7) == 0.0
-    assert effective_frequency_sq(c, 0.7) == pytest.approx(4.0)
-
-
-def test_derived_fields_linear_in_rho():
-    c = make_coeffs(B=TimeFunction.sinusoidal(1.0, 1.0, SPAN))
-    b, e_phi = derived_fields(c, 0.5, 2.0)
-    assert b == pytest.approx(math.cos(0.5))
-    assert e_phi == pytest.approx(0.5 * 2.0 * (-math.sin(0.5)))
-    rho = np.array([0.0, 1.0, 2.0])
-    _, e = derived_fields(c, 0.5, rho)
-    assert np.allclose(e, e[1] * rho)
-    with pytest.raises(ValueError):
-        derived_fields(c, 0.5, -1.0)
+    _, w2, rate = coefficient_terms(c, 0.7)
+    assert rate == 0.0
+    assert w2 == pytest.approx(4.0)
 
 
 # -- config scanning --------------------------------------------------------------
