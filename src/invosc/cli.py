@@ -47,11 +47,10 @@ from .artifacts import (read_digest, table_rows, write_summary,
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
-from .ode import (IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain,
-                  within_span)
+from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
 from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
-                     time_function_from_section)
+                     time_function_from_section, within_span)
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
                            ModeSpec, PolarGrid, ScanOutcome, assemble_psi,
                            convention_scan, sample_field,

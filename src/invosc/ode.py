@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
-from .params import CoefficientSet, coefficient_terms
+from .params import CoefficientSet, coefficient_terms, within_span
 
 __all__ = [
     "IntegratorConfig", "DenseFunction", "TransformTrajectory",
@@ -49,9 +49,11 @@ MU_COUPLINGS = ("pde", "literal")
 # |alpha| past this multiple of max(|alpha0|, 1) counts as a finite-time
 # escape (BlowUp).
 _BLOWUP_FACTOR = 1e6
-# log(|mu| / |mu0|) below this counts as a zero crossing: the phase and the
-# assembled field divide by mu^2.
+# log |mu| below this counts as a zero crossing (mu starts at 1): the phase
+# and the assembled field divide by mu^2.
 _LOG_MU_FLOOR = math.log(1e-12)
+# Attempted steps past which the integration gives up (ToleranceNotMet).
+_MAX_STEPS = 200_000
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
@@ -86,7 +88,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 200_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -102,15 +103,6 @@ def _quartic(r, theta):
     one = 1.0 - theta
     return r[..., 0] + theta * (r[..., 1] + one * (r[..., 2] + theta * (
         r[..., 3] + one * r[..., 4])))
-
-
-def within_span(t, span):
-    """Whether every time in ``t`` lies in ``span`` up to a slack of 1e-12
-    of its largest endpoint magnitude (at least 1e-12); NaN does not."""
-    t = np.asarray(t, dtype=float)
-    t0, t1 = span
-    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-    return bool(np.all((t >= t0 - slack) & (t <= t1 + slack)))
 
 
 class DenseFunction:
@@ -188,9 +180,9 @@ def _dopri5(rhs, span, y0, cfg, watcher):
     stages = np.empty((7, y.size), dtype=complex)
     nsteps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if nsteps >= cfg.max_steps:
+        if nsteps >= _MAX_STEPS:
             raise ToleranceNotMet(
-                f"no convergence within {cfg.max_steps} steps (t={t:.6g})")
+                f"no convergence within {_MAX_STEPS} steps (t={t:.6g})")
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise ToleranceNotMet(f"step size underflow at t={t:.6g}")
@@ -244,14 +236,13 @@ def default_alpha0(coeffs: CoefficientSet, t0=None, branch=+1):
 
 
 class _ScaledExp:
-    """mu0 * exp(g(t)) wrapper keeping mu structurally nonzero."""
+    """exp(g(t)) wrapper keeping mu structurally nonzero."""
 
-    def __init__(self, mu0, log_fn):
-        self.mu0 = mu0
+    def __init__(self, log_fn):
         self.log = log_fn
 
     def __call__(self, t):
-        return self.mu0 * np.exp(self.log(t))
+        return np.exp(self.log(t))
 
 
 @dataclass(frozen=True)
@@ -269,14 +260,14 @@ class TransformTrajectory:
     abs_tol: float
 
 
-def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
-                cfg=None, mu_coupling="pde"):
+def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
+                mu_coupling="pde"):
     """Solve beta, alpha, mu, f as one coupled system and bundle the results.
 
-    mu is carried as g = log(mu / mu0), so it cannot pass through zero;
-    |alpha| growing past 1e6 max(|alpha0|, 1) raises BlowUp and |mu|
-    falling below 1e-12 |mu0| raises ZeroCrossing, each with the bisected
-    time of the event.
+    mu starts at mu0 = 1 and is carried as g = log mu, so it cannot pass
+    through zero; |alpha| growing past 1e6 max(|alpha0|, 1) raises BlowUp
+    and |mu| falling below 1e-12 |mu0| raises ZeroCrossing, each with the
+    bisected time of the event.
 
     The two mu couplings exist because the first-order link between the
     scale factor and the width can be read two ways; only the "pde" rate
@@ -291,18 +282,14 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
     a0 = complex(default_alpha0(coeffs, span[0]) if alpha0 is None else alpha0)
     if not (math.isfinite(a0.real) and math.isfinite(a0.imag)):
         raise ValueError("alpha0 must be finite")
-    mu0 = complex(mu0)
-    if mu0 == 0:
-        raise ValueError("mu0 must be nonzero")
     k = float(k)
-    mu0_sq = mu0 * mu0
     literal = mu_coupling == "literal"
     ceiling = _BLOWUP_FACTOR * max(abs(a0), 1.0)
 
     def rhs(t, y):
         m, w2, rate = coefficient_terms(coeffs, t)
         a = y[1]
-        mu2 = mu0_sq * np.exp(2.0 * y[2])
+        mu2 = np.exp(2.0 * y[2])
         if abs(mu2) < 1e-280:
             raise ZeroCrossing(f"mu vanished at t={t:.6g}", crossing_time=float(t))
         return np.array([rate, 1j * (m * w2 - a * a / m),
@@ -327,6 +314,6 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, mu0=1.0,
     return TransformTrajectory(
         span=span, beta=DenseFunction(ts, rcont[:, 0], real=True),
         alpha=DenseFunction(ts, rcont[:, 1]),
-        mu=_ScaledExp(mu0, DenseFunction(ts, rcont[:, 2])),
+        mu=_ScaledExp(DenseFunction(ts, rcont[:, 2])),
         phase=DenseFunction(ts, rcont[:, 3]), alpha0=a0,
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)

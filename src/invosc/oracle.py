@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dstemr, zgtsv
 
 from .errors import (FallToCenter, MismatchedGrids, NonFinite, OutOfDomain,
                      Unstable)
-from .params import CoefficientSet, coefficient_terms
+from .params import CoefficientSet, coefficient_terms, within_span
 
 __all__ = ["RadialProblem", "PropagationResult", "effective_potential",
            "propagate", "fidelity"]
@@ -116,8 +116,8 @@ class RadialProblem:
         t0, t1 = self.span
         if not t1 > t0:
             raise ValueError("span must be increasing")
-        lo, hi = self.coeffs.span
-        if t0 < lo - 1e-12 or t1 > hi + 1e-12:
+        if not within_span(self.span, self.coeffs.span):
+            lo, hi = self.coeffs.span
             raise OutOfDomain(f"span {self.span} outside coefficients "
                               f"span ({lo}, {hi})")
         object.__setattr__(self, "n", int(self.n))

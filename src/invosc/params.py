@@ -35,6 +35,23 @@ _FAMILY_KEYS = {
 _POSITIVITY_SAMPLES = 1024
 
 
+def _span_bounds(span):
+    """(lo, hi) that every span check accepts: ``span`` widened by 1e-12
+    of its largest endpoint magnitude (at least 1e-12), so that adaptive
+    integrators probing an endpoint do not trip on representation error."""
+    t0, t1 = span
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    return t0 - slack, t1 + slack
+
+
+def within_span(t, span):
+    """Whether every time in ``t`` lies in ``span`` up to its slack; NaN
+    does not."""
+    lo, hi = _span_bounds(span)
+    t = np.asarray(t, dtype=float)
+    return bool(np.all((t >= lo) & (t <= hi)))
+
+
 @dataclass(frozen=True)
 class TimeFunction:
     """One scalar coefficient of time on a fixed span.
@@ -50,6 +67,7 @@ class TimeFunction:
     span: tuple[float, float]
     params: tuple = ()
     _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILY_KEYS:
@@ -59,6 +77,7 @@ class TimeFunction:
             raise ValueError(f"degenerate span {self.span}")
         if any(not math.isfinite(p) for p in self.params):
             raise NonFinite(f"{self.family} family has non-finite parameters")
+        object.__setattr__(self, "_bounds", _span_bounds(self.span))
 
     # -- family constructors -------------------------------------------------
 
@@ -127,10 +146,7 @@ class TimeFunction:
         """
         t = np.asarray(t, dtype=float)
         t0, t1 = self.span
-        # Allow a hair of slack so adaptive integrators probing the right
-        # endpoint do not trip on representation error.
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        lo, hi = t0 - slack, t1 + slack
+        lo, hi = self._bounds
         if t.ndim == 0:
             t = t[()]
             if not lo <= t <= hi:

@@ -31,8 +31,8 @@ The residual check discretizes
 
 with r = q B / (4 m) and W^2 = omega^2 + q^2 B^2 / (4 m^2), using
 4th-order central stencils in space and a 2nd-order one in time, over a
-refinement ladder so the convergence order is measured rather than
-assumed.
+ladder of time steps on one grid, so the convergence order is measured
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .bessel import bessel_j, bessel_n
 from .errors import (FallToCenter, GridTooCoarse, Inconclusive, NonFinite,
                      NonPositiveArgument, OriginUndefined, OutOfDomain,
                      ZeroNorm)
-from .params import CoefficientSet, coefficient_terms
+from .params import CoefficientSet, coefficient_terms, within_span
 
 __all__ = [
     "ConventionFlags", "ModeSpec", "CartesianGrid", "PolarGrid", "WaveField",
@@ -265,18 +265,14 @@ class CartesianGrid:
         corners = max(abs(self.x_min), abs(self.x_max)), max(abs(self.y_min), abs(self.y_max))
         return math.hypot(*corners)
 
-    def active_mask(self, rho_min=None):
-        """Residual points: 2 nodes inside every edge, outside the disk."""
-        X, Y = self.xy_mesh()
+    def active_mask(self, floor):
+        """Residual points: 2 nodes inside every edge, at rho >= floor."""
         mask = np.zeros(self.shape, dtype=bool)
         mask[2:-2, 2:-2] = True
-        floor = self.rho_min if rho_min is None else rho_min
         if floor > 0.0:
+            X, Y = self.xy_mesh()
             mask &= np.hypot(X, Y) >= floor
         return mask
-
-    def refined(self, factor=2):
-        return dataclasses.replace(self, nx=self.nx * factor, ny=self.ny * factor)
 
     def describe(self):
         return (f"cartesian {self.nx}x{self.ny} "
@@ -325,20 +321,17 @@ class PolarGrid:
     def outer_radius(self):
         return self.rho_max
 
-    def active_mask(self, rho_min=None):
+    def active_mask(self, floor):
+        """Residual points: 2 rings inside either edge, at rho >= floor
+        and off the axis."""
         rho, _ = self.axes()
         mask = np.zeros(self.shape, dtype=bool)
         mask[2:-2, :] = True
-        floor = self.rho_min if rho_min is None else rho_min
         if floor > 0.0:
             mask &= (rho >= floor)[:, None]
         else:
             mask &= (rho > 0.0)[:, None]
         return mask
-
-    def refined(self, factor=2):
-        return dataclasses.replace(self, n_rho=self.n_rho * factor,
-                                   n_phi=self.n_phi * factor)
 
     def describe(self):
         return (f"polar {self.n_rho}x{self.n_phi} "
@@ -368,8 +361,8 @@ class GridGeometry:
     what lets a call skip every per-node hypot, unique, atan2 and exp,
     and every Bessel evaluation at a (mode, mu) it has seen: the eight
     readings of a scan share the factor of each (branch, t).  The rungs
-    of a temporal ladder need no memo for that: they share Psi(t) and
-    H Psi(t) themselves (see _residual_once).
+    of a residual ladder need no memo for that: they share Psi(t) and
+    H Psi(t) themselves (see schrodinger_residual).
     """
 
     x: np.ndarray
@@ -403,7 +396,7 @@ class GridGeometry:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def of_grid(cls, grid, winding, rho_min=None):
+    def of_grid(cls, grid, winding, rho_min):
         """Geometry of a grid's nodes, with its residual mask at rho_min."""
         X, Y = grid.xy_mesh()
         return cls(X, Y, winding, active=grid.active_mask(rho_min))
@@ -527,7 +520,7 @@ class WaveField:
 
 def sample_field(mode: ModeSpec, traj, grid, times):
     """Assemble the field on a grid at each time and bundle it."""
-    geometry = GridGeometry.of_grid(grid, sector_winding(mode))
+    geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode))
     times = tuple(float(t) for t in times)
     values = np.empty((len(times), *grid.shape), dtype=complex)
     for i, t in enumerate(times):
@@ -631,7 +624,7 @@ def _apply_hamiltonian(values, grid, coeffs: CoefficientSet, t):
 
 @dataclass(frozen=True)
 class LadderRung:
-    """One refinement level of the residual ladder."""
+    """One rung of the residual ladder: one time step on the grid."""
 
     step: float          # time step of the 2nd-order d/dt stencil
     spacing: float       # spatial grid spacing (first axis)
@@ -645,11 +638,10 @@ class ResidualReport:
 
     rungs: tuple
     order: float | None
-    refinement: str             # "temporal" or "spatial"
     grid_desc: str
     times: tuple
     rho_min: float
-    per_time: tuple = ()        # finest level: (t, rel_inf, rel_l2, Hinf, Hl2)
+    per_time: tuple = ()        # finest rung: (t, rel_inf, rel_l2, Hinf, Hl2)
 
     @property
     def rel_inf(self):
@@ -663,7 +655,7 @@ class ResidualReport:
         order = "none" if self.order is None else f"{self.order:.4f}"
         return (f"rel_inf:{self.rel_inf:.8e};rel_l2:{self.rel_l2:.8e};"
                 f"order:{order};levels:{len(self.rungs)};"
-                f"refinement:{self.refinement};grid:{self.grid_desc};"
+                f"refinement:temporal;grid:{self.grid_desc};"
                 f"rho_min:{self.rho_min:.8g}")
 
     def write_csv(self, path, digest=None):
@@ -676,17 +668,72 @@ class ResidualReport:
                 table.rows(*zip(*self.per_time))
 
 
-def _residual_once(psi_at, grid, geometry, coeffs, times, steps):
-    """The ladder levels on one grid, one per time step in ``steps``.
+def _residual_floor(grid, coeffs):
+    """Radius below which no residual point counts.
 
-    Returns one (rel_inf, rel_l2, per-time rows) per step.  Psi(t) and
-    H Psi(t) do not depend on the step, so each residual time assembles
-    Psi(t) and applies the operator once, and every level shares H Psi
-    and its norms; a level adds only Psi(t - dt) and Psi(t + dt).
+    The 1/rho^2 term forbids residual points near the origin; an
+    explicit grid exclusion wins, otherwise 5% of the outer radius.
     """
+    if grid.rho_min > 0.0 or coeffs.coupling == 0.0:
+        return grid.rho_min
+    return 0.05 * grid.outer_radius()
+
+
+def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
+                         steps=None, psi=None, geometry=None):
+    """Measure the discretized PDE residual over a ladder of time steps.
+
+    The ladder keeps ``grid`` fixed and walks ``steps``, a decreasing
+    sequence of time steps of the 2nd-order d/dt stencil (default 8e-3
+    halved twice); each rung is one step.  ``psi(x_mesh, y_mesh, t)``
+    overrides the assembled field, which keeps the operator testable
+    against known exact solutions; otherwise ``mode`` and ``traj`` drive
+    assemble_psi.  ``geometry`` supplies the GridGeometry.of_grid of
+    ``grid``, so repeated calls on one grid (convention_scan) share it.
+    Psi(t) and H Psi(t) do not depend on the step, so each residual time
+    assembles Psi(t) and applies the operator once, and every rung
+    shares H Psi and its norms; a rung adds only Psi(t - dt) and
+    Psi(t + dt).
+
+    The finite-difference operator always acts on the assembled 2D
+    field, never on its factors, so the residual stays independent
+    evidence for the separable assembly.
+
+    Raises GridTooCoarse when a multi-rung ladder fails to decrease
+    monotonically (the report so far rides on the exception).
+    """
+    times = tuple(float(t) for t in times)
+    steps = (8e-3, 4e-3, 2e-3) if steps is None else tuple(float(s) for s in steps)
+    if any(s <= 0 for s in steps):
+        raise ValueError("steps must be positive")
+    if psi is None and (mode is None or traj is None):
+        raise ValueError("need mode and traj when no psi callable is given")
+
+    rho_floor = _residual_floor(grid, coeffs)
+    if geometry is None:
+        # the phase of a geometry only serves assembly, which psi replaces
+        winding = 0 if psi is not None else sector_winding(mode)
+        geometry = GridGeometry.of_grid(grid, winding, rho_floor)
+    elif geometry.shape != grid.shape or geometry.active is None:
+        raise ValueError("geometry must come from GridGeometry.of_grid "
+                         "on the residual grid")
+    if traj is not None:
+        lo, hi = min(times) - max(steps), max(times) + max(steps)
+        if not within_span((lo, hi), traj.span):
+            raise OutOfDomain(
+                f"residual stencil needs t in [{lo:g}, {hi:g}], "
+                f"outside the trajectory span {traj.span}")
     mask = geometry.active
     if not np.any(mask):
         raise GridTooCoarse("no active residual points inside the grid")
+    if psi is None:
+        def psi_at(t):
+            return assemble_psi(mode, traj, geometry.x, geometry.y, t,
+                                geometry=geometry)
+    else:
+        def psi_at(t):
+            return np.asarray(psi(geometry.x, geometry.y, t), dtype=complex)
+
     rows = [[] for _ in steps]
     num_r2 = [0.0] * len(steps)
     worst_inf = [0.0] * len(steps)
@@ -710,123 +757,27 @@ def _residual_once(psi_at, grid, geometry, coeffs, times, steps):
             rows[i].append((t, r_inf / h_inf, r_l2 / h_l2, h_inf, h_l2))
             worst_inf[i] = max(worst_inf[i], r_inf)
             num_r2[i] += r_l2 * r_l2
-    return [(w / worst_h, math.sqrt(n2 / num_h2), tuple(rw))
-            for w, n2, rw in zip(worst_inf, num_r2, rows)]
 
-
-def _residual_floor(grid, coeffs):
-    """Radius below which no residual point counts.
-
-    The 1/rho^2 term forbids residual points near the origin; an
-    explicit grid exclusion wins, otherwise 5% of the outer radius.
-    Refined grids keep the extents, so one floor serves a whole ladder.
-    """
-    if grid.rho_min > 0.0 or coeffs.coupling == 0.0:
-        return grid.rho_min
-    return 0.05 * grid.outer_radius()
-
-
-def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
-                         steps=None, refinement="temporal", psi=None,
-                         levels=3, geometry=None):
-    """Measure the discretized PDE residual over a refinement ladder.
-
-    temporal refinement keeps the grid fixed and walks ``steps`` (a
-    decreasing sequence of time steps, default 8e-3 halved twice);
-    spatial refinement doubles the grid ``levels`` times and slaves the
-    time step to spacing^2 so the 4th-order spatial truncation stays in
-    charge.  ``psi(x_mesh, y_mesh, t)`` overrides the assembled field,
-    which keeps the operator testable against known exact solutions;
-    otherwise ``mode`` and ``traj`` drive assemble_psi.  One GridGeometry
-    is built per distinct grid of the ladder; ``geometry`` supplies the
-    one of ``grid`` instead, so repeated calls on one grid
-    (convention_scan) share it.  H is applied once per residual time on
-    each grid: every rung of a temporal ladder shares it.
-
-    The finite-difference operator always acts on the assembled 2D
-    field, never on its factors, so the residual stays independent
-    evidence for the separable assembly.
-
-    Raises GridTooCoarse when a multi-level ladder fails to decrease
-    monotonically (the report so far rides on the exception).
-    """
-    if refinement not in ("temporal", "spatial"):
-        raise ValueError("refinement must be 'temporal' or 'spatial'")
-    times = tuple(float(t) for t in times)
-    if psi is None:
-        if mode is None or traj is None:
-            raise ValueError("need mode and traj when no psi callable is given")
-
-    rho_floor = _residual_floor(grid, coeffs)
-    # the phase of a geometry only serves assembly, which psi replaces
-    winding = 0 if psi is not None else sector_winding(mode)
-    if geometry is None:
-        geometry = GridGeometry.of_grid(grid, winding, rho_floor)
-    elif geometry.shape != grid.shape or geometry.active is None:
-        raise ValueError("geometry must come from GridGeometry.of_grid "
-                         "on the residual grid")
-
-    if refinement == "temporal":
-        steps = (8e-3, 4e-3, 2e-3) if steps is None else tuple(float(s) for s in steps)
-        if any(s <= 0 for s in steps):
-            raise ValueError("steps must be positive")
-        plan = [(grid, steps)]
-    else:
-        if levels < 1:
-            raise ValueError("spatial refinement needs levels >= 1")
-        plan = []
-        g = grid
-        for _ in range(levels):
-            h0 = g.spacing()[0]
-            plan.append((g, (h0 * h0,)))
-            g = g.refined(2)
-
-    span = traj.span if traj is not None else None
-    if span is not None:
-        for dt in (dt for _, level_steps in plan for dt in level_steps):
-            lo = min(times) - dt
-            hi = max(times) + dt
-            if lo < span[0] - 1e-12 or hi > span[1] + 1e-12:
-                raise OutOfDomain(
-                    f"residual stencil needs t in [{lo:g}, {hi:g}], "
-                    f"outside the trajectory span {span}")
-    reports = []
-    for g, level_steps in plan:
-        geo = geometry if g is grid else GridGeometry.of_grid(g, winding,
-                                                              rho_floor)
-        if psi is None:
-            psi_at = lambda t, geo=geo: assemble_psi(mode, traj, geo.x, geo.y,
-                                                     t, geometry=geo)
-        else:
-            psi_at = lambda t, geo=geo: np.asarray(psi(geo.x, geo.y, t),
-                                                   dtype=complex)
-        levels_out = _residual_once(psi_at, g, geo, coeffs, times,
-                                    level_steps)
-        for dt, (rel_inf, rel_l2, rows) in zip(level_steps, levels_out):
-            reports.append((LadderRung(dt, g.spacing()[0], rel_inf, rel_l2),
-                            rows))
-
-    rungs = tuple(r for r, _ in reports)
+    spacing = grid.spacing()[0]
+    rungs = tuple(LadderRung(dt, spacing, w / worst_h, math.sqrt(n2 / num_h2))
+                  for dt, w, n2 in zip(steps, worst_inf, num_r2))
+    per_time = tuple(rows[-1])
     order = None
     if len(rungs) >= 2:
-        if refinement == "temporal":
-            ratios = [(rungs[i].step, rungs[i].rel_inf) for i in range(len(rungs))]
-        else:
-            ratios = [(rungs[i].spacing, rungs[i].rel_inf) for i in range(len(rungs))]
         slopes = []
-        for (s0, r0), (s1, r1) in zip(ratios, ratios[1:]):
-            if not r1 < r0:
-                report = ResidualReport(rungs, None, refinement, grid.describe(),
-                                        times, rho_floor, reports[-1][1])
+        for r0, r1 in zip(rungs, rungs[1:]):
+            if not r1.rel_inf < r0.rel_inf:
                 err = GridTooCoarse(
                     "refinement ladder is not monotone: "
                     + " -> ".join(f"{r.rel_inf:.3e}" for r in rungs))
-                err.report = report
+                err.report = ResidualReport(rungs, None, grid.describe(),
+                                            times, rho_floor, per_time)
                 raise err
-            slopes.append(math.log(r0 / r1) / math.log(s0 / s1))
+            slopes.append(math.log(r0.rel_inf / r1.rel_inf)
+                          / math.log(r0.step / r1.step))
         order = float(np.mean(slopes))
-    return ResidualReport(rungs, order, refinement, grid.describe(), times,
-                          rho_floor, reports[-1][1])
+    return ResidualReport(rungs, order, grid.describe(), times, rho_floor,
+                          per_time)
 
 
 # -- convention scan --------------------------------------------------------------

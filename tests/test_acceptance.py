@@ -116,7 +116,9 @@ def test_criterion_4_convention_scan_decisiveness():
         if flags != outcome.winner:
             assert row.rel_inf >= 10.0 * best.rel_inf, flags.label()
     assert best.envelope_decays
-    refined = convention_scan(mode, factory, coeffs, grid.refined(2),
+    refined = convention_scan(mode, factory, coeffs,
+                              dataclasses.replace(grid, nx=2 * grid.nx,
+                                                  ny=2 * grid.ny),
                               (0.4,), step=4e-2)
     assert refined.winner == outcome.winner
     _budget(started, 180.0)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
+from invosc.oracle import RadialProblem
 from invosc.params import (CoefficientSet, TimeFunction, coefficient_terms,
                            parse_sections, time_function_from_section)
+from invosc.wavefunction import ModeSpec, PolarGrid, schrodinger_residual
 
-from conftest import SPAN, make_coeffs
+from conftest import SPAN, WINNER, make_chain, make_coeffs
 
 
 # -- families -------------------------------------------------------------------
@@ -63,6 +65,37 @@ def test_out_of_span_raises():
         f.value(-0.2)
     # a hair past the endpoint is representation slack, not an error
     assert f.value(1.0 + 1e-13) == 1.0
+
+
+# A span far from zero, where the slack 1e-12 * max(1, |t0|, |t1|) is 1e-10.
+FAR_SPAN = (99.0, 100.0)
+
+
+@pytest.mark.parametrize("past,accepted", [(5e-11, True), (2e-10, False)],
+                         ids=["inside-slack", "past-slack"])
+def test_every_span_check_allows_the_same_slack(past, accepted):
+    # the coefficients, the chain's interpolant, the radial oracle and the
+    # residual stencil all read the one rule in params
+    coeffs = make_coeffs(span=FAR_SPAN)
+    chain = make_chain(coeffs)
+    mode = ModeSpec.from_coupling(k=1.0, n=1, C=1.5, conventions=WINNER)
+    t, dt = FAR_SPAN[1] + past, 0.25
+    checks = {
+        "TimeFunction.value": lambda: coeffs.mass.value(t),
+        "DenseFunction": lambda: chain.alpha(t),
+        "RadialProblem": lambda: RadialProblem(
+            coeffs, n=1, rho_max=8.0, n_rho=256, dt=0.01,
+            span=(FAR_SPAN[0], t)),
+        "schrodinger_residual": lambda: schrodinger_residual(
+            mode, chain, coeffs, PolarGrid(0.4, 8.0, 16, 16), (t - dt,),
+            steps=(dt,)),
+    }
+    for name, check in checks.items():
+        if accepted:
+            check()
+        else:
+            with pytest.raises(OutOfDomain):
+                check()
 
 
 # A span off zero, so the slack 1e-12 * max(1, |t0|, |t1|) is not its floor.

@@ -195,8 +195,8 @@ def test_centered_cartesian_grid_geometry():
 
 def test_cartesian_active_mask_trims_edges_and_disk():
     g = CartesianGrid.centered(3.0, 16)
-    assert g.active_mask().sum() == 12 * 12
-    masked = g.active_mask(rho_min=1.0)
+    assert g.active_mask(0.0).sum() == 12 * 12
+    masked = g.active_mask(1.0)
     assert masked.sum() < 12 * 12
     X, Y = g.xy_mesh()
     assert np.all(np.hypot(X, Y)[masked] >= 1.0)
@@ -231,17 +231,10 @@ def test_polar_xy_mesh_is_the_meshgrid_form_bit_for_bit(grid):
 
 def test_polar_disk_grid_masks_the_degenerate_ring():
     g = PolarGrid(0.0, 4.0, 16, 8)
-    mask = g.active_mask()
+    mask = g.active_mask(g.rho_min)
     assert mask.sum() == 12 * 8
     rho, _ = g.axes()
     assert not np.any(mask[rho == 0.0, :])
-
-
-def test_grid_refinement_scales_point_counts():
-    assert PolarGrid(0.4, 8.0, 16, 24).refined().shape == (32, 48)
-    g = CartesianGrid.centered(6.0, 16).refined(3)
-    assert g.shape == (48, 48)
-    assert (g.x_min, g.x_max) == (-6.0, 6.0)
 
 
 def test_grid_validation():
@@ -499,7 +492,7 @@ def test_one_geometry_serves_modes_that_differ_in_amplitude(mode_c15,
     # the memo key holds the amplitudes, so a second mode on the same
     # geometry gets its own radial factor, not the first mode's
     grid = PolarGrid(0.4, 8.0, 32, 24)
-    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15))
+    geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode_c15))
     other = dataclasses.replace(mode_c15, amp_first=2.5 - 1.0j)
     for mode in (mode_c15, other, mode_c15):
         shared = assemble_psi(mode, chain_c15, geometry.x, geometry.y, 0.5,
@@ -552,15 +545,6 @@ def test_temporal_ladder_builds_one_geometry(geometry_builds, mode_c15,
     assert geometry_builds == [RESIDUAL_GRID.shape]
 
 
-def test_spatial_ladder_builds_one_geometry_per_level(geometry_builds,
-                                                      mode_c15, chain_c15,
-                                                      coeffs_c15):
-    schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
-                         PolarGrid(0.4, 8.0, 48, 48), (0.4,),
-                         refinement="spatial", levels=3)
-    assert geometry_builds == [(48, 48), (96, 96), (192, 192)]
-
-
 def test_convention_scan_shares_one_geometry(geometry_builds, mode_c15,
                                              coeffs_c15, chain_c15):
     chains = {+1: chain_c15, -1: make_chain(coeffs_c15, branch=-1)}
@@ -573,7 +557,8 @@ def test_convention_scan_shares_one_geometry(geometry_builds, mode_c15,
 def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
                                                     coeffs_c15):
     grid = PolarGrid(0.4, 8.0, 16, 16)
-    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15))
+    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15),
+                                    grid.rho_min)
     X, Y = grid.xy_mesh()
     assert np.array_equal(
         assemble_psi(mode_c15, chain_c15, X, Y, 0.5, geometry=geometry),
@@ -854,8 +839,8 @@ def test_folded_operator_matches_the_separate_derivatives(grid, C):
     rng = np.random.default_rng(5)
     X, Y = grid.xy_mesh()
     smooth = np.exp(-0.2 * (X * X + Y * Y) + 1j * (0.7 * X - 0.4 * Y))
-    mask = grid.active_mask()
-    geometry = GridGeometry.of_grid(grid, 0)
+    mask = grid.active_mask(grid.rho_min)
+    geometry = GridGeometry(*grid.xy_mesh(), 0)
     for values in (rng.standard_normal(grid.shape)
                    + 1j * rng.standard_normal(grid.shape), smooth):
         want = _reference_hamiltonian(values, grid, geometry, coeffs,
@@ -870,10 +855,6 @@ def test_operator_applies_once_per_residual_time(monkeypatch, mode_c15,
     schrodinger_residual(mode_c15, chain_c15, coeffs_c15, RESIDUAL_GRID,
                          (0.4, 0.6), steps=COARSE_STEPS)
     assert calls["_apply_hamiltonian"] == 2
-    schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
-                         PolarGrid(0.4, 8.0, 24, 24), (0.4,),
-                         refinement="spatial", levels=3)
-    assert calls["_apply_hamiltonian"] == 2 + 3
 
 
 def test_shared_operator_leaves_each_rung_as_if_alone(mode_c15, chain_c15,
@@ -896,17 +877,24 @@ def test_temporal_ladder_converges_at_second_order(mode_c15, chain_c15,
     assert values == sorted(values, reverse=True)
     assert rep.rel_inf < 3e-4
     assert 1.7 < rep.order < 2.3
-    assert rep.refinement == "temporal"
     assert len(rep.per_time) == 1
 
 
 def test_spatial_ladder_converges_at_fourth_order(mode_c15, chain_c15,
                                                   coeffs_c15):
-    rep = schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
-                               PolarGrid(0.4, 8.0, 48, 48), (0.4,),
-                               refinement="spatial", levels=3)
-    assert 3.4 < rep.order < 4.6
-    r = [rung.rel_inf for rung in rep.rungs]
+    # one rung per grid, the time step slaved to spacing^2 so that the
+    # 4th-order spatial truncation stays in charge
+    rungs = []
+    for f in (1, 2, 4):
+        grid = PolarGrid(0.4, 8.0, 48 * f, 48 * f)
+        h0 = grid.spacing()[0]
+        rungs += schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid,
+                                      (0.4,), steps=(h0 * h0,)).rungs
+    order = np.mean([math.log(r0.rel_inf / r1.rel_inf)
+                     / math.log(r0.spacing / r1.spacing)
+                     for r0, r1 in zip(rungs, rungs[1:])])
+    assert 3.4 < order < 4.6
+    r = [rung.rel_inf for rung in rungs]
     assert 16.0 * 0.7 < r[0] / r[1] < 16.0 * 1.3
     assert 16.0 * 0.7 < r[1] / r[2] < 16.0 * 1.3
 
@@ -957,12 +945,6 @@ def test_residual_argument_validation(mode_c15, chain_c15, coeffs_c15):
     grid = PolarGrid(0.4, 8.0, 16, 16)
     with pytest.raises(ValueError):
         schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
-                             refinement="sideways")
-    with pytest.raises(ValueError):
-        schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
-                             refinement="spatial", levels=0)
-    with pytest.raises(ValueError):
-        schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
                              steps=(0.0,))
     with pytest.raises(ValueError):
         schrodinger_residual(None, None, coeffs_c15, grid, (0.5,))
@@ -985,8 +967,8 @@ def test_residual_report_formatting(tmp_path, mode_c15, chain_c15,
     assert lines[5] == "time,rel_inf,rel_l2,hnorm_inf,hnorm_l2"
     assert len(lines) == 6 + 2
 
-    bare = ResidualReport(rungs=rep.rungs, order=None, refinement="temporal",
-                          grid_desc="g", times=(0.4,), rho_min=0.4)
+    bare = ResidualReport(rungs=rep.rungs, order=None, grid_desc="g",
+                          times=(0.4,), rho_min=0.4)
     assert "order:none" in bare.summary_line()
 
 
