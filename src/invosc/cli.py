@@ -14,9 +14,9 @@ errors name the offending line.  Physics inputs (coefficients, charge,
 coupling, mode numbers, span, grid extents) must be explicit; only
 numerical knobs (tolerances, ladder steps, sample counts) carry defaults.
 
-Every artifact embeds a sha256 digest of the effective config so that
-later comparisons can refuse mixed inputs, and ``verify`` does refuse
-them.  Outputs are deterministic: fixed float format, fixed iteration
+Every CSV and summary of a config command embeds a sha256 digest of the
+effective config so that later comparisons can refuse mixed inputs, and
+``verify`` does refuse them.  Outputs are deterministic: fixed float format, fixed iteration
 order, no timestamps.  One process owns an output directory at a time,
 enforced with a ``.lock`` file.
 
@@ -31,6 +31,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -69,6 +70,10 @@ EXIT_LADDER = 7
 
 OUT_DIR_ENV = "INVOSC_OUT"
 
+# the errors with an exit code of their own; every other InvoscError is 3
+_EXIT_OF = {GridTooCoarse: EXIT_LADDER, Inconclusive: EXIT_INCONCLUSIVE,
+            Unstable: EXIT_UNSTABLE}
+
 _SECTIONS = {"mass", "frequency", "magnetic_field", "constants", "mode",
              "span", "grid", "verification", "oracle", "run"}
 _REQUIRED_SECTIONS = ("mass", "frequency", "magnetic_field", "constants",
@@ -99,14 +104,13 @@ class OracleSettings:
 class RunConfig:
     """Everything a command needs, read once from a config file.
 
-    ``flags_raw`` is either a convention label or the word "scan";
-    commands that need concrete conventions resolve it (or the --flags
-    override) through resolve_flags.  verification and oracle sections
-    are optional at parse time; the commands that need them say so.
+    ``flags`` come from --flags or else ``[mode] flags``, as
+    ``flags_source`` ("cli" or "config") says; None means "scan".
+    verification and oracle sections are optional at parse time; the
+    commands that need them say so.
     """
 
     path: str
-    text: str
     digest: str
     coeffs: CoefficientSet
     span: tuple
@@ -115,7 +119,8 @@ class RunConfig:
     angular_sign: int
     amp_first: complex
     amp_second: complex
-    flags_raw: str
+    flags: ConventionFlags | None
+    flags_source: str
     grid: object
     verify: VerifySettings | None
     oracle: OracleSettings | None
@@ -134,11 +139,6 @@ class RunConfig:
         if flags_override is not None:
             digest_src += f"\n# cli_flags_override = {flags_override}\n"
         digest = hashlib.sha256(digest_src.encode()).hexdigest()
-        if flags_override not in (None, "scan"):
-            try:
-                ConventionFlags.from_label(flags_override)
-            except ValueError as exc:
-                raise ConfigError(f"--flags: {exc}") from None
 
         sections = parse_sections(text)
         for name, section in sections.items():
@@ -180,13 +180,11 @@ class RunConfig:
         if angular_sign not in (1, -1):
             raise ConfigError("angular_sign must be +1 or -1",
                               mode_s.items["angular_sign"][1])
-        flags_raw = mode_s.str("flags")
-        if flags_raw != "scan":
-            try:
-                ConventionFlags.from_label(flags_raw)
-            except ValueError as exc:
-                raise ConfigError(f"flags: {exc}",
-                                  mode_s.items["flags"][1]) from None
+        flags = _read_flags(mode_s.str("flags"), "flags",
+                            mode_s.items["flags"][1])
+        flags_source = "config"
+        if flags_override is not None:
+            flags, flags_source = _read_flags(flags_override, "--flags"), "cli"
 
         grid = cls._read_grid(sections["grid"])
 
@@ -202,6 +200,13 @@ class RunConfig:
                 max_rel_inf=ver_s.float("max_rel_inf"),
                 order_lo=ver_s.float("order_lo", default=1.7),
                 order_hi=ver_s.float("order_hi", default=2.3))
+            # nan fails every comparison, so it is refused too
+            ladder = verify.dt_ladder
+            if not (all(0 < dt < math.inf for dt in ladder)
+                    and all(a > b for a, b in zip(ladder, ladder[1:]))):
+                raise ConfigError("dt_ladder must be positive, finite and "
+                                  "strictly decreasing",
+                                  ver_s.items["dt_ladder"][1])
 
         oracle = None
         if "oracle" in sections:
@@ -249,38 +254,35 @@ class RunConfig:
                 rel_tol=run_s.float("rel_tol", default=chain_cfg.rel_tol),
                 abs_tol=run_s.float("abs_tol", default=chain_cfg.abs_tol))
 
-        return cls(path=str(path), text=text, digest=digest, coeffs=coeffs,
+        return cls(path=str(path), digest=digest, coeffs=coeffs,
                    span=span, mode_k=mode_s.float("k"), mode_n=mode_s.int("n"),
                    angular_sign=angular_sign,
                    amp_first=mode_s.complex("amp_first"),
                    amp_second=mode_s.complex("amp_second", default=0j),
-                   flags_raw=flags_raw, grid=grid, verify=verify,
-                   oracle=oracle, field_times=field_times,
+                   flags=flags, flags_source=flags_source, grid=grid,
+                   verify=verify, oracle=oracle, field_times=field_times,
                    trajectory_samples=samples, mu_coupling=mu_coupling,
                    chain_cfg=chain_cfg)
 
     @staticmethod
     def _read_grid(grid_s):
         kind = grid_s.str("type")
-        if kind == "polar":
-            grid_s.reject_unknown({"type", "rho_min", "rho_max", "n_rho",
-                                   "n_phi"})
-            try:
+        try:
+            if kind == "polar":
+                grid_s.reject_unknown({"type", "rho_min", "rho_max", "n_rho",
+                                       "n_phi"})
                 return PolarGrid(rho_min=grid_s.float("rho_min"),
                                  rho_max=grid_s.float("rho_max"),
                                  n_rho=grid_s.int("n_rho"),
                                  n_phi=grid_s.int("n_phi"))
-            except ValueError as exc:
-                raise ConfigError(str(exc), grid_s.header_line) from exc
-        if kind == "cartesian":
-            grid_s.reject_unknown({"type", "half_width", "n", "rho_min"})
-            try:
+            if kind == "cartesian":
+                grid_s.reject_unknown({"type", "half_width", "n", "rho_min"})
                 return CartesianGrid.centered(
                     half_width=grid_s.float("half_width"),
                     n=grid_s.int("n"),
                     rho_min=grid_s.float("rho_min", default=0.0))
-            except ValueError as exc:
-                raise ConfigError(str(exc), grid_s.header_line) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc), grid_s.header_line) from exc
         raise ConfigError(f"grid type must be polar or cartesian, got {kind!r}",
                           grid_s.items["type"][1])
 
@@ -295,6 +297,16 @@ class RunConfig:
         return solve_chain(self.coeffs, self.mode_k, span=self.span,
                            alpha0=alpha0, cfg=self.chain_cfg,
                            mu_coupling=self.mu_coupling)
+
+
+def _read_flags(label, name, line=None):
+    """The conventions a flags label names, or None for "scan"."""
+    if label == "scan":
+        return None
+    try:
+        return ConventionFlags.from_label(label)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}", line) from None
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -379,183 +391,176 @@ def _say(args, text):
         print(text)
 
 
-def _resolve_flags(cfg, args, chain):
-    """(flags, provenance note, scan outcome or None).
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """What _run hands a command: the config, the locked output directory,
+    the flags' source, the scan if one ran, and the flags' chain and mode."""
 
-    --flags wins over the config.  The word "scan" runs _run_scan on
-    ``chain`` here, so each command calls this where, relative to its
-    lock, the scan belongs; the winner becomes the flags and the note
-    records its margin.
-    """
-    raw = getattr(args, "flags", None) or cfg.flags_raw
-    if raw != "scan":
-        source = "cli" if getattr(args, "flags", None) else "config"
-        return ConventionFlags.from_label(raw), source, None
-    outcome = _run_scan(cfg, chain)
-    return outcome.winner, f"scan(margin={outcome.margin:.6g})", outcome
+    command: str
+    cfg: RunConfig
+    out: Path
+    source: str
+    scan: ScanOutcome | None
+    traj: object
+    mode: ModeSpec
+
+    def write_summary(self, name, pairs):
+        """``name``: the pairs every summary opens with, then ``pairs``."""
+        cfg, mode = self.cfg, self.mode
+        head = [("command", self.command), ("config", Path(cfg.path).name),
+                ("flags", mode.conventions.label()),
+                ("flags_source", self.source), ("mode", mode.describe()),
+                ("sector_winding", sector_winding(mode))]
+        write_summary(self.out / name, head + pairs, cfg.digest)
 
 
-def _run_scan(cfg, chain):
-    """Rank the eight readings; ``chain(branch)`` supplies the chains.
+@contextlib.contextmanager
+def _run(args, need=None, scan=False, levels=1, fresh=False):
+    """Load the config; refuse it without the section ``need``, without
+    [verification] for a scan (``scan`` forces one), or with fewer than
+    ``levels`` ladder levels; make and lock the output directory (with
+    ``fresh``, refusing one that holds another config's artifacts); then
+    resolve the flags and yield the _Run, holding the lock."""
+    cfg = RunConfig.load(args.config, flags_override=getattr(args, "flags",
+                                                             None))
+    scan = scan or cfg.flags is None
+    settings = {"verification": cfg.verify, "oracle": cfg.oracle}
+    if need is not None and settings[need] is None:
+        raise ConfigError(f"{args.command} needs the [{need}] section")
+    if scan and cfg.verify is None:
+        raise ConfigError(f"{args.command} needs the [verification] section "
+                          "for the scan's residual times and step")
+    if cfg.verify is not None and len(cfg.verify.dt_ladder) < levels:
+        raise GridTooCoarse("cannot estimate a convergence order from "
+                            f"{len(cfg.verify.dt_ladder)} ladder level")
+    out = _resolve_out(args)
+    with _OutputLock(out):
+        if fresh:
+            _refuse_digest_clash(out, cfg.digest)
+        chain = functools.cache(cfg.chain)
+        flags, source, outcome = cfg.flags, cfg.flags_source, None
+        if scan:
+            outcome = _scan(cfg, out, chain)
+            flags = outcome.winner
+            source = f"scan(margin={outcome.margin:.6g})"
+        yield _Run(args.command, cfg, out, source, outcome,
+                   chain(flags.alpha_branch), cfg.mode(flags))
 
-    Commands that go on to use the winner pass a memoized ``chain`` so
-    the winning branch is not solved a second time.
-    """
-    if cfg.verify is None:
-        raise ConfigError("scan needs a [verification] section for the "
-                          "residual times and step")
-    template = cfg.mode(ConventionFlags())
-    return convention_scan(template, chain, cfg.coeffs, cfg.grid,
-                           times=cfg.verify.times,
-                           step=cfg.verify.dt_ladder[0])
+
+def _scan(cfg, out, chain):
+    """Rank the eight readings and write scan_table.csv, a tied table too;
+    a memoized ``chain(branch)`` keeps the winner's chain for the command."""
+    tie = None
+    try:
+        outcome = convention_scan(cfg.mode(ConventionFlags()), chain,
+                                  cfg.coeffs, cfg.grid, times=cfg.verify.times,
+                                  step=cfg.verify.dt_ladder[0])
+    except Inconclusive as exc:
+        tie, outcome = exc, ScanOutcome.ranked(exc.rows)
+    outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
+    if tie is not None:
+        raise tie
+    return outcome
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_solve(args):
-    cfg = RunConfig.load(args.config, flags_override=args.flags)
-    out = _resolve_out(args)
-    chain = functools.cache(cfg.chain)
-    with _OutputLock(out):
+    with _run(args) as run:
+        cfg, out = run.cfg, run.out
         artifacts = ["trajectory.csv", "field.csv"]
-        flags, source, outcome = _resolve_flags(cfg, args, chain)
-        if outcome is not None:
-            outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
+        if run.scan is not None:
             artifacts.append("scan_table.csv")
-        traj = chain(flags.alpha_branch)
-        mode = cfg.mode(flags)
-        write_trajectory_csv(traj, out / "trajectory.csv",
+        write_trajectory_csv(run.traj, out / "trajectory.csv",
                              num=cfg.trajectory_samples, digest=cfg.digest)
-        field = sample_field(mode, traj, cfg.grid, cfg.field_times)
+        field = sample_field(run.mode, run.traj, cfg.grid, cfg.field_times)
         field.write_csv(out / "field.csv", digest=cfg.digest)
-        pairs = [
-            ("command", "solve"),
-            ("config", Path(cfg.path).name),
-            ("flags", flags.label()),
-            ("flags_source", source),
-            ("mode", mode.describe()),
-            ("sector_winding", sector_winding(mode)),
+        run.write_summary("summary.txt", [
             ("mu_coupling", cfg.mu_coupling),
             ("span", f"{cfg.span[0]!r},{cfg.span[1]!r}"),
             ("coefficients", cfg.coeffs.describe()),
             ("grid", cfg.grid.describe()),
             ("field_times", ",".join(repr(t) for t in cfg.field_times)),
-            ("chain_rel_tol", repr(traj.rel_tol)),
-            ("chain_abs_tol", repr(traj.abs_tol)),
-            ("alpha0", repr(traj.alpha0)),
+            ("chain_rel_tol", repr(run.traj.rel_tol)),
+            ("chain_abs_tol", repr(run.traj.abs_tol)),
+            ("alpha0", repr(run.traj.alpha0)),
             ("artifacts", ",".join(artifacts)),
-        ]
-        write_summary(out / "summary.txt", pairs, cfg.digest)
-    _say(args, f"solve: flags {flags.label()} ({source}), "
+        ])
+    flags = run.mode.conventions.label()
+    _say(args, f"solve: flags {flags} ({run.source}), "
                f"wrote {', '.join(artifacts)}, summary.txt")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    cfg = RunConfig.load(args.config, flags_override=args.flags)
-    if cfg.verify is None:
-        raise ConfigError("verify needs a [verification] section")
-    if len(cfg.verify.dt_ladder) < 2:
-        raise GridTooCoarse("cannot estimate a convergence order from "
-                            f"{len(cfg.verify.dt_ladder)} ladder level")
-    out = _resolve_out(args)
-    chain = functools.cache(cfg.chain)
-    with _OutputLock(out):
-        _refuse_digest_clash(out, cfg.digest)
-        flags, source, outcome = _resolve_flags(cfg, args, chain)
-        if outcome is not None:
-            outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
-        traj = chain(flags.alpha_branch)
-        mode = cfg.mode(flags)
+    with _run(args, "verification", levels=2, fresh=True) as run:
+        ver = run.cfg.verify
         try:
-            report = schrodinger_residual(mode, traj, cfg.coeffs, cfg.grid,
-                                          times=cfg.verify.times,
-                                          steps=cfg.verify.dt_ladder)
+            report = schrodinger_residual(run.mode, run.traj, run.cfg.coeffs,
+                                          run.cfg.grid, times=ver.times,
+                                          steps=ver.dt_ladder)
         except GridTooCoarse as exc:
             partial = getattr(exc, "report", None)
             if partial is not None:
-                partial.write_csv(out / "residual_ladder.csv",
-                                  digest=cfg.digest)
+                partial.write_csv(run.out / "residual_ladder.csv",
+                                  digest=run.cfg.digest)
                 _say(args, f"verify: FAIL (no convergence) {exc}")
             raise
-        report.write_csv(out / "residual_ladder.csv", digest=cfg.digest)
-    ok = (report.rel_inf <= cfg.verify.max_rel_inf
-          and report.order is not None
-          and cfg.verify.order_lo <= report.order <= cfg.verify.order_hi)
+        report.write_csv(run.out / "residual_ladder.csv",
+                         digest=run.cfg.digest)
+    ok = (report.rel_inf <= ver.max_rel_inf and report.order is not None
+          and ver.order_lo <= report.order <= ver.order_hi)
     verdict = "PASS" if ok else "FAIL"
-    _say(args, f"verify: {verdict} flags {flags.label()} ({source}) "
+    _say(args, f"verify: {verdict} flags {run.mode.conventions.label()} "
+               f"({run.source}) "
                f"{report.summary_line()} "
-               f"(need rel_inf<={cfg.verify.max_rel_inf:g}, order in "
-               f"[{cfg.verify.order_lo:g},{cfg.verify.order_hi:g}])")
+               f"(need rel_inf<={ver.max_rel_inf:g}, order in "
+               f"[{ver.order_lo:g},{ver.order_hi:g}])")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_oracle(args):
-    cfg = RunConfig.load(args.config, flags_override=args.flags)
-    if cfg.oracle is None:
-        raise ConfigError("oracle needs an [oracle] section")
-    out = _resolve_out(args)
-    chain = functools.cache(cfg.chain)
-    flags, source, scan_outcome = _resolve_flags(cfg, args, chain)
-    traj = chain(flags.alpha_branch)
-    mode = cfg.mode(flags)
-    problem = RadialProblem(coeffs=cfg.coeffs, n=sector_winding(mode),
-                            rho_max=cfg.oracle.rho_max,
-                            n_rho=cfg.oracle.n_rho, dt=cfg.oracle.dt,
-                            span=cfg.span)
-    rho, zero = problem.rho, 0.0 * problem.rho
-    geometry = GridGeometry(rho, zero, sector_winding(mode))
-    u0 = np.asarray(assemble_psi(mode, traj, rho, zero, cfg.span[0],
-                                 geometry=geometry), dtype=complex)
+    with _run(args, "oracle") as run:
+        cfg, mode, orc = run.cfg, run.mode, run.cfg.oracle
+        problem = RadialProblem(coeffs=cfg.coeffs, n=sector_winding(mode),
+                                rho_max=orc.rho_max, n_rho=orc.n_rho,
+                                dt=orc.dt, span=cfg.span)
+        rho, zero = problem.rho, 0.0 * problem.rho
+        geometry = GridGeometry(rho, zero, sector_winding(mode))
 
-    def reference(t):
-        return assemble_psi(mode, traj, rho, zero, t, geometry=geometry)
+        def reference(t):
+            return assemble_psi(mode, run.traj, rho, zero, t,
+                                geometry=geometry)
 
-    with _OutputLock(out):
-        if scan_outcome is not None:
-            scan_outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
-        result = propagate(problem, u0, record_times=cfg.oracle.record_times,
+        u0 = np.asarray(reference(cfg.span[0]), dtype=complex)
+        result = propagate(problem, u0, record_times=orc.record_times,
                            reference=reference)
-        result.write_csv(out / "fidelity.csv", digest=cfg.digest)
-        result.write_snapshots_csv(out / "oracle_snapshots.csv",
+        result.write_csv(run.out / "fidelity.csv", digest=cfg.digest)
+        result.write_snapshots_csv(run.out / "oracle_snapshots.csv",
                                    digest=cfg.digest)
         min_f = min(result.fidelities)
-        pairs = [
-            ("command", "oracle"),
-            ("config", Path(cfg.path).name),
-            ("flags", flags.label()),
-            ("flags_source", source),
-            ("mode", mode.describe()),
-            ("sector_winding", sector_winding(mode)),
+        run.write_summary("oracle_summary.txt", [
             ("problem", problem.describe()),
             ("norm_drift_total", repr(result.norm_drift_total)),
             ("min_fidelity", repr(min_f)),
-            ("threshold", repr(cfg.oracle.min_fidelity)),
-        ]
-        write_summary(out / "oracle_summary.txt", pairs, cfg.digest)
-    ok = min_f >= cfg.oracle.min_fidelity
+            ("threshold", repr(orc.min_fidelity)),
+        ])
+    ok = min_f >= orc.min_fidelity
     verdict = "PASS" if ok else "FAIL"
     _say(args, f"oracle: {verdict} min fidelity {min_f:.17g} "
-               f"(need >= {cfg.oracle.min_fidelity:g}), norm drift "
+               f"(need >= {orc.min_fidelity:g}), norm drift "
                f"{result.norm_drift_total:.3g}, nu={mode.nu:g}, "
                f"sector {sector_winding(mode)}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_scan(args):
-    cfg = RunConfig.load(args.config)
-    out = _resolve_out(args)
-    with _OutputLock(out):
-        try:
-            outcome = _run_scan(cfg, cfg.chain)
-        except Inconclusive as exc:
-            rows = getattr(exc, "rows", ())
-            if rows:
-                ScanOutcome.ranked(rows).write_csv(out / "scan_table.csv",
-                                                   digest=cfg.digest)
-                _say(args, f"scan: INCONCLUSIVE {exc}")
-            raise
-        outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
+    try:
+        with _run(args, scan=True) as run:
+            outcome = run.scan
+    except Inconclusive as exc:
+        _say(args, f"scan: INCONCLUSIVE {exc}")
+        raise
     _say(args, f"scan: winner {outcome.winner.label()} "
                f"margin {outcome.margin:.6g}, wrote scan_table.csv")
     return EXIT_OK
@@ -635,18 +640,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GridTooCoarse as exc:
-        print(f"error: GridTooCoarse: {exc}", file=sys.stderr)
-        return EXIT_LADDER
-    except Inconclusive as exc:
-        print(f"error: Inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except Unstable as exc:
-        print(f"error: Unstable: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
     except InvoscError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next((code for kind, code in _EXIT_OF.items()
+                     if isinstance(exc, kind)), EXIT_SOLVER)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -58,12 +58,12 @@ class ZeroCrossing(InvoscError):
 
 
 class DomainTooLarge(InvoscError):
-    """Off-axis Bessel argument past the radius where complex J is
-    validated.  The caller should shrink the grid or the time window."""
+    """Bessel argument off-axis past the validated complex radius, or real
+    past 2^51.  The caller should shrink the grid or the time window."""
 
 
 class Pole(InvoscError):
-    """Gamma function evaluated at a nonpositive integer."""
+    """Gamma function at a nonpositive integer; nothing raises it now."""
 
 
 class Overflow(InvoscError):
@@ -102,4 +102,4 @@ class Unstable(InvoscError):
 
 
 class ZeroNorm(InvoscError):
-    """Normalization requested for an identically zero field."""
+    """H Psi vanishes on the residual's active region: no relative residual."""

@@ -273,8 +273,10 @@ def test_verify_fails_loudly_under_corrupted_flags(tmp_path, capsys):
 
 def test_verify_rejects_an_unrankable_single_level(tmp_path, c0_text,
                                                    capsys):
+    # one level loads, since the scan steps with it alone
     cfg = write_cfg(tmp_path, patched(
         c0_text, "dt_ladder = 4e-2, 2e-2, 1e-2", "dt_ladder = 4e-2"))
+    assert RunConfig.load(cfg).verify.dt_ladder == (4e-2,)
     rc = main(["verify", "--config", cfg, "--flags", WINNER_LABEL,
                "--out", str(tmp_path)])
     assert rc == EXIT_LADDER
@@ -354,8 +356,10 @@ def test_scan_evaluates_each_radial_factor_once(tmp_path, monkeypatch):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("command", ["scan", "solve", "verify", "oracle"])
 def test_scan_maps_inconclusive_to_its_exit_code(tmp_path, monkeypatch,
-                                                 capsys):
+                                                 capsys, command):
+    # static_c0 says flags = scan, so every command scans first
     rows = tuple(ScanRow(flags, 1.0, 1.0, False)
                  for flags in ConventionFlags.all_combinations())
 
@@ -365,21 +369,30 @@ def test_scan_maps_inconclusive_to_its_exit_code(tmp_path, monkeypatch,
         raise err
 
     monkeypatch.setattr("invosc.cli.convention_scan", tied_scan)
-    rc = main(["scan", "--config", C15, "--out", str(tmp_path)])
+    rc = main([command, "--config", C0, "--out", str(tmp_path)])
     assert rc == EXIT_INCONCLUSIVE
-    # the tied table is still written for the postmortem
-    assert (tmp_path / "scan_table.csv").exists()
-    assert "Inconclusive" in capsys.readouterr().err
+    # the tied table is still written for the postmortem, and nothing else
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan_table.csv"]
+    out, err = capsys.readouterr()
+    assert out == ("scan: INCONCLUSIVE all eight readings measure the same "
+                   "residual\n" if command == "scan" else "")
+    assert err == ("error: Inconclusive: all eight readings measure the same "
+                   "residual\n")
 
 
-def test_scan_requires_the_verification_section(tmp_path, c0_text, capsys):
+@pytest.mark.parametrize("command", ["scan", "solve"])
+def test_scan_requires_the_verification_section(tmp_path, c0_text, capsys,
+                                                command):
+    # solve needs the section only because static_c0 says flags = scan
     cfg = write_cfg(tmp_path, patched(
         c0_text,
         "[verification]\ntimes = 0.4\ndt_ladder = 4e-2, 2e-2, 1e-2\n"
         "max_rel_inf = 2e-4\n\n", ""))
-    rc = main(["scan", "--config", cfg, "--out", str(tmp_path)])
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", cfg, "--out", str(out_dir)])
     assert rc == EXIT_PARSE
     assert "[verification]" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -648,6 +661,27 @@ def test_empty_number_list_is_rejected_at_its_line(tmp_path, c0_text, capsys,
     err = capsys.readouterr().err
     assert f"line {index + 1}: {key} = '' is not a non-empty number list" in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify", "scan", "solve"])
+@pytest.mark.parametrize("ladder", [
+    "2e-3, 4e-3, 8e-3", "8e-3, -4e-3", "8e-3, 0", "8e-3, 8e-3, 4e-3",
+    "nan, 4e-3", "inf, 4e-3", "8e-3, 1e400"])
+def test_malformed_ladder_is_rejected_at_its_line(tmp_path, capsys, command,
+                                                  ladder):
+    # an increasing ladder used to run the scan and the residual and exit 7
+    # as "not monotone", a negative step to exit 3 from the residual
+    text = patched(Path(C15).read_text(), "dt_ladder = 8e-3, 4e-3, 2e-3",
+                   f"dt_ladder = {ladder}")
+    line = text.splitlines().index(f"dt_ladder = {ladder}") + 1
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: line {line}: dt_ladder must be positive, finite and "
+        "strictly decreasing\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "1", "-5"])

@@ -10,7 +10,7 @@ import pytest
 import invosc
 from invosc.cli import RunConfig
 from invosc.g17 import _K_MAX, _K_MIN, _digits, _tables, format_columns
-from invosc.wavefunction import ConventionFlags, sample_field
+from invosc.wavefunction import sample_field
 
 C15 = Path(invosc.__file__).parent / "configs" / "static_c15.cfg"
 BLOCK = 1 << 16
@@ -202,7 +202,7 @@ def test_rejects_bad_arguments():
 def test_fast_path_formats_the_bundled_field():
     # the per-element fallback must stay the exception on real output
     cfg = RunConfig.load(C15)
-    flags = ConventionFlags.from_label(cfg.flags_raw)
+    flags = cfg.flags
     field = sample_field(cfg.mode(flags), cfg.chain(flags.alpha_branch),
                          cfg.grid, cfg.field_times)
     X, Y = cfg.grid.xy_mesh()
