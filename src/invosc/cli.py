@@ -15,10 +15,10 @@ coupling, mode numbers, span, grid extents) must be explicit; only
 numerical knobs (tolerances, ladder steps, sample counts) carry defaults.
 
 Every CSV and summary of a config command embeds a sha256 digest of the
-effective config so that later comparisons can refuse mixed inputs, and
-``verify`` does refuse them.  Outputs are deterministic: fixed float format, fixed iteration
-order, no timestamps.  One process owns an output directory at a time,
-enforced with a ``.lock`` file.
+effective config, and every config command refuses an output directory
+whose CSV files carry another digest.  Outputs are deterministic: fixed
+float format, fixed iteration order, no timestamps.  One process owns an
+output directory at a time, enforced with a ``.lock`` file.
 
 Exit codes are a stable contract:
 
@@ -93,11 +93,9 @@ class VerifySettings:
 
 @dataclasses.dataclass(frozen=True)
 class OracleSettings:
-    rho_max: float
-    n_rho: int
-    dt: float
     record_times: tuple
     min_fidelity: float
+    problem: RadialProblem
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,7 +103,10 @@ class RunConfig:
     """Everything a command needs, read once from a config file.
 
     ``flags`` come from --flags or else ``[mode] flags``, as
-    ``flags_source`` ("cli" or "config") says; None means "scan".
+    ``flags_source`` ("cli" or "config") says; None means "scan", and
+    then ``mode`` carries the default reading.  Every object a command
+    runs is built here, through its section's ``build``, so a value that
+    its constructor refuses is a config error at that section.
     verification and oracle sections are optional at parse time; the
     commands that need them say so.
     """
@@ -114,11 +115,7 @@ class RunConfig:
     digest: str
     coeffs: CoefficientSet
     span: tuple
-    mode_k: float
-    mode_n: int
-    angular_sign: int
-    amp_first: complex
-    amp_second: complex
+    mode: ModeSpec
     flags: ConventionFlags | None
     flags_source: str
     grid: object
@@ -176,15 +173,17 @@ class RunConfig:
         mode_s = sections["mode"]
         mode_s.reject_unknown({"k", "n", "angular_sign", "amp_first",
                                "amp_second", "flags"})
-        angular_sign = mode_s.int("angular_sign")
-        if angular_sign not in (1, -1):
-            raise ConfigError("angular_sign must be +1 or -1",
-                              mode_s.items["angular_sign"][1])
         flags = _read_flags(mode_s.str("flags"), "flags",
                             mode_s.items["flags"][1])
         flags_source = "config"
         if flags_override is not None:
             flags, flags_source = _read_flags(flags_override, "--flags"), "cli"
+        mode = mode_s.build(
+            ModeSpec.from_coupling, k=mode_s.float("k"), n=mode_s.int("n"),
+            C=coupling, amp_first=mode_s.complex("amp_first"),
+            amp_second=mode_s.complex("amp_second", default=0j),
+            angular_sign=mode_s.int("angular_sign"),
+            conventions=flags or ConventionFlags())
 
         grid = cls._read_grid(sections["grid"])
 
@@ -207,6 +206,12 @@ class RunConfig:
                 raise ConfigError("dt_ladder must be positive, finite and "
                                   "strictly decreasing",
                                   ver_s.items["dt_ladder"][1])
+            # the residual's stencil reaches each time +- the largest step
+            if not within_span(np.add.outer(verify.times,
+                                            (-ladder[0], ladder[0])), span):
+                raise ConfigError(
+                    f"times +- dt_ladder[0] must lie in the span "
+                    f"[{span[0]!r}, {span[1]!r}]", ver_s.items["times"][1])
 
         oracle = None
         if "oracle" in sections:
@@ -214,19 +219,17 @@ class RunConfig:
             orc_s.reject_unknown({"rho_max", "n_rho", "dt", "record_times",
                                   "min_fidelity"})
             oracle = OracleSettings(
-                rho_max=orc_s.float("rho_max"),
-                n_rho=orc_s.int("n_rho"),
-                dt=orc_s.float("dt"),
                 record_times=orc_s.floats("record_times"),
-                min_fidelity=orc_s.float("min_fidelity"))
-            # where the oracle could count its steps; else it names the dt
-            if (0 < oracle.dt < math.inf
-                    and (span[1] - span[0]) / oracle.dt < math.inf):
-                try:
-                    snap_times(span, oracle.dt, oracle.record_times)
-                except OutOfDomain as exc:
-                    raise ConfigError(f"record_times: {exc}",
-                                      orc_s.items["record_times"][1]) from exc
+                min_fidelity=orc_s.float("min_fidelity"),
+                problem=orc_s.build(
+                    RadialProblem, coeffs=coeffs, n=sector_winding(mode),
+                    rho_max=orc_s.float("rho_max"), n_rho=orc_s.int("n_rho"),
+                    dt=orc_s.float("dt"), span=span))
+            try:
+                snap_times(span, oracle.problem.dt, oracle.record_times)
+            except OutOfDomain as exc:
+                raise ConfigError(f"record_times: {exc}",
+                                  orc_s.items["record_times"][1]) from exc
 
         field_times = (span[0], span[1])
         samples = 512
@@ -250,51 +253,39 @@ class RunConfig:
                 raise ConfigError(
                     f"mu_coupling must be one of {MU_COUPLINGS}",
                     run_s.items["mu_coupling"][1])
-            chain_cfg = IntegratorConfig(
+            chain_cfg = run_s.build(
+                IntegratorConfig,
                 rel_tol=run_s.float("rel_tol", default=chain_cfg.rel_tol),
                 abs_tol=run_s.float("abs_tol", default=chain_cfg.abs_tol))
 
-        return cls(path=str(path), digest=digest, coeffs=coeffs,
-                   span=span, mode_k=mode_s.float("k"), mode_n=mode_s.int("n"),
-                   angular_sign=angular_sign,
-                   amp_first=mode_s.complex("amp_first"),
-                   amp_second=mode_s.complex("amp_second", default=0j),
-                   flags=flags, flags_source=flags_source, grid=grid,
-                   verify=verify, oracle=oracle, field_times=field_times,
-                   trajectory_samples=samples, mu_coupling=mu_coupling,
-                   chain_cfg=chain_cfg)
+        return cls(path=str(path), digest=digest, coeffs=coeffs, span=span,
+                   mode=mode, flags=flags, flags_source=flags_source,
+                   grid=grid, verify=verify, oracle=oracle,
+                   field_times=field_times, trajectory_samples=samples,
+                   mu_coupling=mu_coupling, chain_cfg=chain_cfg)
 
     @staticmethod
     def _read_grid(grid_s):
         kind = grid_s.str("type")
-        try:
-            if kind == "polar":
-                grid_s.reject_unknown({"type", "rho_min", "rho_max", "n_rho",
-                                       "n_phi"})
-                return PolarGrid(rho_min=grid_s.float("rho_min"),
-                                 rho_max=grid_s.float("rho_max"),
-                                 n_rho=grid_s.int("n_rho"),
-                                 n_phi=grid_s.int("n_phi"))
-            if kind == "cartesian":
-                grid_s.reject_unknown({"type", "half_width", "n", "rho_min"})
-                return CartesianGrid.centered(
-                    half_width=grid_s.float("half_width"),
-                    n=grid_s.int("n"),
-                    rho_min=grid_s.float("rho_min", default=0.0))
-        except ValueError as exc:
-            raise ConfigError(str(exc), grid_s.header_line) from exc
+        if kind == "polar":
+            grid_s.reject_unknown({"type", "rho_min", "rho_max", "n_rho",
+                                   "n_phi"})
+            return grid_s.build(PolarGrid, rho_min=grid_s.float("rho_min"),
+                                rho_max=grid_s.float("rho_max"),
+                                n_rho=grid_s.int("n_rho"),
+                                n_phi=grid_s.int("n_phi"))
+        if kind == "cartesian":
+            grid_s.reject_unknown({"type", "half_width", "n", "rho_min"})
+            return grid_s.build(CartesianGrid.centered,
+                                half_width=grid_s.float("half_width"),
+                                n=grid_s.int("n"),
+                                rho_min=grid_s.float("rho_min", default=0.0))
         raise ConfigError(f"grid type must be polar or cartesian, got {kind!r}",
                           grid_s.items["type"][1])
 
-    def mode(self, flags):
-        return ModeSpec.from_coupling(
-            k=self.mode_k, n=self.mode_n, C=self.coeffs.coupling,
-            amp_first=self.amp_first, amp_second=self.amp_second,
-            angular_sign=self.angular_sign, conventions=flags)
-
     def chain(self, branch):
         alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)
-        return solve_chain(self.coeffs, self.mode_k, span=self.span,
+        return solve_chain(self.coeffs, self.mode.k, span=self.span,
                            alpha0=alpha0, cfg=self.chain_cfg,
                            mu_coupling=self.mu_coupling)
 
@@ -415,12 +406,12 @@ class _Run:
 
 
 @contextlib.contextmanager
-def _run(args, need=None, scan=False, levels=1, fresh=False):
+def _run(args, need=None, scan=False, levels=1):
     """Load the config; refuse it without the section ``need``, without
     [verification] for a scan (``scan`` forces one), or with fewer than
-    ``levels`` ladder levels; make and lock the output directory (with
-    ``fresh``, refusing one that holds another config's artifacts); then
-    resolve the flags and yield the _Run, holding the lock."""
+    ``levels`` ladder levels; make and lock the output directory, refusing
+    one that holds another config's artifacts; then resolve the flags and
+    yield the _Run, holding the lock."""
     cfg = RunConfig.load(args.config, flags_override=getattr(args, "flags",
                                                              None))
     scan = scan or cfg.flags is None
@@ -435,8 +426,7 @@ def _run(args, need=None, scan=False, levels=1, fresh=False):
                             f"{len(cfg.verify.dt_ladder)} ladder level")
     out = _resolve_out(args)
     with _OutputLock(out):
-        if fresh:
-            _refuse_digest_clash(out, cfg.digest)
+        _refuse_digest_clash(out, cfg.digest)
         chain = functools.cache(cfg.chain)
         flags, source, outcome = cfg.flags, cfg.flags_source, None
         if scan:
@@ -444,7 +434,8 @@ def _run(args, need=None, scan=False, levels=1, fresh=False):
             flags = outcome.winner
             source = f"scan(margin={outcome.margin:.6g})"
         yield _Run(args.command, cfg, out, source, outcome,
-                   chain(flags.alpha_branch), cfg.mode(flags))
+                   chain(flags.alpha_branch),
+                   dataclasses.replace(cfg.mode, conventions=flags))
 
 
 def _scan(cfg, out, chain):
@@ -452,8 +443,8 @@ def _scan(cfg, out, chain):
     a memoized ``chain(branch)`` keeps the winner's chain for the command."""
     tie = None
     try:
-        outcome = convention_scan(cfg.mode(ConventionFlags()), chain,
-                                  cfg.coeffs, cfg.grid, times=cfg.verify.times,
+        outcome = convention_scan(cfg.mode, chain, cfg.coeffs, cfg.grid,
+                                  times=cfg.verify.times,
                                   step=cfg.verify.dt_ladder[0])
     except Inconclusive as exc:
         tie, outcome = exc, ScanOutcome.ranked(exc.rows)
@@ -493,7 +484,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    with _run(args, "verification", levels=2, fresh=True) as run:
+    with _run(args, "verification", levels=2) as run:
         ver = run.cfg.verify
         try:
             report = schrodinger_residual(run.mode, run.traj, run.cfg.coeffs,
@@ -522,11 +513,9 @@ def cmd_verify(args):
 def cmd_oracle(args):
     with _run(args, "oracle") as run:
         cfg, mode, orc = run.cfg, run.mode, run.cfg.oracle
-        problem = RadialProblem(coeffs=cfg.coeffs, n=sector_winding(mode),
-                                rho_max=orc.rho_max, n_rho=orc.n_rho,
-                                dt=orc.dt, span=cfg.span)
+        problem = orc.problem
         rho, zero = problem.rho, 0.0 * problem.rho
-        geometry = GridGeometry(rho, zero, sector_winding(mode))
+        geometry = GridGeometry(rho, zero, problem.n)
 
         def reference(t):
             return assemble_psi(mode, run.traj, rho, zero, t,
@@ -550,7 +539,7 @@ def cmd_oracle(args):
     _say(args, f"oracle: {verdict} min fidelity {min_f:.17g} "
                f"(need >= {orc.min_fidelity:g}), norm drift "
                f"{result.norm_drift_total:.3g}, nu={mode.nu:g}, "
-               f"sector {sector_winding(mode)}")
+               f"sector {problem.n}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -116,6 +116,8 @@ class RadialProblem:
         t0, t1 = self.span
         if not t1 > t0:
             raise ValueError("span must be increasing")
+        if not (t1 - t0) / self.dt < math.inf:
+            raise ValueError("dt leaves no finite step count over the span")
         if not within_span(self.span, self.coeffs.span):
             lo, hi = self.coeffs.span
             raise OutOfDomain(f"span {self.span} outside coefficients "

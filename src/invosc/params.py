@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, OutOfDomain
+from .errors import ConfigError, InvoscError, NonFinite, OutOfDomain
 
 # The config keys each family reads besides ``family``; a sinusoidal
 # ``offset`` is optional.
@@ -362,6 +362,15 @@ class Section:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
 
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ValueError or package error that
+        it raises becomes a ConfigError at this section's header."""
+        try:
+            return make(*args, **kwargs)
+        except (ValueError, InvoscError) as exc:
+            raise ConfigError(f"[{self.name}]: {exc}",
+                              self.header_line) from exc
+
 
 def parse_sections(text):
     """Parse the key = value config format into {name: Section}.
@@ -412,20 +421,17 @@ def time_function_from_section(section, span):
         raise ConfigError(f"unknown family {family!r} in [{section.name}]",
                           section.items["family"][1])
     section.reject_unknown({"family", *_FAMILY_KEYS[family]})
-    num, nums = section.float, section.floats
-    try:
-        if family == "constant":
-            return TimeFunction.constant(num("value"), span)
-        if family == "linear":
-            return TimeFunction.linear(num("intercept"), num("slope"), span)
-        if family == "exponential":
-            return TimeFunction.exponential(num("base"), num("rate"), span)
-        if family == "sinusoidal":
-            return TimeFunction.sinusoidal(num("amplitude"),
-                                           num("angular_frequency"), span,
-                                           num("offset", default=0.0))
-        if family == "polynomial":
-            return TimeFunction.polynomial(nums("coeffs"), span)
-        return TimeFunction.tabulated(nums("times"), nums("values"), span)
-    except (ValueError, NonFinite) as exc:
-        raise ConfigError(f"[{section.name}]: {exc}", section.header_line) from exc
+    num, nums, build = section.float, section.floats, section.build
+    if family == "constant":
+        return build(TimeFunction.constant, num("value"), span)
+    if family == "linear":
+        return build(TimeFunction.linear, num("intercept"), num("slope"), span)
+    if family == "exponential":
+        return build(TimeFunction.exponential, num("base"), num("rate"), span)
+    if family == "sinusoidal":
+        return build(TimeFunction.sinusoidal, num("amplitude"),
+                     num("angular_frequency"), span,
+                     num("offset", default=0.0))
+    if family == "polynomial":
+        return build(TimeFunction.polynomial, nums("coeffs"), span)
+    return build(TimeFunction.tabulated, nums("times"), nums("values"), span)

@@ -37,6 +37,7 @@ rather than assumed.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -172,6 +173,8 @@ class ModeSpec:
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "amp_first", complex(self.amp_first))
         object.__setattr__(self, "amp_second", complex(self.amp_second))
+        if not all(map(cmath.isfinite, (self.amp_first, self.amp_second))):
+            raise ValueError("amp_first and amp_second must be finite")
 
     @classmethod
     def from_coupling(cls, k, n, C, **kw):

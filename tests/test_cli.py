@@ -186,7 +186,8 @@ def test_times_the_later_checks_accept_still_load(tmp_path, c0_text, needle,
         chain.alpha(np.array(values))           # the field's own check
     else:
         assert cfg.oracle.record_times == values
-        assert sorted(snap_times(cfg.span, cfg.oracle.dt, values)[2]) == [
+        assert sorted(snap_times(cfg.span, cfg.oracle.problem.dt,
+                                 values)[2]) == [
             0, 2500, 5000]
 
 
@@ -293,17 +294,21 @@ def test_verify_exit_distinguishes_missed_tolerance(tmp_path, c0_text,
     assert capsys.readouterr().out.startswith("verify: FAIL")
 
 
-def test_verify_refuses_mixed_digests_in_one_directory(tmp_path, c0_text,
-                                                       capsys):
+@pytest.mark.parametrize("command", ["solve", "verify", "scan", "oracle"])
+def test_commands_refuse_mixed_digests_in_one_directory(tmp_path, c0_text,
+                                                        capsys, command):
+    flags = [] if command == "scan" else ["--flags", WINNER_LABEL]
+    out_dir = tmp_path / "run"
     cfg_a = write_cfg(tmp_path, c0_text, name="a.cfg")
-    rc = main(["verify", "--config", cfg_a, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path), "--quiet"])
+    rc = main([command, "--config", cfg_a, *flags, "--out", str(out_dir),
+               "--quiet"])
     assert rc == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     cfg_b = write_cfg(tmp_path, c0_text + "# revised\n", name="b.cfg")
-    rc = main(["verify", "--config", cfg_b, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path)])
+    rc = main([command, "--config", cfg_b, *flags, "--out", str(out_dir)])
     assert rc == EXIT_PARSE
     assert "different config" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 @pytest.mark.parametrize("data,rc", [
@@ -442,21 +447,58 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
     assert "[oracle]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [("dt = 2e-4", "dt = 0"),
-                                      ("dt = 2e-4", "dt = 1e400"),
-                                      ("rho_max = 8.0", "rho_max = inf")],
-                         ids=["zero-dt", "infinite-dt", "infinite-rho_max"])
+@pytest.mark.parametrize("old, new, message", [
+    ("dt = 2e-4", "dt = 0", "dt must be positive and finite"),
+    ("dt = 2e-4", "dt = 1e400", "dt must be positive and finite"),
+    ("rho_max = 8.0", "rho_max = inf", "rho_max must be positive and finite"),
+    ("dt = 2e-4", "dt = 1e-320",
+     "dt leaves no finite step count over the span"),
+    ("n_rho = 512", "n_rho = 100", "n_rho must be at least 256"),
+], ids=["zero-dt", "infinite-dt", "infinite-rho_max", "subnormal-dt",
+        "few-cells"])
 def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
-                                                          capsys, old, new):
+                                                          capsys, old, new,
+                                                          message):
     # 1e400 reads as inf, which would make one step of the whole span;
-    # an infinite wall leaves no finite grid point
+    # an infinite wall leaves no finite grid point; 1e-320 makes an
+    # infinite step count
     text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
-    cfg = write_cfg(tmp_path, patched(text, old, new))
-    rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert rc == EXIT_SOLVER
-    name = new.split(" = ")[0]
+    text = patched(text, old, new)
+    out_dir = tmp_path / "run"
+    rc = main(["oracle", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index("[oracle]") + 1
     assert capsys.readouterr().err == (
-        f"error: {name} must be positive and finite\n")
+        f"error: line {line}: [oracle]: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,old,new,at,message", [
+    ("solve", "k = 1.0", "k = -1", "[mode]", "k must be a positive real"),
+    ("solve", "C = 1.5", "C = -3", "[mode]", "2C + n^2 = -5 < 0"),
+    ("solve", "angular_sign = +1", "angular_sign = 0", "[mode]",
+     "angular_sign must be +1 or -1"),
+    ("solve", "amp_first = 1.0", "amp_first = nan", "[mode]",
+     "amp_first and amp_second must be finite"),
+    ("solve", "[run]\n", "[run]\nrel_tol = -1\n", "[run]",
+     "tolerances must be positive"),
+    ("verify", "times = 0.4", "times = 5.0", "times = 5.0",
+     "times +- dt_ladder[0] must lie in the span"),
+], ids=["k", "C", "angular_sign", "amp_first", "rel_tol", "times"])
+def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
+                                                     command, old, new, at,
+                                                     message):
+    text = patched(Path(C15).read_text(), old, new)
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index(at) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: {at.split(' = ')[0]}")
+    assert message in err
+    assert not out_dir.exists()
 
 
 _KNOTS = np.linspace(0.0, 1.0, 12)

@@ -202,8 +202,7 @@ def test_rejects_bad_arguments():
 def test_fast_path_formats_the_bundled_field():
     # the per-element fallback must stay the exception on real output
     cfg = RunConfig.load(C15)
-    flags = cfg.flags
-    field = sample_field(cfg.mode(flags), cfg.chain(flags.alpha_branch),
+    field = sample_field(cfg.mode, cfg.chain(cfg.flags.alpha_branch),
                          cfg.grid, cfg.field_times)
     X, Y = cfg.grid.xy_mesh()
     v = field.values.ravel()

@@ -181,6 +181,8 @@ def test_problem_validation(coeffs_c15):
         RadialProblem(coeffs_c15, 0, -8.0, 512, 1e-3, SPAN)
     with pytest.raises(ValueError):
         RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (1.0, 0.0))
+    with pytest.raises(ValueError, match="finite step count"):
+        RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-320, SPAN)
     with pytest.raises(OutOfDomain):
         RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (0.0, 2.0))
     with pytest.raises(FallToCenter):

@@ -173,6 +173,10 @@ def test_mode_spec_validation():
         ModeSpec(k=1.0, n=1, nu=-0.5)
     with pytest.raises(ValueError):
         ModeSpec(k=1.0, n=1, nu=1.0, angular_sign=0)
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec(k=1.0, n=1, nu=1.0, amp_first=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec(k=1.0, n=1, nu=1.0, amp_second=complex(0.0, math.inf))
 
 
 def test_mode_describe_names_the_conventions(mode_c15):
