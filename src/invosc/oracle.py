@@ -27,7 +27,11 @@ measures M, so both paths carry y = M^{1/2} w under the real symmetric
 tridiagonal S = M^{1/2} H M^{-1/2}, and |y| is the weighted norm of u.
 Changing coefficients take one LAPACK zgtsv solve per step; constant
 ones give the recorded states in closed form from one
-eigendecomposition of S (see propagate).
+eigendecomposition of S (see propagate).  Both routines come from
+scipy.linalg.lapack, which each path imports when it runs, so importing
+this module (and every command but oracle) loads no scipy.linalg of its
+own.  scipy.special, which the Bessel layer imports, still loads it on
+scipy releases older than scipy's gh-23420 change.
 
 This module deliberately shares nothing with the assembly path except the
 coefficient definitions in params: agreement between the two routes is
@@ -41,9 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here: bench/tracer.py patches this name (ROADMAP item 1 removes it)
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dstemr, zgtsv
 
 from .errors import (FallToCenter, MismatchedGrids, NonFinite, OutOfDomain,
                      Unstable)
@@ -60,6 +61,17 @@ _CROSS_TERM = 1
 # Snapshot rows formatted per write, as the field writer does; the
 # oracle keeps its own constant to stay independent of the assembly path.
 _CSV_CHUNK_ROWS = 4096
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on call.
+
+    Nothing here calls it: it exists only because bench/tracer.py wraps
+    this name as its ``oracle.linsolve`` layer.  ROADMAP item 1 deletes
+    it with the tracer's patch.
+    """
+    from scipy.linalg import solve_banded as solve
+    return solve(*args, **kwargs)
 
 
 def _sector_terms(coeffs: CoefficientSet, n, t):
@@ -400,8 +412,11 @@ def _stepped_states(y, terms, dt, operator):
     overwrites the bands, the diagonal and the right-hand side in place,
     so each step fills them afresh.  y is updated in place; the caller
     reads it before the next step.  Everything here is a ufunc, einsum
-    or the zgtsv call: no multithreaded BLAS in the loop.
+    or the zgtsv call: no multithreaded BLAS in the loop.  zgtsv is
+    looked up on scipy.linalg.lapack, imported when the first step runs.
     """
+    from scipy.linalg import lapack
+
     basis, off = operator
     c = 0.5 * dt
     z = 1j * c
@@ -416,7 +431,8 @@ def _stepped_states(y, terms, dt, operator):
         np.multiply(z / mass, off_pair, out=bands)
         diag = unit.copy()
         diag.imag = np.einsum("i,ij->j", scale, basis)
-        *_, w2, info = zgtsv(bands[0], diag, bands[1], 2.0 * y, 1, 1, 1, 1)
+        *_, w2, info = lapack.zgtsv(bands[0], diag, bands[1], 2.0 * y,
+                                    1, 1, 1, 1)
         if info != 0:
             kind = "singular matrix" if info > 0 else "illegal argument"
             raise Unstable(f"step {j}: {kind} (zgtsv info {info})")
@@ -446,8 +462,11 @@ def _spectral_states(y, sector, dt, operator, steps):
     einsum, on one thread, not through BLAS: at n = 1023 a second
     OpenBLAS thread made them slower, on a host with two shared CPUs
     several times slower, and its idle workers kept spinning into the
-    next command.
+    next command.  dstemr is looked up on scipy.linalg.lapack, imported
+    here.
     """
+    from scipy.linalg import lapack
+
     (k_diag, rho2, _), off = operator
     m, a, s = sector
     n = rho2.size
@@ -455,8 +474,8 @@ def _spectral_states(y, sector, dt, operator, steps):
     sub = np.zeros(n)               # stemr reads n entries and uses n - 1
     sub[:-1] = off / m
     # range 0 asks for every eigenpair; vl, vu, il, iu are then unused
-    _, lam, v, info = dstemr(diag, sub, 0, 0.0, 0.0, 0, 0, compute_v=1,
-                             lwork=18 * n, liwork=10 * n)
+    _, lam, v, info = lapack.dstemr(diag, sub, 0, 0.0, 0.0, 0, 0,
+                                    compute_v=1, lwork=18 * n, liwork=10 * n)
     if info != 0:
         raise Unstable("tridiagonal eigendecomposition failed "
                        f"(stemr info {info})")

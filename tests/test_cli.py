@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import invosc
 from invosc.bessel import bessel_j, bessel_n
@@ -512,7 +513,8 @@ _TABULATED_FIELD = (
 
 # one constant coefficient of a bundled config swapped for another
 # family: a polynomial mass with constant value, or a spline B through
-# cos t; calls counts (dstemr, zgtsv) in the oracle
+# cos t; calls counts the oracle's (dstemr, zgtsv) calls, which it looks
+# up on scipy.linalg.lapack
 _OTHER_FAMILIES = pytest.mark.parametrize("old,new,calls", [
     ("[mass]\nfamily = constant\nvalue = 1.0",
      "[mass]\nfamily = polynomial\ncoeffs = 1.0, 0.0, 0.0", (1, 0)),
@@ -525,9 +527,7 @@ def test_oracle_passes_on_the_other_coefficient_families(
         tmp_path, c0_text, capsys, monkeypatch, old, new, calls):
     # constant values from any family take the closed-form path, and a
     # time-dependent family steps; both clear the bundled threshold
-    import invosc.oracle as oracle
-
-    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
+    seen = count_calls(monkeypatch, lapack, ("dstemr", "zgtsv"))
     text = patched(c0_text, old, new)
     text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
     assert "min_fidelity = 0.999\n" in text
@@ -579,9 +579,7 @@ def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
                                                  monkeypatch):
     # the tabulated field steps (20 zgtsv solves at dt = 0.05), so this
     # reaches the stepped path that the closed-form case above skips
-    import invosc.oracle as oracle
-
-    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
+    seen = count_calls(monkeypatch, lapack, ("dstemr", "zgtsv"))
     text = patched(c0_text, *_TABULATED_FIELD)
     text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
     text = patched(text, "dt = 2e-4", "dt = 0.05")
@@ -599,16 +597,14 @@ def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
                                            monkeypatch):
     # zgtsv reporting a zero pivot on the third of the 20 driven steps
     # is the Unstable that a coarse dt never raises (see below)
-    import invosc.oracle as oracle
-
-    real = oracle.zgtsv
+    real = lapack.zgtsv
     calls = itertools.count(1)
 
     def failing_on_the_third(*args):
         out = real(*args)
         return (*out[:-1], 7) if next(calls) == 3 else out
 
-    monkeypatch.setattr(oracle, "zgtsv", failing_on_the_third)
+    monkeypatch.setattr(lapack, "zgtsv", failing_on_the_third)
     text = patched(c0_text, *_TABULATED_FIELD)
     text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
     text = patched(text, "dt = 2e-4", "dt = 0.05")
@@ -739,6 +735,77 @@ def test_trajectory_samples_below_two_is_rejected_at_its_line(
     assert (f"line {line}: trajectory_samples must be at least 2"
             in capsys.readouterr().err)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key,old", [("C", "C = 1.5"), ("q", "q = 1.0")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_constant_is_refused_at_its_line(tmp_path, capsys, key,
+                                                    old, value):
+    # CoefficientSet refused it as NonFinite: exit 3 with no line
+    text = patched(Path(C15).read_text(), f"\n{old}\n",
+                   f"\n{key} = {value}\n")
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: line {line}: {key} must be finite\n")
+    assert not out_dir.exists()
+
+
+_VERIFY_BAR = "max_rel_inf = 1e-5"
+_ORACLE_BAR = "min_fidelity = 0.999"
+
+
+@pytest.mark.parametrize("command,old,new,message", [
+    ("verify", _VERIFY_BAR, "max_rel_inf = nan",
+     "max_rel_inf must be positive and finite"),
+    ("verify", _VERIFY_BAR, "max_rel_inf = inf",
+     "max_rel_inf must be positive and finite"),
+    ("verify", _VERIFY_BAR, "max_rel_inf = 0",
+     "max_rel_inf must be positive and finite"),
+    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = nan",
+     "order_lo must be finite"),
+    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_hi = inf",
+     "order_hi must be finite"),
+    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.3",
+     "order_lo must be below order_hi"),
+    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.0\norder_hi = 1.9",
+     "order_lo must be below order_hi"),
+    ("oracle", _ORACLE_BAR, "min_fidelity = nan",
+     "min_fidelity must lie in [0, 1]"),
+    ("oracle", _ORACLE_BAR, "min_fidelity = 1.5",
+     "min_fidelity must lie in [0, 1]"),
+    ("oracle", _ORACLE_BAR, "min_fidelity = -0.1",
+     "min_fidelity must lie in [0, 1]"),
+], ids=["nan-bar", "inf-bar", "zero-bar", "nan-order_lo", "inf-order_hi",
+        "order_lo-at-default-hi", "reversed-window", "nan-fidelity",
+        "fidelity-above-one", "negative-fidelity"])
+def test_unmeetable_threshold_is_refused_at_its_line(tmp_path, capsys,
+                                                     command, old, new,
+                                                     message):
+    # a NaN bar ran the whole ladder (or the propagation) and exited 4
+    # with "need rel_inf<=nan"; the refusal names the value's line, the
+    # later key's when the order window is reversed
+    text = patched(Path(C15).read_text(), old, new)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    (_ORACLE_BAR, "min_fidelity = 0"), (_ORACLE_BAR, "min_fidelity = 1"),
+    (_VERIFY_BAR, "max_rel_inf = 5e-324"),
+    (_VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = -1e300\norder_hi = 1e300"),
+])
+def test_thresholds_at_the_edge_of_their_range_load(tmp_path, old, new):
+    text = patched(Path(C15).read_text(), old, new)
+    RunConfig.load(write_cfg(tmp_path, text))
 
 
 @pytest.mark.parametrize("flags_line,argv,message", [

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, lapack, solve_banded
 
 import invosc.oracle as oracle
 from invosc.errors import (FallToCenter, MismatchedGrids, NonFinite,
@@ -538,7 +538,7 @@ def test_constant_path_matches_an_extended_precision_stepper(setup):
                                            (_driven(), (0, 500))],
                          ids=["constant", "driven"])
 def test_constant_coefficients_decompose_once(monkeypatch, coeffs, calls):
-    seen = count_calls(monkeypatch, oracle, ("dstemr", "zgtsv"))
+    seen = count_calls(monkeypatch, lapack, ("dstemr", "zgtsv"))
     prob, u0 = _ring_problem(coeffs)
     propagate(prob, u0, record_times=(0.0, 0.5, 1.0))
     assert (seen["dstemr"], seen["zgtsv"]) == calls
@@ -559,7 +559,7 @@ def test_non_finite_step_is_unstable(monkeypatch, coeffs, solver, steps):
         return (size, np.full(size, math.nan),
                 np.full((size, size), math.nan), 0)
 
-    monkeypatch.setattr(oracle, solver, poisoned)
+    monkeypatch.setattr(lapack, solver, poisoned)
     prob, u0 = _ring_problem(coeffs)
     with pytest.raises(Unstable, match=f"after {steps} steps"):
         propagate(prob, u0, record_times=(0.0, 0.5, 1.0))
@@ -567,8 +567,8 @@ def test_non_finite_step_is_unstable(monkeypatch, coeffs, solver, steps):
 
 def test_failed_decomposition_is_unstable(monkeypatch):
     # stemr reports a failure through info, as LAPACK does
-    real = oracle.dstemr
-    monkeypatch.setattr(oracle, "dstemr",
+    real = lapack.dstemr
+    monkeypatch.setattr(lapack, "dstemr",
                         lambda *a, **k: (*real(*a, **k)[:-1], 3))
     prob, u0 = _ring_problem(make_coeffs())
     with pytest.raises(Unstable, match=r"eigendecomposition failed \(stemr info 3\)"):
@@ -579,14 +579,14 @@ def test_failed_decomposition_is_unstable(monkeypatch):
                                         (-4, "illegal argument")])
 def test_failed_step_is_unstable(monkeypatch, info, kind):
     # zgtsv reports an exactly zero pivot, or a bad argument, through info
-    real = oracle.zgtsv
+    real = lapack.zgtsv
     calls = itertools.count(1)
 
     def failing_on_the_third(*args):
         out = real(*args)
         return (*out[:-1], info) if next(calls) == 3 else out
 
-    monkeypatch.setattr(oracle, "zgtsv", failing_on_the_third)
+    monkeypatch.setattr(lapack, "zgtsv", failing_on_the_third)
     prob, u0 = _ring_problem(_driven())
     with pytest.raises(Unstable,
                        match=rf"^step 3: {kind} \(zgtsv info {info}\)$"):

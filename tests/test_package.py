@@ -64,10 +64,42 @@ def test_cli_import_builds_no_format_tables():
     assert proc.stdout.split() == ["False", "False", "False", "0"]
 
 
+_LINALG_MODULES = ("import sys; print(*sorted(m for m in sys.modules "
+                   "if m.split('.')[:2] == ['scipy', 'linalg']))")
+
+
+def test_commands_but_oracle_load_no_scipy_linalg_of_their_own(tmp_path):
+    # only the oracle's propagation calls LAPACK, and it imports
+    # scipy.linalg.lapack when it first runs; loading it at import cost
+    # every other command about 0.07 s and 5.7 MB.  Older scipy releases
+    # load scipy.linalg from scipy.special itself (scipy gh-23420 made
+    # that import lazy), so the bar is what a bare scipy.special loads;
+    # on a release with that change it loads none, and so must invosc
+    special = _run("-c", "import scipy.special; " + _LINALG_MODULES)
+    assert special.returncode == 0, special.stderr
+    proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
+                      "from invosc.cli import RunConfig, main; "
+                      "configs = Path(invosc.__file__).parent / 'configs'; "
+                      "paths = sorted(configs.glob('*.cfg')); "
+                      "[RunConfig.load(p) for p in paths]; "
+                      "out = Path(sys.argv[1]); "
+                      "rcs = [main([c, '--quiet', '--out', str(out / c), "
+                      "'--config', str(configs / 'static_c0.cfg')]) "
+                      "for c in ('solve', 'verify', 'scan')]; "
+                      "rcs.append(main(['bessel-table', '1.5', '0.1', '30', "
+                      "'50', '--quiet', '--out', str(out / 'table')])); "
+                      "print(len(paths), *rcs); " + _LINALG_MODULES,
+                str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    counts, linalg = proc.stdout.split("\n")[:2]
+    assert counts.split() == ["5", "0", "0", "0", "0"]
+    assert set(linalg.split()) <= set(special.stdout.split())
+
+
 def test_oracle_run_loads_only_the_linalg_and_special_subpackages(tmp_path):
-    # the closed-form oracle path decomposes through scipy.linalg, which
-    # the stepped path already loads; another subpackage would add to
-    # every run's import time and resident memory
+    # the oracle loads scipy.linalg (for its LAPACK routines) only when it
+    # propagates, and the Bessel layer loads scipy.special; another
+    # subpackage would add to every run's import time and resident memory
     proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
                       "from invosc.cli import main; "
                       "rc = main(['oracle', '--quiet', '--out', sys.argv[1], "
@@ -122,6 +154,28 @@ def test_cli_main_resolves_lazily():
                       "main = invosc.cli_main; import invosc.cli as cli; "
                       "assert main is cli.main")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_main_reuses_one_parser_and_keeps_no_state_between_calls(tmp_path):
+    # the argparse tree is built once per process; a --flags override in
+    # one call must not leak into the next call's defaults
+    proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
+                      "from invosc import cli; "
+                      "cfg = str(Path(invosc.__file__).parent / 'configs' "
+                      "/ 'static_c15.cfg'); out = Path(sys.argv[1]); "
+                      "parser = cli._build_parser(); "
+                      "rcs = [cli.main(['solve', '--quiet', '--config', cfg, "
+                      "'--out', str(out / 'cli'), '--flags', "
+                      "'s=+1,h=1,branch=+']), "
+                      "cli.main(['solve', '--quiet', '--config', cfg, "
+                      "'--out', str(out / 'config')])]; "
+                      "print(cli._build_parser() is parser, *rcs)",
+                str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0", "0"]
+    for source in ("cli", "config"):
+        summary = (tmp_path / source / "summary.txt").read_text()
+        assert f"\nflags_source = {source}\n" in summary
 
 
 @pytest.mark.parametrize("module", ["invosc", "invosc.cli"])
