@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
+from .errors import (BlowUp, NonFinite, OutOfDomain, ToleranceNotMet,
+                     ZeroCrossing)
 from .params import CoefficientSet, coefficient_terms, within_span
 
 __all__ = [
@@ -159,6 +160,9 @@ def _initial_step(rhs, t0, y0, f0, cfg, h_max):
     return min(100.0 * h0, h1)
 
 
+# numpy's overflow and invalid warnings are off: the slope and step
+# checks below name a non-finite value themselves
+@np.errstate(over="ignore", invalid="ignore")
 def _dopri5(rhs, span, y0, cfg, watcher):
     """Integrate y' = rhs(t, y) over span; return (ts, rcont) tables.
 
@@ -166,7 +170,9 @@ def _dopri5(rhs, span, y0, cfg, watcher):
     i on step j.  ``watcher(t_lo, t_hi, segment)`` is called after every
     accepted step with a callable segment(t) evaluating the fresh
     interpolant of every component; watchers raise to abort (used for
-    blow-up and zero-crossing detection).
+    blow-up and zero-crossing detection).  A non-finite slope at the start,
+    or a step whose error norm is nan, raises NonFinite naming t: the
+    step-size rule takes no factor from a nan error.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -174,6 +180,8 @@ def _dopri5(rhs, span, y0, cfg, watcher):
     y = np.asarray(y0, dtype=complex)
     t = t0
     k1 = rhs(t, y)
+    if not np.all(np.isfinite(k1)):
+        raise NonFinite(f"chain slope is not finite at t={t:.6g}")
     h = min(_initial_step(rhs, t0, y, k1, cfg, t1 - t0), t1 - t0)
     ts = [t0]
     rcont = []
@@ -193,6 +201,8 @@ def _dopri5(rhs, span, y0, cfg, watcher):
         y_new = yi  # the 7th stage argument is the 5th-order solution
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = _norm(h * (_E @ stages) / sc)
+        if math.isnan(err):
+            raise NonFinite(f"chain step from t={t:.6g} is not finite")
         nsteps += 1
         accepted = err <= 1.0
         if accepted:
@@ -281,7 +291,7 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
     span = coeffs.span if span is None else (float(span[0]), float(span[1]))
     a0 = complex(default_alpha0(coeffs, span[0]) if alpha0 is None else alpha0)
     if not (math.isfinite(a0.real) and math.isfinite(a0.imag)):
-        raise ValueError("alpha0 must be finite")
+        raise NonFinite("alpha0 must be finite")
     k = float(k)
     literal = mu_coupling == "literal"
     ceiling = _BLOWUP_FACTOR * max(abs(a0), 1.0)

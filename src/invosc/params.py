@@ -202,7 +202,12 @@ class TimeFunction:
             return min(p[0] + p[1] * t0, p[0] + p[1] * t1)
         if self.family == "exponential":
             # Sign is the sign of the base; magnitude at an endpoint.
-            return min(p[0] * math.exp(p[1] * t0), p[0] * math.exp(p[1] * t1))
+            try:
+                return min(p[0] * math.exp(p[1] * t0),
+                           p[0] * math.exp(p[1] * t1))
+            except OverflowError:
+                raise NonFinite(f"exponential family overflows on the span "
+                                f"{self.span}") from None
         if self.family == "sinusoidal":
             amp, gam, off = p
             cands = [t0, t1]
@@ -267,12 +272,23 @@ class CoefficientSet:
         span = self.span
         if span[0] >= span[1]:
             raise ValueError("coefficient spans have an empty intersection")
-        if self.mass.minimum_on_span() <= 0.0 or not _sample_sign_ok(self.mass, 0.0, True):
+        self._check_sign("mass", True, "nonpositive mass")
+        self._check_sign("frequency", False, "negative frequency")
+
+    def _check_sign(self, name, strict, what):
+        """Refuse the coefficient ``name`` where it is <= 0 (``strict``) or
+        < 0 on the span, and where it overflows there: either way a
+        CoefficientRangeError names it."""
+        f = getattr(self, name)
+        try:
+            low = f.minimum_on_span()
+            ok = low > 0.0 if strict else low >= 0.0
+            ok = ok and _sample_sign_ok(f, 0.0, strict)
+        except NonFinite as exc:
             raise CoefficientRangeError(
-                "mass", "nonpositive mass on the configured span")
-        if self.frequency.minimum_on_span() < 0.0 or not _sample_sign_ok(self.frequency, 0.0, False):
-            raise CoefficientRangeError(
-                "frequency", "negative frequency on the configured span")
+                name, f"{name} is not finite on the configured span") from exc
+        if not ok:
+            raise CoefficientRangeError(name, f"{what} on the configured span")
 
     @property
     def span(self):
@@ -301,9 +317,19 @@ def coefficient_terms(coeffs: CoefficientSet, t):
     """
     m = coeffs.mass.value(t)
     w = coeffs.frequency.value(t)
-    b = coeffs.magnetic_field.value(t)
-    return (m, w * w + (coeffs.charge * b) ** 2 / (4.0 * m * m),
-            coeffs.charge * b / (4.0 * m))
+    qb = coeffs.charge * coeffs.magnetic_field.value(t)
+    try:
+        w2 = w * w + qb * qb / (4.0 * m * m)
+    except ZeroDivisionError:   # float 4 m^2 is 0 below m ~ 1e-162
+        w2 = math.inf
+    # a finite W^2 bounds |r| by W / 2; value() gives a float for a scalar
+    # t, which gets the cheap test once per chain stage
+    scalar = isinstance(w2, float)
+    if not (math.isfinite(w2) if scalar else np.all(np.isfinite(w2))):
+        at = t if scalar else np.asarray(t, dtype=float)[~np.isfinite(w2)][0]
+        raise NonFinite(f"W^2 = omega^2 + (q B)^2 / (4 m^2) is not finite "
+                        f"at t={at}")
+    return m, w2, qb / (4.0 * m)
 
 
 # -- config file scanning -----------------------------------------------------
@@ -313,7 +339,9 @@ class Section:
 
     ``items`` maps each key to its (raw value, line number).  Every read
     that fails raises ConfigError carrying the offending line, or the
-    header line when a required key is missing.
+    header line when a required key is missing.  No key means anything
+    with a non-finite value, so the number reads (``float``, ``floats``,
+    ``complex``) refuse nan, inf and a literal that overflows to inf.
     """
 
     _MISSING = object()
@@ -323,7 +351,7 @@ class Section:
         self.header_line = header_line
         self.items: dict[str, tuple[str, int]] = {}
 
-    def _parse(self, key, default, kind, what):
+    def _parse(self, key, default, kind, what, finite=False):
         if key not in self.items:
             if default is self._MISSING:
                 raise ConfigError(f"missing key {key!r} in [{self.name}]",
@@ -331,12 +359,15 @@ class Section:
             return default
         raw, line = self.items[key]
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
             raise ConfigError(f"{key} = {raw!r} is not {what}", line) from None
+        if finite and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{key} = {raw!r} is not finite", line)
+        return value
 
     def float(self, key, default=_MISSING):
-        return self._parse(key, default, float, "a number")
+        return self._parse(key, default, float, "a number", finite=True)
 
     def int(self, key, default=_MISSING):
         return self._parse(key, default, int, "an integer")
@@ -344,7 +375,7 @@ class Section:
     def complex(self, key, default=_MISSING):
         return self._parse(key, default,
                            lambda raw: complex(raw.replace(" ", "")),
-                           "a complex number")
+                           "a complex number", finite=True)
 
     def str(self, key, default=_MISSING):
         return self._parse(key, default, lambda raw: raw, "a string")
@@ -355,7 +386,8 @@ class Section:
             if not values:
                 raise ValueError("empty list")
             return values
-        return self._parse(key, default, parse, "a non-empty number list")
+        return self._parse(key, default, parse, "a non-empty number list",
+                           finite=True)
 
     def reject_unknown(self, known):
         for key, (_, line) in self.items.items():

@@ -409,6 +409,9 @@ class GridGeometry:
         return self.x.shape
 
 
+# numpy's overflow and invalid warnings are off: the finiteness check at
+# the end names an overflowing field itself
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
     """Evaluate the assembled field at scalar time t.
 

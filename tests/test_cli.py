@@ -15,6 +15,7 @@ the expected-Unstable twin is a strict xfail.
 import itertools
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -133,17 +134,18 @@ def test_collapsing_scale_factor_is_a_solver_error(tmp_path, c0_text, capsys):
     ("oracle", "record_times = 0.0, 0.5, 1.0"),
 ])
 def test_nan_time_is_outside_the_span(tmp_path, command, needle, capsys):
-    # NaN fails every comparison, so each span check is written to fail
-    # for it rather than to pass it: the config names the key's line
-    text = patched(Path(C15).read_text(), needle,
-                   needle.replace("0.5, 1.0", "nan"))
-    line = text.splitlines().index(needle.replace("0.5, 1.0", "nan")) + 1
+    # the reader refuses a nan time at the key's line, before any span
+    # check compares it
+    new = needle.replace("0.5, 1.0", "nan")
+    text = patched(Path(C15).read_text(), needle, new)
+    line = text.splitlines().index(new) + 1
     out_dir = tmp_path / "run"
     rc = main([command, "--config", write_cfg(tmp_path, text),
                "--out", str(out_dir), "--quiet"])
     assert rc == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: ") and "span" in err
+    key, value = new.split(" = ")
+    assert capsys.readouterr().err == (
+        f"error: line {line}: {key} = {value!r} is not finite\n")
     assert not out_dir.exists()
 
 
@@ -448,30 +450,33 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
     assert "[oracle]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("dt = 2e-4", "dt = 0", "dt must be positive and finite"),
-    ("dt = 2e-4", "dt = 1e400", "dt must be positive and finite"),
-    ("rho_max = 8.0", "rho_max = inf", "rho_max must be positive and finite"),
-    ("dt = 2e-4", "dt = 1e-320",
-     "dt leaves no finite step count over the span"),
-    ("n_rho = 512", "n_rho = 100", "n_rho must be at least 256"),
+@pytest.mark.parametrize("old, new, at, message", [
+    ("dt = 2e-4", "dt = 0", "[oracle]",
+     "[oracle]: dt must be positive and finite"),
+    ("dt = 2e-4", "dt = 1e400", "dt = 1e400", "dt = '1e400' is not finite"),
+    ("rho_max = 8.0", "rho_max = inf", "rho_max = inf",
+     "rho_max = 'inf' is not finite"),
+    ("dt = 2e-4", "dt = 1e-320", "[oracle]",
+     "[oracle]: dt leaves no finite step count over the span"),
+    ("n_rho = 512", "n_rho = 100", "[oracle]",
+     "[oracle]: n_rho must be at least 256"),
 ], ids=["zero-dt", "infinite-dt", "infinite-rho_max", "subnormal-dt",
         "few-cells"])
 def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
                                                           capsys, old, new,
-                                                          message):
-    # 1e400 reads as inf, which would make one step of the whole span;
-    # an infinite wall leaves no finite grid point; 1e-320 makes an
-    # infinite step count
+                                                          at, message):
+    # 1e400 reads as inf, which would make one step of the whole span, and
+    # an infinite wall leaves no finite grid point: the reader refuses
+    # both at their lines; 1e-320 makes an infinite step count, which
+    # RadialProblem refuses at the header
     text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
     text = patched(text, old, new)
     out_dir = tmp_path / "run"
     rc = main(["oracle", "--config", write_cfg(tmp_path, text),
                "--out", str(out_dir)])
     assert rc == EXIT_PARSE
-    line = text.splitlines().index("[oracle]") + 1
-    assert capsys.readouterr().err == (
-        f"error: line {line}: [oracle]: {message}\n")
+    line = text.splitlines().index(at) + 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
     assert not out_dir.exists()
 
 
@@ -480,8 +485,8 @@ def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
     ("solve", "C = 1.5", "C = -3", "[mode]", "2C + n^2 = -5 < 0"),
     ("solve", "angular_sign = +1", "angular_sign = 0", "[mode]",
      "angular_sign must be +1 or -1"),
-    ("solve", "amp_first = 1.0", "amp_first = nan", "[mode]",
-     "amp_first and amp_second must be finite"),
+    ("solve", "amp_first = 1.0", "amp_first = nan", "amp_first = nan",
+     "amp_first = 'nan' is not finite"),
     ("solve", "[run]\n", "[run]\nrel_tol = -1\n", "[run]",
      "tolerances must be positive"),
     ("verify", "times = 0.4", "times = 5.0", "times = 5.0",
@@ -708,7 +713,8 @@ def test_empty_number_list_is_rejected_at_its_line(tmp_path, c0_text, capsys,
 def test_malformed_ladder_is_rejected_at_its_line(tmp_path, capsys, command,
                                                   ladder):
     # an increasing ladder used to run the scan and the residual and exit 7
-    # as "not monotone", a negative step to exit 3 from the residual
+    # as "not monotone", a negative step to exit 3 from the residual; the
+    # reader refuses a non-finite step, 1e400 included
     text = patched(Path(C15).read_text(), "dt_ladder = 8e-3, 4e-3, 2e-3",
                    f"dt_ladder = {ladder}")
     line = text.splitlines().index(f"dt_ladder = {ladder}") + 1
@@ -716,9 +722,10 @@ def test_malformed_ladder_is_rejected_at_its_line(tmp_path, capsys, command,
     rc = main([command, "--config", write_cfg(tmp_path, text),
                "--out", str(out_dir)])
     assert rc == EXIT_PARSE
-    assert capsys.readouterr().err == (
-        f"error: line {line}: dt_ladder must be positive, finite and "
-        "strictly decreasing\n")
+    finite = all(math.isfinite(float(dt)) for dt in ladder.split(", "))
+    message = ("dt_ladder must be positive and strictly decreasing" if finite
+               else f"dt_ladder = {ladder!r} is not finite")
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
     assert not out_dir.exists()
 
 
@@ -737,44 +744,27 @@ def test_trajectory_samples_below_two_is_rejected_at_its_line(
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key,old", [("C", "C = 1.5"), ("q", "q = 1.0")])
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_constant_is_refused_at_its_line(tmp_path, capsys, key,
-                                                    old, value):
-    # CoefficientSet refused it as NonFinite: exit 3 with no line
-    text = patched(Path(C15).read_text(), f"\n{old}\n",
-                   f"\n{key} = {value}\n")
-    line = text.splitlines().index(f"{key} = {value}") + 1
-    out_dir = tmp_path / "run"
-    rc = main(["solve", "--config", write_cfg(tmp_path, text),
-               "--out", str(out_dir)])
-    assert rc == EXIT_PARSE
-    assert capsys.readouterr().err == (
-        f"error: line {line}: {key} must be finite\n")
-    assert not out_dir.exists()
-
-
 _VERIFY_BAR = "max_rel_inf = 1e-5"
 _ORACLE_BAR = "min_fidelity = 0.999"
 
 
 @pytest.mark.parametrize("command,old,new,message", [
     ("verify", _VERIFY_BAR, "max_rel_inf = nan",
-     "max_rel_inf must be positive and finite"),
+     "max_rel_inf = 'nan' is not finite"),
     ("verify", _VERIFY_BAR, "max_rel_inf = inf",
-     "max_rel_inf must be positive and finite"),
+     "max_rel_inf = 'inf' is not finite"),
     ("verify", _VERIFY_BAR, "max_rel_inf = 0",
-     "max_rel_inf must be positive and finite"),
+     "max_rel_inf must be positive"),
     ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = nan",
-     "order_lo must be finite"),
+     "order_lo = 'nan' is not finite"),
     ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_hi = inf",
-     "order_hi must be finite"),
+     "order_hi = 'inf' is not finite"),
     ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.3",
      "order_lo must be below order_hi"),
     ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.0\norder_hi = 1.9",
      "order_lo must be below order_hi"),
     ("oracle", _ORACLE_BAR, "min_fidelity = nan",
-     "min_fidelity must lie in [0, 1]"),
+     "min_fidelity = 'nan' is not finite"),
     ("oracle", _ORACLE_BAR, "min_fidelity = 1.5",
      "min_fidelity must lie in [0, 1]"),
     ("oracle", _ORACLE_BAR, "min_fidelity = -0.1",
@@ -806,6 +796,104 @@ def test_unmeetable_threshold_is_refused_at_its_line(tmp_path, capsys,
 def test_thresholds_at_the_edge_of_their_range_load(tmp_path, old, new):
     text = patched(Path(C15).read_text(), old, new)
     RunConfig.load(write_cfg(tmp_path, text))
+
+
+def _number_edits(text, value):
+    """(text, line, section, key) for each number in a key's value: the
+    text with that one number replaced by ``value``, and the 1-based line,
+    section and key of the edit."""
+    lines = text.splitlines()
+    section = None
+    for index, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]")
+        key, eq, rest = line.partition(" = ")
+        if not eq or line.startswith(("#", ";")):
+            continue
+        for token in re.finditer(r"[^,\s]+", rest):
+            try:
+                float(token.group())
+            except ValueError:
+                continue
+            start = len(key) + len(eq) + token.start()
+            edited = line[:start] + value + line[start + len(token.group()):]
+            yield ("\n".join(lines[:index] + [edited] + lines[index + 1:])
+                   + "\n", index + 1, section, key)
+
+
+# static_c15 with the optional number keys that no bundled config sets
+_OPTIONAL_KEYS = patched(
+    patched(Path(C15).read_text(), "[run]\n",
+            "[run]\nrel_tol = 1e-10\nabs_tol = 1e-12\n"),
+    _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 1.7\norder_hi = 2.3")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("text", [
+    *(pytest.param((CONFIGS / name).read_text(), id=name)
+      for name in sorted(p.name for p in CONFIGS.glob("*.cfg"))),
+    pytest.param(_OPTIONAL_KEYS, id="optional-keys"),
+])
+def test_non_finite_number_is_refused_at_its_line(tmp_path, capsys, text,
+                                                  value):
+    # each number of each config in turn: no key means anything with a
+    # non-finite value, and 1e400 reads as inf, so the reader refuses
+    # every edit at its own line; some used to load (static_c0's
+    # [grid] rho_min = nan, [run] rel_tol = nan) or name only a section
+    # header
+    edits = list(_number_edits(text, value))
+    assert len(edits) >= 30             # every config sets 30 numbers or more
+    out_dir = tmp_path / "run"
+    wrong = []
+    for cfg, line, _, key in edits:
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out_dir), "--quiet"])
+        err = capsys.readouterr().err
+        if (rc != EXIT_PARSE or out_dir.exists()
+                or not err.startswith(f"error: line {line}: {key} = ")):
+            wrong.append((line, rc, err))
+    assert not wrong
+
+
+# what the message of each overflow at 1e308 names
+_OVERFLOW_NAMES = {
+    ("static_c15.cfg", "mass", "value"): "chain slope is not finite",
+    ("static_c15.cfg", "frequency", "value"): "W^2",
+    ("static_c15.cfg", "magnetic_field", "value"): "W^2",
+    ("static_c15.cfg", "constants", "q"): "W^2",
+    ("static_c15.cfg", "mode", "k"): "chain slope is not finite",
+    ("static_c15.cfg", "mode", "amp_first"): "assembled field is not finite",
+    ("static_c15.cfg", "mode", "amp_second"): "assembled field is not finite",
+    ("exp_omega.cfg", "mass", "value"): "chain slope is not finite",
+    ("exp_omega.cfg", "frequency", "base"): "W^2",
+    ("exp_omega.cfg", "frequency", "rate"): "frequency is not finite",
+    ("exp_omega.cfg", "magnetic_field", "value"): "W^2",
+    ("exp_omega.cfg", "span", "t1"): "frequency is not finite",
+    ("exp_omega.cfg", "mode", "k"): "chain slope is not finite",
+    ("exp_omega.cfg", "mode", "amp_first"): "assembled field is not finite",
+    ("exp_omega.cfg", "mode", "amp_second"): "assembled field is not finite",
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e308"])
+@pytest.mark.parametrize("name", ["static_c15.cfg", "exp_omega.cfg"])
+def test_finite_extremes_end_in_a_contract_exit_code(tmp_path, capsys, name,
+                                                     value):
+    # finite but extreme numbers pass, are refused, or fail with a named
+    # error: (q B)**2 and math.exp used to raise OverflowError out of main
+    # (exit 1 with a traceback), and a nan chain step ended in
+    # "OutOfDomain: t=nan"
+    edits = list(_number_edits((CONFIGS / name).read_text(), value))
+    assert len(edits) >= 30
+    for i, (cfg, _, section, key) in enumerate(edits):
+        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / f"run{i}"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc in {EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VERIFY,
+                      EXIT_INCONCLUSIVE, EXIT_UNSTABLE, EXIT_LADDER}, err
+        assert "Traceback" not in err
+        if value == "1e308" and (name, section, key) in _OVERFLOW_NAMES:
+            assert _OVERFLOW_NAMES[name, section, key] in err, err
 
 
 @pytest.mark.parametrize("flags_line,argv,message", [

@@ -13,7 +13,8 @@ import pytest
 
 from invosc import ode
 from invosc.artifacts import write_trajectory_csv
-from invosc.errors import BlowUp, OutOfDomain, ToleranceNotMet, ZeroCrossing
+from invosc.errors import (BlowUp, NonFinite, OutOfDomain, ToleranceNotMet,
+                           ZeroCrossing)
 from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
                         solve_chain)
 from invosc.params import TimeFunction, coefficient_terms
@@ -308,6 +309,28 @@ def test_out_of_span_evaluation_raises():
     for t in (1.5, math.nan, np.array([0.5, math.nan])):
         with pytest.raises(OutOfDomain):
             traj.alpha(t)
+
+
+@pytest.mark.parametrize("coeffs,k,alpha0,message", [
+    (make_coeffs(C=0.0), 1.0, complex(math.nan), "alpha0 must be finite"),
+    # alpha0 = m W = 1e308, so alpha^2 / m overflows in the first slope
+    (make_coeffs(m=1e308, C=0.0), 1.0, None,
+     "chain slope is not finite at t=0"),
+    (make_coeffs(C=0.0), 1e308, None, "chain slope is not finite at t=0"),
+], ids=["nan-alpha0", "huge-mass", "huge-k"])
+def test_non_finite_chain_is_named(coeffs, k, alpha0, message):
+    # each used to end in "OutOfDomain: t=nan" or a bare ValueError
+    with pytest.raises(NonFinite, match=message):
+        solve_chain(coeffs, k, alpha0=alpha0)
+
+
+def test_nan_step_is_named_with_its_time():
+    # a slope that turns nan mid-span makes a nan error norm
+    def rhs(t, y):
+        return np.full(y.shape, math.nan if t > 0.5 else 1.0, dtype=complex)
+    with pytest.raises(NonFinite, match=r"chain step from t=0\.\d+ is not "):
+        ode._dopri5(rhs, (0.0, 1.0), [0j], IntegratorConfig(),
+                    lambda *args: None)
 
 
 def test_solve_chain_rejects_unknown_coupling():

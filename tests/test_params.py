@@ -7,8 +7,9 @@ import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
 from invosc.oracle import RadialProblem
-from invosc.params import (CoefficientSet, TimeFunction, coefficient_terms,
-                           parse_sections, time_function_from_section)
+from invosc.params import (CoefficientRangeError, CoefficientSet,
+                           TimeFunction, coefficient_terms, parse_sections,
+                           time_function_from_section)
 from invosc.wavefunction import ModeSpec, PolarGrid, schrodinger_residual
 
 from conftest import SPAN, WINNER, make_chain, make_coeffs
@@ -210,6 +211,31 @@ def test_effective_frequency_sq_value():
     assert coefficient_terms(c, 0.0)[1] == pytest.approx(3.25)
 
 
+@pytest.mark.parametrize("t", [0.25, np.array([0.25, 0.5])])
+def test_overflowing_terms_name_w2_and_t(t):
+    # (q B)**2 on floats raised OverflowError; the square is a product now
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFinite, match=r"^W\^2 = .* is not finite at t=0\.25$"):
+        coefficient_terms(make_coeffs(B=1e308), t)
+    # m * m underflows to zero: a ZeroDivisionError on floats
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            NonFinite, match=r"^W\^2 = .* is not finite at t=0\.25$"):
+        coefficient_terms(make_coeffs(m=1e-200), t)
+
+
+@pytest.mark.parametrize("coefficient", ["mass", "frequency"])
+def test_overflowing_sign_check_names_its_coefficient(coefficient):
+    # math.exp(1e308) raised OverflowError out of minimum_on_span
+    big = TimeFunction.exponential(1.0, 1e308, SPAN)
+    with pytest.raises(CoefficientRangeError,
+                       match=f"^{coefficient} is not finite on the configured"
+                       ) as err:
+        make_coeffs(**{{"mass": "m", "frequency": "w"}[coefficient]: big})
+    assert err.value.coefficient == coefficient
+    with pytest.raises(NonFinite, match="exponential family overflows"):
+        big.minimum_on_span()
+
+
 def test_zero_field_kills_rate_but_not_frequency():
     c = make_coeffs(B=0.0, w=2.0)
     _, w2, rate = coefficient_terms(c, 0.7)
@@ -266,6 +292,9 @@ def test_time_function_from_section_families():
     ("family = warp\n", "unknown family"),
     ("family = constant\n", "missing key"),
     ("family = constant\nvalue = two\n", "not a number"),
+    ("family = constant\nvalue = nan\n", "line 3: value = 'nan' is not finite"),
+    ("family = polynomial\ncoeffs = 1, 1e400\n",
+     "line 3: coeffs = '1, 1e400' is not finite"),
     ("family = constant\nvalue = 1\nwibble = 2\n", "unknown key"),
     ("family = constant\nvalue = 1.0\nslope = 5\n", "unknown key"),
 ])
