@@ -20,8 +20,8 @@ the everyday surface.  ``cli_main`` is resolved on first access, so that
 from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
                      GridTooCoarse, Inconclusive, InvoscError,
                      MismatchedGrids, NonFinite, NonPositiveArgument,
-                     OriginUndefined, OutOfDomain, Overflow, Pole,
-                     ToleranceNotMet, Unstable, ZeroCrossing, ZeroNorm)
+                     OriginUndefined, OutOfDomain, Overflow, ToleranceNotMet,
+                     Unstable, ZeroCrossing, ZeroNorm)
 from .params import CoefficientSet, TimeFunction
 from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
                   default_alpha0, solve_chain)
@@ -42,8 +42,7 @@ __all__ = [
     "BlowUp", "ConfigError", "DomainTooLarge", "FallToCenter",
     "GridTooCoarse", "Inconclusive", "InvoscError", "MismatchedGrids",
     "NonFinite", "NonPositiveArgument", "OriginUndefined", "OutOfDomain",
-    "Overflow", "Pole", "ToleranceNotMet", "Unstable", "ZeroCrossing",
-    "ZeroNorm",
+    "Overflow", "ToleranceNotMet", "Unstable", "ZeroCrossing", "ZeroNorm",
     "CoefficientSet", "TimeFunction",
     "IntegratorConfig", "MU_COUPLINGS", "TransformTrajectory",
     "default_alpha0", "solve_chain", "write_trajectory_csv",

@@ -8,6 +8,7 @@ import numpy as np
 
 DIGEST = b"# config_digest: "
 _CHUNK_ROWS = 4096      # one format_columns call a chunk: see invosc.g17
+TRAJECTORY_SAMPLES = 512    # trajectory.csv rows unless the config sets them
 
 
 def _texts(values, seps):
@@ -85,7 +86,7 @@ def read_digest(path):
                  for line in head if line.startswith(DIGEST)), None)
 
 
-def write_trajectory_csv(traj, path, num=512, digest=None):
+def write_trajectory_csv(traj, path, num=TRAJECTORY_SAMPLES, digest=None):
     """The transformation chain at ``num`` evenly spaced times."""
     ts = np.linspace(traj.span[0], traj.span[1], num)
     a, m, f = (np.asarray(fn(ts)) for fn in (traj.alpha, traj.mu, traj.phase))

@@ -20,6 +20,11 @@ whose CSV files carry another digest.  Outputs are deterministic: fixed
 float format, fixed iteration order, no timestamps.  One process owns an
 output directory at a time, enforced with a ``.lock`` file.
 
+The library returns what it measured, a tied scan or an orderless
+ladder too; the commands write it, then judge it here: the scan's 2x
+rule, the monotone ladder, verify's bar and order window, and the
+oracle's fidelity floor.
+
 Exit codes are a stable contract:
 
   0  pass            4  verification failed (residual/fidelity criteria)
@@ -42,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (read_digest, table_rows, write_summary,
-                        write_trajectory_csv)
+from .artifacts import (TRAJECTORY_SAMPLES, read_digest, table_rows,
+                        write_summary, write_trajectory_csv)
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
@@ -51,9 +56,9 @@ from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
 from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
                      time_function_from_section, within_span)
-from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
-                           ModeSpec, PolarGrid, ScanOutcome, assemble_psi,
-                           convention_scan, sample_field,
+from .wavefunction import (RESIDUAL_STEPS, CartesianGrid, ConventionFlags,
+                           GridGeometry, ModeSpec, PolarGrid, ScanOutcome,
+                           assemble_psi, convention_scan, sample_field,
                            schrodinger_residual, sector_winding)
 
 __all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_PARSE", "EXIT_SOLVER",
@@ -192,8 +197,7 @@ class RunConfig:
                                   "order_lo", "order_hi"})
             verify = VerifySettings(
                 times=ver_s.floats("times"),
-                dt_ladder=ver_s.floats("dt_ladder",
-                                       default=(8e-3, 4e-3, 2e-3)),
+                dt_ladder=ver_s.floats("dt_ladder", default=RESIDUAL_STEPS),
                 max_rel_inf=ver_s.float("max_rel_inf"),
                 order_lo=ver_s.float("order_lo", default=1.7),
                 order_hi=ver_s.float("order_hi", default=2.3))
@@ -240,7 +244,7 @@ class RunConfig:
                                   orc_s.items["record_times"][1]) from exc
 
         field_times = (span[0], span[1])
-        samples = 512
+        samples = TRAJECTORY_SAMPLES
         mu_coupling = "pde"
         chain_cfg = IntegratorConfig()
         if "run" in sections:
@@ -447,19 +451,26 @@ def _run(args, need=None, scan=False, levels=1):
 
 
 def _scan(cfg, out, chain):
-    """Rank the eight readings and write scan_table.csv, a tied table too;
-    a memoized ``chain(branch)`` keeps the winner's chain for the command."""
-    tie = None
-    try:
-        outcome = convention_scan(cfg.mode, chain, cfg.coeffs, cfg.grid,
-                                  times=cfg.verify.times,
-                                  step=cfg.verify.dt_ladder[0])
-    except Inconclusive as exc:
-        tie, outcome = exc, ScanOutcome.ranked(exc.rows)
+    """Rank the eight readings, write scan_table.csv and refuse a tie; a
+    memoized ``chain(branch)`` keeps the winner's chain for the command."""
+    outcome = convention_scan(cfg.mode, chain, cfg.coeffs, cfg.grid,
+                              times=cfg.verify.times,
+                              step=cfg.verify.dt_ladder[0])
     outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
-    if tie is not None:
-        raise tie
+    _require_decisive(outcome)
     return outcome
+
+
+def _require_decisive(outcome):
+    """The 2x rule: a winner closer than 2x to the runner-up was not chosen
+    by the data, so the scan is Inconclusive."""
+    if outcome.margin < 2.0:
+        rel_inf = {row.flags: row.rel_inf for row in outcome.rows}
+        best, second = outcome.winner, outcome.runner_up
+        raise Inconclusive(
+            f"best residual {rel_inf[best]:.3e} ({best.label()}) is "
+            f"within 2x of runner-up {rel_inf[second]:.3e} "
+            f"({second.label()})")
 
 
 # -- commands -----------------------------------------------------------------
@@ -494,20 +505,17 @@ def cmd_solve(args):
 def cmd_verify(args):
     with _run(args, "verification", levels=2) as run:
         ver = run.cfg.verify
-        try:
-            report = schrodinger_residual(run.mode, run.traj, run.cfg.coeffs,
-                                          run.cfg.grid, times=ver.times,
-                                          steps=ver.dt_ladder)
-        except GridTooCoarse as exc:
-            partial = getattr(exc, "report", None)
-            if partial is not None:
-                partial.write_csv(run.out / "residual_ladder.csv",
-                                  digest=run.cfg.digest)
-                _say(args, f"verify: FAIL (no convergence) {exc}")
-            raise
+        report = schrodinger_residual(run.mode, run.traj, run.cfg.coeffs,
+                                      run.cfg.grid, times=ver.times,
+                                      steps=ver.dt_ladder)
         report.write_csv(run.out / "residual_ladder.csv",
                          digest=run.cfg.digest)
-    ok = (report.rel_inf <= ver.max_rel_inf and report.order is not None
+        if report.order is None:
+            reason = ("refinement ladder is not monotone: " + " -> ".join(
+                f"{r.rel_inf:.3e}" for r in report.rungs))
+            _say(args, f"verify: FAIL (no convergence) {reason}")
+            raise GridTooCoarse(reason)
+    ok = (report.rel_inf <= ver.max_rel_inf
           and ver.order_lo <= report.order <= ver.order_hi)
     verdict = "PASS" if ok else "FAIL"
     _say(args, f"verify: {verdict} flags {run.mode.conventions.label()} "

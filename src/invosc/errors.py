@@ -62,10 +62,6 @@ class DomainTooLarge(InvoscError):
     past 2^51.  The caller should shrink the grid or the time window."""
 
 
-class Pole(InvoscError):
-    """Gamma function at a nonpositive integer; nothing raises it now."""
-
-
 class Overflow(InvoscError):
     """Result magnitude exceeds the double-precision range."""
 

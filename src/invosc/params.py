@@ -210,12 +210,19 @@ class TimeFunction:
                                 f"{self.span}") from None
         if self.family == "sinusoidal":
             amp, gam, off = p
+            lo, hi = sorted((gam * t0, gam * t1))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise NonFinite(f"sinusoidal family's phase overflows on the "
+                                f"span {self.span}")
             cands = [t0, t1]
             if gam != 0.0:
-                # cos extrema at gam*t = j*pi
-                j0 = math.ceil(gam * t0 / math.pi) if gam > 0 else math.ceil(gam * t1 / math.pi)
-                j1 = math.floor(gam * t1 / math.pi) if gam > 0 else math.floor(gam * t0 / math.pi)
-                cands += [j * math.pi / gam for j in range(j0, j1 + 1)]
+                # cos extrema at gam*t = j*pi; two consecutive ones hold
+                # both cos = 1 and cos = -1, so the minimum is reached
+                j0, j1 = math.ceil(lo / math.pi), math.floor(hi / math.pi)
+                if j1 > j0:
+                    return off - abs(amp)
+                if j1 == j0:
+                    cands.append(j0 * math.pi / gam)
             return min(off + amp * math.cos(gam * tc) for tc in cands)
         if self.family == "polynomial":
             dcoef = np.polynomial.polynomial.polyder(p)

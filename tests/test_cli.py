@@ -30,9 +30,7 @@ from invosc.bessel import bessel_j, bessel_n
 from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
                         EXIT_SOLVER, EXIT_UNSTABLE, EXIT_VERIFY, OUT_DIR_ENV,
                         RunConfig, _OutputLock, main)
-from invosc.errors import Inconclusive
 from invosc.oracle import snap_times
-from invosc.wavefunction import ConventionFlags, ScanRow
 
 from conftest import count_calls
 
@@ -365,27 +363,29 @@ def test_scan_evaluates_each_radial_factor_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["scan", "solve", "verify", "oracle"])
-def test_scan_maps_inconclusive_to_its_exit_code(tmp_path, monkeypatch,
-                                                 capsys, command):
-    # static_c0 says flags = scan, so every command scans first
-    rows = tuple(ScanRow(flags, 1.0, 1.0, False)
-                 for flags in ConventionFlags.all_combinations())
-
-    def tied_scan(*args, **kwargs):
-        err = Inconclusive("all eight readings measure the same residual")
-        err.rows = rows
-        raise err
-
-    monkeypatch.setattr("invosc.cli.convention_scan", tied_scan)
-    rc = main([command, "--config", C0, "--out", str(tmp_path)])
+def test_scan_maps_inconclusive_to_its_exit_code(tmp_path, c0_text, capsys,
+                                                 command):
+    # static_c0 says flags = scan, so every command scans first.  With no
+    # frequency and no field, alpha stays 0: both branches solve the same
+    # chain, so each reading ties with its other-branch twin.
+    text = patched(c0_text, "[frequency]\nfamily = constant\nvalue = 1.0",
+                   "[frequency]\nfamily = constant\nvalue = 0.0")
+    text = patched(text, "[magnetic_field]\nfamily = constant\nvalue = 1.0",
+                   "[magnetic_field]\nfamily = constant\nvalue = 0.0")
+    out_dir = tmp_path / "run"
+    rc = main([command, "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
     assert rc == EXIT_INCONCLUSIVE
     # the tied table is still written for the postmortem, and nothing else
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan_table.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["scan_table.csv"]
     out, err = capsys.readouterr()
-    assert out == ("scan: INCONCLUSIVE all eight readings measure the same "
-                   "residual\n" if command == "scan" else "")
-    assert err == ("error: Inconclusive: all eight readings measure the same "
-                   "residual\n")
+    tie = re.fullmatch(r"error: Inconclusive: (best residual (\S+) "
+                       r"\(s=\+1,h=1,branch=\+\) is within 2x of runner-up "
+                       r"(\S+) \(s=\+1,h=1,branch=-\))\n", err)
+    assert tie is not None, err
+    assert tie[2] == tie[3]
+    assert out == (f"scan: INCONCLUSIVE {tie[1]}\n" if command == "scan"
+                   else "")
 
 
 @pytest.mark.parametrize("command", ["scan", "solve"])
@@ -487,11 +487,14 @@ def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
      "angular_sign must be +1 or -1"),
     ("solve", "amp_first = 1.0", "amp_first = nan", "amp_first = nan",
      "amp_first = 'nan' is not finite"),
+    ("solve", "amp_first = 1.0", "amp_first = 0.0", "[mode]",
+     "amp_first and amp_second are both 0"),
     ("solve", "[run]\n", "[run]\nrel_tol = -1\n", "[run]",
      "tolerances must be positive"),
     ("verify", "times = 0.4", "times = 5.0", "times = 5.0",
      "times +- dt_ladder[0] must lie in the span"),
-], ids=["k", "C", "angular_sign", "amp_first", "rel_tol", "times"])
+], ids=["k", "C", "angular_sign", "amp_first", "null-state", "rel_tol",
+        "times"])
 def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
                                                      command, old, new, at,
                                                      message):
@@ -504,6 +507,26 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: {at.split(' = ')[0]}")
     assert message in err
+    assert not out_dir.exists()
+
+
+def test_sinusoidal_phase_overflow_is_refused_at_its_section(tmp_path,
+                                                              capsys):
+    # 1e308 * t1 overflows the phase: a config error at [frequency], not
+    # an OverflowError out of main
+    text = patched(Path(C15).read_text(),
+                   "[frequency]\nfamily = constant\nvalue = 1.0",
+                   "[frequency]\nfamily = sinusoidal\namplitude = 0.5\n"
+                   "angular_frequency = 1e308\noffset = 1.0")
+    text = patched(text, "t1 = 1.0", "t1 = 2.0")
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index("[frequency]") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: frequency is not finite on the configured "
+        "span\n")
     assert not out_dir.exists()
 
 

@@ -142,6 +142,24 @@ def _package_imports(path):
     return found
 
 
+def test_every_error_type_is_raised_somewhere():
+    # an error type that no module constructs is dead API: its catchers
+    # can never fire
+    from invosc import errors
+    made = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                made.add(getattr(func, "id", getattr(func, "attr", None)))
+    kinds = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.InvoscError)}
+    assert len(kinds) > 10
+    assert sorted(kinds - made) == []
+
+
 def test_oracle_imports_only_params_and_errors():
     # the oracle is independent evidence only while it shares nothing
     # with the assembly path but the coefficient definitions

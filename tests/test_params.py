@@ -156,6 +156,50 @@ def test_minimum_on_span_sees_interior_dips():
     assert f.minimum_on_span() == pytest.approx(-0.75, abs=1e-12)
 
 
+def _enumerated_sinusoidal_minimum(amp, gam, off, t0, t1):
+    """The reference: endpoints plus every cos extremum gam t = j pi in
+    [t0, t1], listed one by one."""
+    cands = [t0, t1]
+    if gam != 0.0:
+        lo, hi = sorted((gam * t0, gam * t1))
+        js = range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1)
+        cands += [j * math.pi / gam for j in js]
+    return min(off + amp * math.cos(gam * tc) for tc in cands)
+
+
+def test_sinusoidal_minimum_matches_the_enumeration():
+    # spans that hold no extremum, one, or many, with both signs of the
+    # amplitude and of the frequency, and a zero frequency
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        amp, off = rng.uniform(-2.0, 2.0, 2)
+        gam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+        if rng.random() < 0.05:
+            gam = 0.0
+        t0 = rng.uniform(-3.0, 3.0)
+        t1 = t0 + 10.0 ** rng.uniform(-4.0, 1.0)
+        f = TimeFunction.sinusoidal(amp, gam, (t0, t1), offset=off)
+        assert f.minimum_on_span() == _enumerated_sinusoidal_minimum(
+            amp, gam, off, t0, t1), (amp, gam, off, t0, t1)
+
+
+def test_sinusoidal_minimum_costs_the_same_at_any_frequency(monkeypatch):
+    # every config load runs the sign check, so it evaluates no more than
+    # the endpoints and one extremum, not the 31,831 extrema of cos(1e5 t)
+    # on [0, 1]
+    calls = []
+    real_cos = math.cos
+    monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or real_cos(x))
+    for gam, low in ((1e5, 0.5), (1.0, 1.0 + 0.5 * real_cos(1.0))):
+        f = TimeFunction.sinusoidal(0.5, gam, SPAN, offset=1.0)
+        assert f.minimum_on_span() == low
+    assert len(calls) <= 3
+    # a phase that overflows at an end of the span has no minimum to find
+    huge = TimeFunction.sinusoidal(0.5, 1e308, (0.0, 2.0), offset=1.0)
+    with pytest.raises(NonFinite, match="sinusoidal family's phase overflows"):
+        huge.minimum_on_span()
+
+
 # -- coefficient set invariants --------------------------------------------------
 
 def test_nonpositive_mass_rejected():

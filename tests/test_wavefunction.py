@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from invosc.bessel import bessel_j, bessel_n
-from invosc.errors import (FallToCenter, GridTooCoarse, Inconclusive,
-                           NonFinite, NonPositiveArgument, OriginUndefined,
-                           OutOfDomain, ZeroNorm)
+from invosc.cli import _require_decisive
+from invosc.errors import (FallToCenter, Inconclusive, NonFinite,
+                           NonPositiveArgument, OriginUndefined, OutOfDomain,
+                           ZeroNorm)
 from invosc.wavefunction import (CartesianGrid, ConventionFlags,
                                  GridGeometry, ModeSpec, PolarGrid,
                                  ResidualReport, WaveField,
@@ -177,6 +178,9 @@ def test_mode_spec_validation():
         ModeSpec(k=1.0, n=1, nu=1.0, amp_first=math.nan)
     with pytest.raises(ValueError, match="finite"):
         ModeSpec(k=1.0, n=1, nu=1.0, amp_second=complex(0.0, math.inf))
+    # the null state assembles 0 everywhere: nothing to solve or verify
+    with pytest.raises(ValueError, match="both 0"):
+        ModeSpec(k=1.0, n=1, nu=1.0, amp_first=0.0)
 
 
 def test_mode_describe_names_the_conventions(mode_c15):
@@ -923,11 +927,11 @@ def test_literal_sign_reading_fails_the_operator(mode_c15, chain_c15,
 
 
 def test_static_field_fails_the_ladder_with_report(mode_c15, coeffs_c15):
+    # the ladder does not decrease, so the report comes back with no order
+    # (verify turns that into GridTooCoarse after writing the table)
     grid = PolarGrid(0.4, 8.0, 16, 16)
-    with pytest.raises(GridTooCoarse) as info:
-        schrodinger_residual(mode_c15, FlatChain(), coeffs_c15, grid,
-                             (0.5,), steps=(8e-3, 4e-3))
-    report = info.value.report
+    report = schrodinger_residual(mode_c15, FlatChain(), coeffs_c15, grid,
+                                  (0.5,), steps=(8e-3, 4e-3))
     assert report.order is None
     assert len(report.rungs) == 2
     # i d/dt of a static field is zero, so the residual IS the H norm
@@ -1012,25 +1016,30 @@ def test_scan_table_csv_marks_one_winner(tmp_path, scan_outcome):
 
 def test_indistinguishable_readings_raise_inconclusive(mode_c15, coeffs_c15):
     # with alpha frozen at 0 the eight readings assemble the same field,
-    # so no residual can separate them
+    # so no residual can separate them: the tied table comes back, and
+    # the commands' 2x rule refuses it
     def factory(branch):
         return FlatChain()
 
     grid = PolarGrid(0.4, 8.0, 16, 16)
-    with pytest.raises(Inconclusive) as info:
-        convention_scan(mode_c15, factory, coeffs_c15, grid, (0.5,),
-                        step=8e-3)
-    rows = info.value.rows
+    outcome = convention_scan(mode_c15, factory, coeffs_c15, grid, (0.5,),
+                              step=8e-3)
+    rows = outcome.rows
     assert len(rows) == 8
     assert len({row.rel_inf for row in rows}) == 1
+    assert outcome.margin == 1.0
+    with pytest.raises(Inconclusive, match="within 2x of runner-up"):
+        _require_decisive(outcome)
 
 
-def test_residual_of_a_vanishing_field_is_undefined(mode_c15, chain_c15,
-                                                    coeffs_c15):
-    # with both amplitudes 0, H Psi is 0 on every active node, so there is
-    # no scale to measure the residual against
-    zero = dataclasses.replace(mode_c15, amp_first=0j)
+def test_residual_of_a_vanishing_field_is_undefined(coeffs_c15):
+    # a field that is 0 everywhere has H Psi = 0 on every active node, so
+    # there is no scale to measure the residual against; ModeSpec refuses
+    # the null state, so only a psi callable reaches this
+    def zero(x, y, t):
+        return np.zeros(np.shape(x), dtype=complex)
+
     with pytest.raises(ZeroNorm, match="H Psi vanishes"):
-        schrodinger_residual(zero, chain_c15, coeffs_c15,
+        schrodinger_residual(None, None, coeffs_c15,
                              PolarGrid(0.4, 8.0, 16, 16), (0.5,),
-                             steps=(8e-3,))
+                             steps=(8e-3,), psi=zero)
