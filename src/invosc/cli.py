@@ -491,8 +491,8 @@ def cmd_solve(args):
             ("coefficients", cfg.coeffs.describe()),
             ("grid", cfg.grid.describe()),
             ("field_times", ",".join(repr(t) for t in cfg.field_times)),
-            ("chain_rel_tol", repr(run.traj.rel_tol)),
-            ("chain_abs_tol", repr(run.traj.abs_tol)),
+            ("chain_rel_tol", repr(cfg.chain_cfg.rel_tol)),
+            ("chain_abs_tol", repr(cfg.chain_cfg.abs_tol)),
             ("alpha0", repr(run.traj.alpha0)),
             ("artifacts", ",".join(artifacts)),
         ])
@@ -612,12 +612,12 @@ def _build_parser():
                     "field: solve, verify, cross-check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, with_config=True, with_flags=True):
+    def add(name, func, help_text, with_config=True, with_flags=True,
+            out_help=f"output directory (default ${OUT_DIR_ENV} or .)"):
         p = sub.add_parser(name, help=help_text)
         if with_config:
             p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default ${OUT_DIR_ENV} or .)")
+        p.add_argument("--out", default=None, help=out_help)
         if with_flags:
             p.add_argument("--flags", default=None,
                            help="override [mode] flags, e.g. s=-1,h=1/2,branch=+")
@@ -636,7 +636,9 @@ def _build_parser():
         "rank all 8 convention readings by residual", with_flags=False)
     p = add("bessel-table", cmd_bessel_table,
             "tabulate J_nu and N_nu on a range", with_config=False,
-            with_flags=False)
+            with_flags=False,
+            out_help="write bessel_table.csv into this directory "
+                     "(default: print the table to stdout)")
     p.add_argument("nu", type=float, help="order")
     p.add_argument("x_min", type=float, help="first abscissa (> 0)")
     p.add_argument("x_max", type=float, help="last abscissa")

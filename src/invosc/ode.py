@@ -245,29 +245,25 @@ def default_alpha0(coeffs: CoefficientSet, t0=None, branch=+1):
     return branch * m * math.sqrt(w2)
 
 
-class _ScaledExp:
-    """exp(g(t)) wrapper keeping mu structurally nonzero."""
-
-    def __init__(self, log_fn):
-        self.log = log_fn
-
-    def __call__(self, t):
-        return np.exp(self.log(t))
-
-
 @dataclass(frozen=True)
 class TransformTrajectory:
     """Dense record of the full chain (beta, alpha, mu, f) over a span,
-    with the start alpha0 and the tolerances it was solved to."""
+    with the start alpha0.
+
+    mu is held as its logarithm g = log(mu / mu0), the component the
+    integrator carries, so mu(t) = exp(g(t)) is structurally nonzero.
+    The tolerances it was solved to are the caller's IntegratorConfig.
+    """
 
     span: tuple[float, float]
     beta: DenseFunction
     alpha: DenseFunction
-    mu: _ScaledExp
+    log_mu: DenseFunction
     phase: DenseFunction
     alpha0: complex
-    rel_tol: float
-    abs_tol: float
+
+    def mu(self, t):
+        return np.exp(self.log_mu(t))
 
 
 def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
@@ -324,6 +320,5 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
     return TransformTrajectory(
         span=span, beta=DenseFunction(ts, rcont[:, 0], real=True),
         alpha=DenseFunction(ts, rcont[:, 1]),
-        mu=_ScaledExp(DenseFunction(ts, rcont[:, 2])),
-        phase=DenseFunction(ts, rcont[:, 3]), alpha0=a0,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+        log_mu=DenseFunction(ts, rcont[:, 2]),
+        phase=DenseFunction(ts, rcont[:, 3]), alpha0=a0)

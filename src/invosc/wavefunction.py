@@ -348,7 +348,7 @@ class PolarGrid:
 
 # -- assembly -------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GridGeometry:
     """The time-independent part of assembly on one set of nodes.
 
@@ -364,50 +364,35 @@ class GridGeometry:
                     by everything the factor depends on, (nu, k, amp_first,
                     amp_second, mu), so no entry ever goes stale
 
-    ``active`` is the residual's mask of active nodes, set by of_grid.
-    Build one per grid and pass it to assemble_psi at every time; it is
-    what lets a call skip every per-node hypot, unique, atan2 and exp,
-    and every Bessel evaluation at a (mode, mu) it has seen: the eight
-    readings of a scan share the factor of each (branch, t).  The rungs
-    of a residual ladder need no memo for that: they share Psi(t) and
-    H Psi(t) themselves (see schrodinger_residual).
+    It serves assembly only: the residual's mask of active nodes is the
+    grid's (see schrodinger_residual).  Build one per grid, from
+    ``GridGeometry(*grid.xy_mesh(), winding)``, and pass it to
+    assemble_psi at every time; it is what lets a call skip every
+    per-node hypot, unique, atan2 and exp, and every Bessel evaluation at
+    a (mode, mu) it has seen: the eight readings of a scan share the
+    factor of each (branch, t).  The rungs of a residual ladder need no
+    memo for that: they share Psi(t) and H Psi(t) themselves.
     """
 
     x: np.ndarray
     y: np.ndarray
     winding: int
-    active: np.ndarray | None = None
-    radii: np.ndarray = dataclasses.field(init=False, repr=False)
-    inverse: np.ndarray = dataclasses.field(init=False, repr=False)
-    origin: np.ndarray | None = dataclasses.field(init=False, repr=False)
-    phase: np.ndarray = dataclasses.field(init=False, repr=False)
-    radial: dict = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        x, y = np.broadcast_arrays(np.asarray(self.x, dtype=float),
-                                   np.asarray(self.y, dtype=float))
-        xf, yf = x.ravel(), y.ravel()
+        self.x, self.y = np.broadcast_arrays(np.asarray(self.x, dtype=float),
+                                             np.asarray(self.y, dtype=float))
+        self.winding = int(self.winding)
+        xf, yf = self.x.ravel(), self.y.ravel()
         rho = np.hypot(xf, yf)
-        origin = rho == 0.0
-        if np.any(origin):
-            body = ~origin
+        self.origin = rho == 0.0
+        if np.any(self.origin):
+            body = ~self.origin
             xf, yf, rho = xf[body], yf[body], rho[body]
         else:
-            origin = None
-        radii, inverse = np.unique(rho, return_inverse=True)
-        winding = int(self.winding)
-        phase = np.exp(1j * (winding * np.arctan2(yf, xf)))
-        for name, value in (("x", x), ("y", y), ("winding", winding),
-                            ("radii", radii), ("inverse", inverse),
-                            ("origin", origin), ("phase", phase),
-                            ("radial", {})):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def of_grid(cls, grid, winding, rho_min):
-        """Geometry of a grid's nodes, with its residual mask at rho_min."""
-        X, Y = grid.xy_mesh()
-        return cls(X, Y, winding, active=grid.active_mask(rho_min))
+            self.origin = None
+        self.radii, self.inverse = np.unique(rho, return_inverse=True)
+        self.phase = np.exp(1j * (self.winding * np.arctan2(yf, xf)))
+        self.radial = {}
 
     @property
     def shape(self):
@@ -650,7 +635,6 @@ class ResidualReport:
     rungs: tuple
     order: float | None
     grid_desc: str
-    times: tuple
     rho_min: float
     per_time: tuple = ()        # finest rung: (t, rel_inf, rel_l2, Hinf, Hl2)
 
@@ -699,12 +683,14 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
     RESIDUAL_STEPS); each rung is one step.  ``psi(x_mesh, y_mesh, t)``
     overrides the assembled field, which keeps the operator testable
     against known exact solutions; otherwise ``mode`` and ``traj`` drive
-    assemble_psi.  ``geometry`` supplies the GridGeometry.of_grid of
-    ``grid``, so repeated calls on one grid (convention_scan) share it.
-    Psi(t) and H Psi(t) do not depend on the step, so each residual time
-    assembles Psi(t) and applies the operator once, and every rung
-    shares H Psi and its norms; a rung adds only Psi(t - dt) and
-    Psi(t + dt).
+    assemble_psi.  ``geometry`` supplies the GridGeometry of ``grid``'s
+    nodes, so repeated calls on one grid (convention_scan) share it; a
+    psi callable needs none.  The residual owns its mask of active
+    nodes: grid.active_mask at the floor of _residual_floor, derived on
+    every call.  Psi(t) and H Psi(t) do not depend on the step, so each
+    residual time assembles Psi(t) and applies the operator once, and
+    every rung shares H Psi and its norms; a rung adds only Psi(t - dt)
+    and Psi(t + dt).  The report's per-time rows are the finest rung's.
 
     The finite-difference operator always acts on the assembled 2D
     field, never on its factors, so the residual stays independent
@@ -717,37 +703,36 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
     """
     times = tuple(float(t) for t in times)
     steps = tuple(float(s) for s in steps)
-    if any(s <= 0 for s in steps):
-        raise ValueError("steps must be positive")
+    if not steps or any(s <= 0 for s in steps):
+        raise ValueError("steps must be one or more positive time steps")
     if psi is None and (mode is None or traj is None):
         raise ValueError("need mode and traj when no psi callable is given")
 
-    rho_floor = _residual_floor(grid, coeffs)
-    if geometry is None:
-        # the phase of a geometry only serves assembly, which psi replaces
-        winding = 0 if psi is not None else sector_winding(mode)
-        geometry = GridGeometry.of_grid(grid, winding, rho_floor)
-    elif geometry.shape != grid.shape or geometry.active is None:
-        raise ValueError("geometry must come from GridGeometry.of_grid "
-                         "on the residual grid")
+    if geometry is not None and geometry.shape != grid.shape:
+        raise ValueError(f"geometry of shape {geometry.shape} does not "
+                         f"match the residual grid {grid.shape}")
     if traj is not None:
         lo, hi = min(times) - max(steps), max(times) + max(steps)
         if not within_span((lo, hi), traj.span):
             raise OutOfDomain(
                 f"residual stencil needs t in [{lo:g}, {hi:g}], "
                 f"outside the trajectory span {traj.span}")
-    mask = geometry.active
+    rho_floor = _residual_floor(grid, coeffs)
+    mask = grid.active_mask(rho_floor)
     if not np.any(mask):
         raise GridTooCoarse("no active residual points inside the grid")
     if psi is None:
+        if geometry is None:
+            geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode))
         def psi_at(t):
             return assemble_psi(mode, traj, geometry.x, geometry.y, t,
                                 geometry=geometry)
     else:
+        X, Y = grid.xy_mesh()
         def psi_at(t):
-            return np.asarray(psi(geometry.x, geometry.y, t), dtype=complex)
+            return np.asarray(psi(X, Y, t), dtype=complex)
 
-    rows = [[] for _ in steps]
+    per_time = []
     num_r2 = [0.0] * len(steps)
     worst_inf = [0.0] * len(steps)
     num_h2 = 0.0
@@ -767,22 +752,22 @@ def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
             r = np.abs((1j * dpsi_dt - h_mid)[mask])
             r_inf = float(np.max(r))
             r_l2 = float(np.sqrt(np.sum(r * r)))
-            rows[i].append((t, r_inf / h_inf, r_l2 / h_l2, h_inf, h_l2))
             worst_inf[i] = max(worst_inf[i], r_inf)
             num_r2[i] += r_l2 * r_l2
+        # r_inf and r_l2 are left from the last, finest rung
+        per_time.append((t, r_inf / h_inf, r_l2 / h_l2, h_inf, h_l2))
 
     spacing = grid.spacing()[0]
     rungs = tuple(LadderRung(dt, spacing, w / worst_h, math.sqrt(n2 / num_h2))
                   for dt, w, n2 in zip(steps, worst_inf, num_r2))
-    per_time = tuple(rows[-1])
     pairs = tuple(zip(rungs, rungs[1:]))
     order = None
     if pairs and all(r1.rel_inf < r0.rel_inf for r0, r1 in pairs):
         order = float(np.mean([math.log(r0.rel_inf / r1.rel_inf)
                                / math.log(r0.step / r1.step)
                                for r0, r1 in pairs]))
-    return ResidualReport(rungs, order, grid.describe(), times, rho_floor,
-                          per_time)
+    return ResidualReport(rungs, order, grid.describe(), rho_floor,
+                          tuple(per_time))
 
 
 # -- convention scan --------------------------------------------------------------
@@ -840,8 +825,7 @@ def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
     whether that is decisive.
     """
     times = tuple(float(t) for t in times)
-    geometry = GridGeometry.of_grid(grid, sector_winding(mode_template),
-                                    _residual_floor(grid, coeffs))
+    geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode_template))
     trajs = {}
     rows = []
     for flags in ConventionFlags.all_combinations():

@@ -117,7 +117,7 @@ def test_residual_ladder_csv_matches_the_per_row_writer(tmp_path, digest,
     rungs = tuple(LadderRung(*values[4 * i:4 * i + 4]) for i in range(12))
     rows = tuple(tuple(values[48 + 5 * i:53 + 5 * i]) for i in range(7))
     report = ResidualReport(rungs=rungs, order=1.9990000000000001,
-                            grid_desc="polar 8x8", times=(0.5,), rho_min=0.25,
+                            grid_desc="polar 8x8", rho_min=0.25,
                             per_time=rows if per_time else ())
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     report.write_csv(new, digest=digest)

@@ -895,7 +895,29 @@ _OVERFLOW_NAMES = {
     ("exp_omega.cfg", "mode", "k"): "chain slope is not finite",
     ("exp_omega.cfg", "mode", "amp_first"): "assembled field is not finite",
     ("exp_omega.cfg", "mode", "amp_second"): "assembled field is not finite",
+    ("ramp_mass.cfg", "mass", "intercept"): "chain slope is not finite",
+    ("sinusoidal_b.cfg", "magnetic_field", "amplitude"): "W^2",
 }
+# and through oracle, which reads the [oracle] numbers that solve ignores
+_ORACLE_OVERFLOW_NAMES = {
+    ("static_c15.cfg", "oracle", "rho_max"): "exceeds 2^51",
+}
+
+
+def _run_extremes(tmp_path, capsys, command, name, edits, value,
+                  names=_OVERFLOW_NAMES):
+    """Run ``command`` on each edit: each ends in a contract exit code,
+    with no traceback, and an overflow in ``names`` names what
+    overflowed."""
+    for i, (cfg, _, section, key) in enumerate(edits):
+        rc = main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / f"run{i}"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc in {EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VERIFY,
+                      EXIT_INCONCLUSIVE, EXIT_UNSTABLE, EXIT_LADDER}, err
+        assert "Traceback" not in err
+        if value == "1e308" and (name, section, key) in names:
+            assert names[name, section, key] in err, err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1e308"])
@@ -908,15 +930,25 @@ def test_finite_extremes_end_in_a_contract_exit_code(tmp_path, capsys, name,
     # "OutOfDomain: t=nan"
     edits = list(_number_edits((CONFIGS / name).read_text(), value))
     assert len(edits) >= 30
-    for i, (cfg, _, section, key) in enumerate(edits):
-        rc = main(["solve", "--config", write_cfg(tmp_path, cfg),
-                   "--out", str(tmp_path / f"run{i}"), "--quiet"])
-        err = capsys.readouterr().err
-        assert rc in {EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_VERIFY,
-                      EXIT_INCONCLUSIVE, EXIT_UNSTABLE, EXIT_LADDER}, err
-        assert "Traceback" not in err
-        if value == "1e308" and (name, section, key) in _OVERFLOW_NAMES:
-            assert _OVERFLOW_NAMES[name, section, key] in err, err
+    _run_extremes(tmp_path, capsys, "solve", name, edits, value)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e308"])
+@pytest.mark.parametrize("name,section,command,names", [
+    ("ramp_mass.cfg", "mass", "solve", _OVERFLOW_NAMES),
+    ("sinusoidal_b.cfg", "magnetic_field", "solve", _OVERFLOW_NAMES),
+    ("static_c15.cfg", "oracle", "oracle", _ORACLE_OVERFLOW_NAMES),
+], ids=["linear-mass", "sinusoidal-field", "oracle"])
+def test_finite_extremes_of_driven_families_and_the_oracle(tmp_path, capsys,
+                                                           name, section,
+                                                           command, names,
+                                                           value):
+    # the sweep above, on the coefficient families its two configs lack
+    # and on every [oracle] number through the command that reads them
+    edits = [edit for edit in _number_edits((CONFIGS / name).read_text(),
+                                            value) if edit[2] == section]
+    assert len(edits) >= 2
+    _run_extremes(tmp_path, capsys, command, name, edits, value, names)
 
 
 @pytest.mark.parametrize("flags_line,argv,message", [
@@ -964,6 +996,28 @@ def test_bessel_table_writes_a_file_with_out(tmp_path, capsys):
     assert table[0] == "x,j,n"
     assert len(table) == 4
     assert capsys.readouterr().out == ""
+
+
+def test_bessel_table_without_out_prints_and_says_so(tmp_path, monkeypatch,
+                                                     capsys):
+    # bessel-table never reads $INVOSC_OUT: without --out the table goes
+    # to stdout, which is what its --help names as the default; the
+    # config commands keep the output-directory default
+    helps = {}
+    for command in ("bessel-table", "solve"):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert ("--out OUT write bessel_table.csv into this directory "
+            "(default: print the table to stdout)") in helps["bessel-table"]
+    assert OUT_DIR_ENV not in helps["bessel-table"]
+    assert (f"--out OUT output directory (default ${OUT_DIR_ENV} or .)"
+            in helps["solve"])
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    assert main(["bessel-table", "1.0", "1.0", "2.0", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "x,j,n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -562,11 +562,31 @@ def test_convention_scan_shares_one_geometry(geometry_builds, mode_c15,
     assert geometry_builds == [RESIDUAL_GRID.shape]
 
 
+def test_residual_of_a_given_field_builds_no_geometry(geometry_builds,
+                                                      mode_c15, chain_c15,
+                                                      coeffs_c15):
+    # a geometry serves assembly only and the mask is the grid's, so the
+    # residual of a psi callable builds nothing per node; fed the same
+    # field, it reads what the residual of the mode reads
+    grid = PolarGrid(0.4, 8.0, 16, 16)
+    geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode_c15))
+
+    def assembled(X, Y, t):
+        return assemble_psi(mode_c15, chain_c15, X, Y, t, geometry=geometry)
+
+    geometry_builds.clear()
+    given = schrodinger_residual(None, None, coeffs_c15, grid, (0.4, 0.6),
+                                 steps=COARSE_STEPS, psi=assembled)
+    assert geometry_builds == []
+    assert given == schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
+                                         grid, (0.4, 0.6), steps=COARSE_STEPS,
+                                         geometry=geometry)
+
+
 def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
                                                     coeffs_c15):
     grid = PolarGrid(0.4, 8.0, 16, 16)
-    geometry = GridGeometry.of_grid(grid, sector_winding(mode_c15),
-                                    grid.rho_min)
+    geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode_c15))
     X, Y = grid.xy_mesh()
     assert np.array_equal(
         assemble_psi(mode_c15, chain_c15, X, Y, 0.5, geometry=geometry),
@@ -584,9 +604,6 @@ def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
         schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
                              PolarGrid(0.4, 8.0, 16, 20), (0.5,),
                              geometry=geometry)
-    with pytest.raises(ValueError):
-        schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
-                             geometry=GridGeometry(X, Y, geometry.winding))
 
 
 def _write_csv_per_row(field, path, digest=None):
@@ -954,6 +971,10 @@ def test_residual_argument_validation(mode_c15, chain_c15, coeffs_c15):
     with pytest.raises(ValueError):
         schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
                              steps=(0.0,))
+    # an empty ladder has no finest rung to report per time
+    with pytest.raises(ValueError, match="one or more"):
+        schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
+                             steps=())
     with pytest.raises(ValueError):
         schrodinger_residual(None, None, coeffs_c15, grid, (0.5,))
 
@@ -976,7 +997,7 @@ def test_residual_report_formatting(tmp_path, mode_c15, chain_c15,
     assert len(lines) == 6 + 2
 
     bare = ResidualReport(rungs=rep.rungs, order=None, grid_desc="g",
-                          times=(0.4,), rho_min=0.4)
+                          rho_min=0.4)
     assert "order:none" in bare.summary_line()
 
 
