@@ -54,8 +54,8 @@ from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
 from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
-from .params import (CoefficientRangeError, CoefficientSet, parse_sections,
-                     time_function_from_section, within_span)
+from .params import (CoefficientRangeError, CoefficientSet, Section,
+                     parse_sections, time_function_from_section, within_span)
 from .wavefunction import (RESIDUAL_STEPS, CartesianGrid, ConventionFlags,
                            GridGeometry, ModeSpec, PolarGrid, ScanOutcome,
                            assemble_psi, convention_scan, sample_field,
@@ -82,6 +82,15 @@ _SECTIONS = {"mass", "frequency", "magnetic_field", "constants", "mode",
              "span", "grid", "verification", "oracle", "run"}
 _REQUIRED_SECTIONS = ("mass", "frequency", "magnetic_field", "constants",
                       "mode", "span", "grid")
+
+# The Section.read table of each [grid] type besides ``type``, each key
+# named after its constructor's parameter.
+_GRIDS = {
+    "polar": (PolarGrid, {"rho_min": "float", "rho_max": "float",
+                          "n_rho": "int", "n_phi": "int"}),
+    "cartesian": (CartesianGrid.centered, {"half_width": "float", "n": "int",
+                                           "rho_min": ("float", 0.0)}),
+}
 
 
 # -- run configuration --------------------------------------------------------
@@ -151,16 +160,12 @@ class RunConfig:
                 raise ConfigError(f"config has no [{name}] section")
 
         span_s = sections["span"]
-        span_s.reject_unknown({"t0", "t1"})
-        span = (span_s.float("t0"), span_s.float("t1"))
+        span = tuple(span_s.read({"t0": "float", "t1": "float"}).values())
         if not span[0] < span[1]:
             raise ConfigError(f"span [{span[0]!r}, {span[1]!r}] is empty",
                               span_s.header_line)
 
-        consts = sections["constants"]
-        consts.reject_unknown({"q", "C"})
-        q, coupling = consts.float("q"), consts.float("C")
-
+        consts = sections["constants"].read({"q": "float", "C": "float"})
         try:
             coeffs = CoefficientSet(
                 mass=time_function_from_section(sections["mass"], span),
@@ -168,39 +173,41 @@ class RunConfig:
                                                      span),
                 magnetic_field=time_function_from_section(
                     sections["magnetic_field"], span),
-                charge=q, coupling=coupling)
+                charge=consts["q"], coupling=consts["C"])
         except CoefficientRangeError as exc:
             raise ConfigError(str(exc),
                               sections[exc.coefficient].header_line) from exc
 
         mode_s = sections["mode"]
-        mode_s.reject_unknown({"k", "n", "angular_sign", "amp_first",
-                               "amp_second", "flags"})
-        flags = _read_flags(mode_s.str("flags"), "flags",
+        mode_kw = mode_s.read({"flags": "str", "k": "float", "n": "int",
+                               "amp_first": "complex",
+                               "amp_second": ("complex", 0j),
+                               "angular_sign": "int"})
+        flags = _read_flags(mode_kw.pop("flags"), "flags",
                             mode_s.items["flags"][1])
         flags_source = "config"
         if flags_override is not None:
             flags, flags_source = _read_flags(flags_override, "--flags"), "cli"
-        mode = mode_s.build(
-            ModeSpec.from_coupling, k=mode_s.float("k"), n=mode_s.int("n"),
-            C=coupling, amp_first=mode_s.complex("amp_first"),
-            amp_second=mode_s.complex("amp_second", default=0j),
-            angular_sign=mode_s.int("angular_sign"),
-            conventions=flags or ConventionFlags())
+        mode = mode_s.build(ModeSpec.from_coupling, C=consts["C"],
+                            conventions=flags or ConventionFlags(), **mode_kw)
 
-        grid = cls._read_grid(sections["grid"])
+        grid_s = sections["grid"]
+        kind = grid_s.str("type")
+        if kind not in _GRIDS:
+            raise ConfigError(f"grid type must be polar or cartesian, got "
+                              f"{kind!r}", grid_s.items["type"][1])
+        make_grid, grid_keys = _GRIDS[kind]
+        grid_kw = grid_s.read({"type": "str", **grid_keys})
+        del grid_kw["type"]
+        grid = grid_s.build(make_grid, **grid_kw)
 
         verify = None
         if "verification" in sections:
             ver_s = sections["verification"]
-            ver_s.reject_unknown({"times", "dt_ladder", "max_rel_inf",
-                                  "order_lo", "order_hi"})
-            verify = VerifySettings(
-                times=ver_s.floats("times"),
-                dt_ladder=ver_s.floats("dt_ladder", default=RESIDUAL_STEPS),
-                max_rel_inf=ver_s.float("max_rel_inf"),
-                order_lo=ver_s.float("order_lo", default=1.7),
-                order_hi=ver_s.float("order_hi", default=2.3))
+            verify = VerifySettings(**ver_s.read({
+                "times": "floats", "dt_ladder": ("floats", RESIDUAL_STEPS),
+                "max_rel_inf": "float", "order_lo": ("float", 1.7),
+                "order_hi": ("float", 2.3)}))
             # a bar no result can meet is refused before the ladder runs
             if verify.max_rel_inf <= 0:
                 raise ConfigError("max_rel_inf must be positive",
@@ -225,15 +232,13 @@ class RunConfig:
         oracle = None
         if "oracle" in sections:
             orc_s = sections["oracle"]
-            orc_s.reject_unknown({"rho_max", "n_rho", "dt", "record_times",
-                                  "min_fidelity"})
+            orc_kw = orc_s.read({"record_times": "floats",
+                                 "min_fidelity": "float", "rho_max": "float",
+                                 "n_rho": "int", "dt": "float"})
             oracle = OracleSettings(
-                record_times=orc_s.floats("record_times"),
-                min_fidelity=orc_s.float("min_fidelity"),
-                problem=orc_s.build(
-                    RadialProblem, coeffs=coeffs, n=sector_winding(mode),
-                    rho_max=orc_s.float("rho_max"), n_rho=orc_s.int("n_rho"),
-                    dt=orc_s.float("dt"), span=span))
+                orc_kw.pop("record_times"), orc_kw.pop("min_fidelity"),
+                orc_s.build(RadialProblem, coeffs=coeffs,
+                            n=sector_winding(mode), span=span, **orc_kw))
             if not 0 <= oracle.min_fidelity <= 1:
                 raise ConfigError("min_fidelity must lie in [0, 1]",
                                   orc_s.items["min_fidelity"][1])
@@ -243,57 +248,32 @@ class RunConfig:
                 raise ConfigError(f"record_times: {exc}",
                                   orc_s.items["record_times"][1]) from exc
 
-        field_times = (span[0], span[1])
-        samples = TRAJECTORY_SAMPLES
-        mu_coupling = "pde"
-        chain_cfg = IntegratorConfig()
-        if "run" in sections:
-            run_s = sections["run"]
-            run_s.reject_unknown({"field_times", "trajectory_samples",
-                                  "mu_coupling", "rel_tol", "abs_tol"})
-            field_times = run_s.floats("field_times", default=field_times)
-            if not within_span(field_times, span):
-                raise ConfigError(
-                    f"field_times must lie in the span [{span[0]!r}, "
-                    f"{span[1]!r}]", run_s.items["field_times"][1])
-            samples = run_s.int("trajectory_samples", default=samples)
-            if samples < 2:
-                raise ConfigError("trajectory_samples must be at least 2",
-                                  run_s.items["trajectory_samples"][1])
-            mu_coupling = run_s.str("mu_coupling", default=mu_coupling)
-            if mu_coupling not in MU_COUPLINGS:
-                raise ConfigError(
-                    f"mu_coupling must be one of {MU_COUPLINGS}",
-                    run_s.items["mu_coupling"][1])
-            chain_cfg = run_s.build(
-                IntegratorConfig,
-                rel_tol=run_s.float("rel_tol", default=chain_cfg.rel_tol),
-                abs_tol=run_s.float("abs_tol", default=chain_cfg.abs_tol))
+        run_s = sections.get("run") or Section("run", None)
+        run = run_s.read({
+            "field_times": ("floats", span),
+            "trajectory_samples": ("int", TRAJECTORY_SAMPLES),
+            "mu_coupling": ("str", "pde"),
+            "rel_tol": ("float", IntegratorConfig.rel_tol),
+            "abs_tol": ("float", IntegratorConfig.abs_tol)})
+        if not within_span(run["field_times"], span):
+            raise ConfigError(
+                f"field_times must lie in the span [{span[0]!r}, "
+                f"{span[1]!r}]", run_s.items["field_times"][1])
+        if run["trajectory_samples"] < 2:
+            raise ConfigError("trajectory_samples must be at least 2",
+                              run_s.items["trajectory_samples"][1])
+        if run["mu_coupling"] not in MU_COUPLINGS:
+            raise ConfigError(f"mu_coupling must be one of {MU_COUPLINGS}",
+                              run_s.items["mu_coupling"][1])
+        chain_cfg = run_s.build(IntegratorConfig, rel_tol=run["rel_tol"],
+                                abs_tol=run["abs_tol"])
 
         return cls(path=str(path), digest=digest, coeffs=coeffs, span=span,
                    mode=mode, flags=flags, flags_source=flags_source,
                    grid=grid, verify=verify, oracle=oracle,
-                   field_times=field_times, trajectory_samples=samples,
-                   mu_coupling=mu_coupling, chain_cfg=chain_cfg)
-
-    @staticmethod
-    def _read_grid(grid_s):
-        kind = grid_s.str("type")
-        if kind == "polar":
-            grid_s.reject_unknown({"type", "rho_min", "rho_max", "n_rho",
-                                   "n_phi"})
-            return grid_s.build(PolarGrid, rho_min=grid_s.float("rho_min"),
-                                rho_max=grid_s.float("rho_max"),
-                                n_rho=grid_s.int("n_rho"),
-                                n_phi=grid_s.int("n_phi"))
-        if kind == "cartesian":
-            grid_s.reject_unknown({"type", "half_width", "n", "rho_min"})
-            return grid_s.build(CartesianGrid.centered,
-                                half_width=grid_s.float("half_width"),
-                                n=grid_s.int("n"),
-                                rho_min=grid_s.float("rho_min", default=0.0))
-        raise ConfigError(f"grid type must be polar or cartesian, got {kind!r}",
-                          grid_s.items["type"][1])
+                   field_times=run["field_times"],
+                   trajectory_samples=run["trajectory_samples"],
+                   mu_coupling=run["mu_coupling"], chain_cfg=chain_cfg)
 
     def chain(self, branch):
         alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)

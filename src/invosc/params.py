@@ -20,16 +20,21 @@ import numpy as np
 
 from .errors import ConfigError, InvoscError, NonFinite, OutOfDomain
 
-# The config keys each family reads besides ``family``; a sinusoidal
-# ``offset`` is optional.
+# The Section.read table of each family: the keys it reads besides
+# ``family``, each named after its constructor's parameter.
 _FAMILY_KEYS = {
-    "constant": ("value",),
-    "linear": ("intercept", "slope"),
-    "exponential": ("base", "rate"),
-    "sinusoidal": ("amplitude", "angular_frequency", "offset"),
-    "polynomial": ("coeffs",),
-    "tabulated": ("times", "values"),
+    "constant": {"value": "float"},
+    "linear": {"intercept": "float", "slope": "float"},
+    "exponential": {"base": "float", "rate": "float"},
+    "sinusoidal": {"amplitude": "float", "angular_frequency": "float",
+                   "offset": ("float", 0.0)},
+    "polynomial": {"coeffs": "floats"},
+    "tabulated": {"times": "floats", "values": "floats"},
 }
+
+# Past this phase |angular_frequency t|, adjacent float times are a radian
+# or more apart, so a sinusoid there is float noise.
+_MAX_PHASE = 2.0 ** 52
 
 # Points used when a positivity check has no closed form.
 _POSITIVITY_SAMPLES = 1024
@@ -77,6 +82,10 @@ class TimeFunction:
             raise ValueError(f"degenerate span {self.span}")
         if any(not math.isfinite(p) for p in self.params):
             raise NonFinite(f"{self.family} family has non-finite parameters")
+        gam = self.params[1] if self.family == "sinusoidal" else 0.0
+        if max(abs(gam * t0), abs(gam * t1)) >= _MAX_PHASE:
+            raise NonFinite(f"sinusoidal family's phase reaches 2^52 on the "
+                            f"span {self.span}")
         object.__setattr__(self, "_bounds", _span_bounds(self.span))
 
     # -- family constructors -------------------------------------------------
@@ -189,58 +198,41 @@ class TimeFunction:
     def minimum_on_span(self):
         """A certified lower bound for the function on its span.
 
-        Closed-form families get an exact minimum (endpoints plus interior
-        critical points); the tabulated spline uses its exact piecewise
-        roots of the derivative.  This backs the construction-time mass
+        The function at its endpoints and interior critical points: the
+        real roots of a polynomial's derivative, the exact piecewise roots
+        of the spline's derivative.  This backs the construction-time mass
         positivity check, where between-sample dips must not slip through.
+        A value that overflows is NonFinite.
         """
         t0, t1 = self.span
         p = self.params
-        if self.family == "constant":
-            return p[0]
-        if self.family == "linear":
-            return min(p[0] + p[1] * t0, p[0] + p[1] * t1)
-        if self.family == "exponential":
-            # Sign is the sign of the base; magnitude at an endpoint.
-            try:
-                return min(p[0] * math.exp(p[1] * t0),
-                           p[0] * math.exp(p[1] * t1))
-            except OverflowError:
-                raise NonFinite(f"exponential family overflows on the span "
-                                f"{self.span}") from None
+        cands = [t0, t1]
         if self.family == "sinusoidal":
             amp, gam, off = p
-            lo, hi = sorted((gam * t0, gam * t1))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise NonFinite(f"sinusoidal family's phase overflows on the "
-                                f"span {self.span}")
-            cands = [t0, t1]
             if gam != 0.0:
                 # cos extrema at gam*t = j*pi; two consecutive ones hold
                 # both cos = 1 and cos = -1, so the minimum is reached
+                lo, hi = sorted((gam * t0, gam * t1))
                 j0, j1 = math.ceil(lo / math.pi), math.floor(hi / math.pi)
                 if j1 > j0:
                     return off - abs(amp)
                 if j1 == j0:
                     cands.append(j0 * math.pi / gam)
             return min(off + amp * math.cos(gam * tc) for tc in cands)
-        if self.family == "polynomial":
-            dcoef = np.polynomial.polynomial.polyder(p)
-            cands = [t0, t1]
-            if len(dcoef) > 1 or (len(dcoef) == 1 and dcoef[0] != 0.0):
-                roots = np.polynomial.polynomial.polyroots(dcoef) if len(dcoef) > 1 else []
-                for r in np.atleast_1d(roots):
-                    if abs(r.imag) < 1e-12 and t0 <= r.real <= t1:
-                        cands.append(float(r.real))
-            vals = np.polynomial.polynomial.polyval(np.asarray(cands), p)
-            return float(np.min(vals))
-        # tabulated: exact roots of the spline's derivative
-        dspl = self._spline.derivative()
-        cands = [t0, t1]
-        for r in np.atleast_1d(dspl.roots(extrapolate=False)):
-            if t0 <= r <= t1:
-                cands.append(float(r))
-        return float(np.min(self._spline(np.asarray(cands))))
+        if self.family == "polynomial" and len(p) > 2:
+            poly = np.polynomial.polynomial
+            cands += [float(r.real) for r in poly.polyroots(poly.polyder(p))
+                      if abs(r.imag) < 1e-12 and t0 <= r.real <= t1]
+        elif self.family == "tabulated":
+            cands += [float(r) for r in
+                      self._spline.derivative().roots(extrapolate=False)
+                      if t0 <= r <= t1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self._raw_value(np.asarray(cands))
+        if not np.isfinite(vals).all():
+            raise NonFinite(f"{self.family} family overflows on the span "
+                            f"{self.span}")
+        return float(vals.min())
 
 
 def _sample_sign_ok(f, lo, strict):
@@ -396,10 +388,23 @@ class Section:
         return self._parse(key, default, parse, "a non-empty number list",
                            finite=True)
 
-    def reject_unknown(self, known):
+    def read(self, keys):
+        """The values of ``keys`` as a dict, read in its order.
+
+        ``keys`` maps each key to a reader name (``"float"``, ``"int"``,
+        ``"complex"``, ``"str"``, ``"floats"``), or to ``(reader,
+        default)`` for an optional key.  A key of the section that
+        ``keys`` lacks is refused first, at its line.
+        """
         for key, (_, line) in self.items.items():
-            if key not in known:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
+        values = {}
+        for key, spec in keys.items():
+            reader, default = ((spec, self._MISSING) if isinstance(spec, str)
+                               else spec)
+            values[key] = getattr(self, reader)(key, default)
+        return values
 
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)``; a ValueError or package error that
@@ -459,18 +464,6 @@ def time_function_from_section(section, span):
     if family not in _FAMILY_KEYS:
         raise ConfigError(f"unknown family {family!r} in [{section.name}]",
                           section.items["family"][1])
-    section.reject_unknown({"family", *_FAMILY_KEYS[family]})
-    num, nums, build = section.float, section.floats, section.build
-    if family == "constant":
-        return build(TimeFunction.constant, num("value"), span)
-    if family == "linear":
-        return build(TimeFunction.linear, num("intercept"), num("slope"), span)
-    if family == "exponential":
-        return build(TimeFunction.exponential, num("base"), num("rate"), span)
-    if family == "sinusoidal":
-        return build(TimeFunction.sinusoidal, num("amplitude"),
-                     num("angular_frequency"), span,
-                     num("offset", default=0.0))
-    if family == "polynomial":
-        return build(TimeFunction.polynomial, nums("coeffs"), span)
-    return build(TimeFunction.tabulated, nums("times"), nums("values"), span)
+    values = section.read({"family": "str", **_FAMILY_KEYS[family]})
+    del values["family"]
+    return section.build(getattr(TimeFunction, family), span=span, **values)

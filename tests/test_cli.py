@@ -12,6 +12,7 @@ unitary at any step size (measured drift ~1e-15), so the run passes and
 the expected-Unstable twin is a strict xfail.
 """
 
+import inspect
 import itertools
 import math
 import os
@@ -29,7 +30,8 @@ import invosc
 from invosc.bessel import bessel_j, bessel_n
 from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
                         EXIT_SOLVER, EXIT_UNSTABLE, EXIT_VERIFY, OUT_DIR_ENV,
-                        RunConfig, _OutputLock, main)
+                        _GRIDS, RunConfig, _OutputLock, main)
+from invosc.ode import IntegratorConfig
 from invosc.oracle import snap_times
 
 from conftest import count_calls
@@ -512,8 +514,9 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
 
 def test_sinusoidal_phase_overflow_is_refused_at_its_section(tmp_path,
                                                               capsys):
-    # 1e308 * t1 overflows the phase: a config error at [frequency], not
-    # an OverflowError out of main
+    # 1e308 * t1 overflows the phase, past the 2^52 where a sinusoid is
+    # float noise: a config error at [frequency], not an OverflowError out
+    # of main
     text = patched(Path(C15).read_text(),
                    "[frequency]\nfamily = constant\nvalue = 1.0",
                    "[frequency]\nfamily = sinusoidal\namplitude = 0.5\n"
@@ -525,8 +528,8 @@ def test_sinusoidal_phase_overflow_is_refused_at_its_section(tmp_path,
     assert rc == EXIT_PARSE
     line = text.splitlines().index("[frequency]") + 1
     assert capsys.readouterr().err == (
-        f"error: line {line}: frequency is not finite on the configured "
-        "span\n")
+        f"error: line {line}: [frequency]: sinusoidal family's phase reaches "
+        "2^52 on the span (0.0, 2.0)\n")
     assert not out_dir.exists()
 
 
@@ -689,6 +692,40 @@ def test_coefficient_range_error_names_its_own_section(tmp_path, c0_text,
     assert rc == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"line {header}: {needle}" in err
+
+
+@pytest.mark.parametrize("kind", sorted(_GRIDS))
+def test_grid_keys_name_their_constructors_parameters(kind):
+    # the reader passes each key to the grid's constructor by name
+    make, keys = _GRIDS[kind]
+    assert set(keys) <= set(inspect.signature(make).parameters)
+
+
+def test_config_without_run_section_takes_the_defaults(tmp_path):
+    text = Path(C15).read_text()
+    head, sep, _ = text.partition("[run]")
+    assert sep
+    cfg = RunConfig.load(write_cfg(tmp_path, head))
+    assert cfg.field_times == cfg.span
+    assert cfg.trajectory_samples == 512
+    assert cfg.mu_coupling == "pde"
+    assert cfg.chain_cfg == IntegratorConfig()
+
+
+def test_float_noise_field_phase_is_refused_at_its_section(tmp_path, capsys):
+    # [magnetic_field] has no sign check: only the constructor keeps this
+    # phase from a chain that no step size resolves
+    text = patched((CONFIGS / "sinusoidal_b.cfg").read_text(),
+                   "angular_frequency = 1.0", "angular_frequency = 1e308")
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index("[magnetic_field]") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: [magnetic_field]: sinusoidal family's phase "
+        "reaches 2^52 on the span (0.0, 1.0)\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("old,new,hint", [

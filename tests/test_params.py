@@ -1,5 +1,6 @@
 """Coefficient families, the terms built from them, and config scanning."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
 from invosc.oracle import RadialProblem
-from invosc.params import (CoefficientRangeError, CoefficientSet,
-                           TimeFunction, coefficient_terms, parse_sections,
-                           time_function_from_section)
+from invosc.params import (_FAMILY_KEYS, CoefficientRangeError,
+                           CoefficientSet, TimeFunction, coefficient_terms,
+                           parse_sections, time_function_from_section)
 from invosc.wavefunction import ModeSpec, PolarGrid, schrodinger_residual
 
 from conftest import SPAN, WINNER, make_chain, make_coeffs
@@ -156,6 +157,32 @@ def test_minimum_on_span_sees_interior_dips():
     assert f.minimum_on_span() == pytest.approx(-0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("f,floor", [
+    # 0.5 - 3t^2 + 2t^3 dips to -0.5 at t = 1; both endpoints are positive
+    (TimeFunction.polynomial((0.5, 0.0, -3.0, 2.0), (-0.25, 1.5)), 0.28125),
+    # the natural spline through these samples dips below all of them
+    (TimeFunction.tabulated((0.0, 0.3, 0.5, 0.7, 1.0),
+                            (1.0, 0.1, 0.05, 0.2, 1.0)), 0.05),
+], ids=["polynomial", "tabulated"])
+def test_minimum_on_span_finds_a_dip_between_the_endpoints(f, floor):
+    # ``floor``: the least value at an endpoint or a sample
+    low = f.minimum_on_span()
+    assert low < floor
+    dense = f.value(np.linspace(*f.span, 200001))
+    assert low <= dense.min() <= low + 1e-9
+    if f.family == "polynomial":
+        assert low == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_a_sinusoid_is_refused_where_its_phase_is_float_noise():
+    # from |angular_frequency t| = 2^52 on, adjacent times are a radian or
+    # more apart in phase; the rule reads either end of the span
+    TimeFunction.sinusoidal(1.0, 2.0 ** 52 - 1.0, (-1.0, 1.0))
+    for span in ((0.0, 1.0), (-1.0, 0.5)):
+        with pytest.raises(NonFinite, match=r"phase reaches 2\^52"):
+            TimeFunction.sinusoidal(1.0, -2.0 ** 52, span)
+
+
 def _enumerated_sinusoidal_minimum(amp, gam, off, t0, t1):
     """The reference: endpoints plus every cos extremum gam t = j pi in
     [t0, t1], listed one by one."""
@@ -194,10 +221,11 @@ def test_sinusoidal_minimum_costs_the_same_at_any_frequency(monkeypatch):
         f = TimeFunction.sinusoidal(0.5, gam, SPAN, offset=1.0)
         assert f.minimum_on_span() == low
     assert len(calls) <= 3
-    # a phase that overflows at an end of the span has no minimum to find
-    huge = TimeFunction.sinusoidal(0.5, 1e308, (0.0, 2.0), offset=1.0)
-    with pytest.raises(NonFinite, match="sinusoidal family's phase overflows"):
-        huge.minimum_on_span()
+    # a phase of 2^52 or more at an end of the span is float noise, and an
+    # overflowing one is past it: refused before any minimum is asked for
+    with pytest.raises(NonFinite,
+                       match=r"sinusoidal family's phase reaches 2\^52"):
+        TimeFunction.sinusoidal(0.5, 1e308, (0.0, 2.0), offset=1.0)
 
 
 # -- coefficient set invariants --------------------------------------------------
@@ -346,3 +374,24 @@ def test_time_function_from_section_errors(body, fragment):
     sections = parse_sections("[mass]\n" + body)
     with pytest.raises(ConfigError, match=fragment):
         time_function_from_section(sections["mass"], SPAN)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_KEYS))
+def test_family_keys_name_their_constructors_parameters(family):
+    # the reader passes each key to the family's constructor by name
+    params = inspect.signature(getattr(TimeFunction, family)).parameters
+    assert set(_FAMILY_KEYS[family]) <= set(params) - {"span"}
+
+
+def test_section_read_refuses_unknown_keys_then_reads_in_order():
+    section = parse_sections("[a]\nx = 1.5\nn = 3\nw = 2\n")["a"]
+    # an unknown key is named before the missing and malformed ones
+    with pytest.raises(ConfigError, match="line 4: unknown key 'w'"):
+        section.read({"x": "int", "y": "float", "n": "int"})
+    with pytest.raises(ConfigError, match="line 2: x = '1.5' is not an int"):
+        section.read({"y": ("float", 0.0), "x": "int", "n": "int",
+                      "w": "float"})
+    values = section.read({"w": "floats", "x": "float", "n": "int",
+                           "s": ("str", "pde")})
+    assert values == {"w": (2.0,), "x": 1.5, "n": 3, "s": "pde"}
+    assert list(values) == ["w", "x", "n", "s"]
