@@ -54,8 +54,8 @@ from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
 from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
-from .params import (CoefficientRangeError, CoefficientSet, Section,
-                     parse_sections, time_function_from_section, within_span)
+from .params import (FAMILIES, CoefficientRangeError, CoefficientSet,
+                     Section, parse_sections, within_span)
 from .wavefunction import (RESIDUAL_STEPS, CartesianGrid, ConventionFlags,
                            GridGeometry, ModeSpec, PolarGrid, ScanOutcome,
                            assemble_psi, convention_scan, sample_field,
@@ -83,8 +83,8 @@ _SECTIONS = {"mass", "frequency", "magnetic_field", "constants", "mode",
 _REQUIRED_SECTIONS = ("mass", "frequency", "magnetic_field", "constants",
                       "mode", "span", "grid")
 
-# The Section.read table of each [grid] type besides ``type``, each key
-# named after its constructor's parameter.
+# Each [grid] type's constructor and the Section.read table of the keys
+# it reads besides ``type``, each named after the constructor's parameter.
 _GRIDS = {
     "polar": (PolarGrid, {"rho_min": "float", "rho_max": "float",
                           "n_rho": "int", "n_phi": "int"}),
@@ -168,11 +168,8 @@ class RunConfig:
         consts = sections["constants"].read({"q": "float", "C": "float"})
         try:
             coeffs = CoefficientSet(
-                mass=time_function_from_section(sections["mass"], span),
-                frequency=time_function_from_section(sections["frequency"],
-                                                     span),
-                magnetic_field=time_function_from_section(
-                    sections["magnetic_field"], span),
+                **{name: sections[name].variant("family", FAMILIES, span=span)
+                   for name in ("mass", "frequency", "magnetic_field")},
                 charge=consts["q"], coupling=consts["C"])
         except CoefficientRangeError as exc:
             raise ConfigError(str(exc),
@@ -191,15 +188,7 @@ class RunConfig:
         mode = mode_s.build(ModeSpec.from_coupling, C=consts["C"],
                             conventions=flags or ConventionFlags(), **mode_kw)
 
-        grid_s = sections["grid"]
-        kind = grid_s.str("type")
-        if kind not in _GRIDS:
-            raise ConfigError(f"grid type must be polar or cartesian, got "
-                              f"{kind!r}", grid_s.items["type"][1])
-        make_grid, grid_keys = _GRIDS[kind]
-        grid_kw = grid_s.read({"type": "str", **grid_keys})
-        del grid_kw["type"]
-        grid = grid_s.build(make_grid, **grid_kw)
+        grid = sections["grid"].variant("type", _GRIDS)
 
         verify = None
         if "verification" in sections:

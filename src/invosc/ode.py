@@ -163,14 +163,17 @@ def _initial_step(rhs, t0, y0, f0, cfg, h_max):
 # numpy's overflow and invalid warnings are off: the slope and step
 # checks below name a non-finite value themselves
 @np.errstate(over="ignore", invalid="ignore")
-def _dopri5(rhs, span, y0, cfg, watcher):
+def _dopri5(rhs, span, y0, cfg, watcher, knots=()):
     """Integrate y' = rhs(t, y) over span; return (ts, rcont) tables.
 
     ``rcont[j, i]`` holds the five interpolant coefficients of component
     i on step j.  ``watcher(t_lo, t_hi, segment)`` is called after every
     accepted step with a callable segment(t) evaluating the fresh
     interpolant of every component; watchers raise to abort (used for
-    blow-up and zero-crossing detection).  A non-finite slope at the start,
+    blow-up and zero-crossing detection).  ``knots``, sorted times inside
+    the span where rhs is not smooth, are never stepped across: a step
+    that would cross the next one is shortened to end there (Hairer,
+    Norsett & Wanner, II.6).  A non-finite slope at the start,
     or a step whose error norm is nan, raises NonFinite naming t: the
     step-size rule takes no factor from a nan error.
     """
@@ -186,12 +189,15 @@ def _dopri5(rhs, span, y0, cfg, watcher):
     ts = [t0]
     rcont = []
     stages = np.empty((7, y.size), dtype=complex)
+    stops = [*knots, t1]
     nsteps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if nsteps >= _MAX_STEPS:
             raise ToleranceNotMet(
                 f"no convergence within {_MAX_STEPS} steps (t={t:.6g})")
-        h = min(h, t1 - t)
+        while stops[0] < t1 and stops[0] <= t + 1e-14 * max(1.0, abs(t)):
+            del stops[0]
+        h = min(h, stops[0] - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise ToleranceNotMet(f"step size underflow at t={t:.6g}")
         stages[0] = k1
@@ -273,7 +279,8 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
     mu starts at mu0 = 1 and is carried as g = log mu, so it cannot pass
     through zero; |alpha| growing past 1e6 max(|alpha0|, 1) raises BlowUp
     and |mu| falling below 1e-12 |mu0| raises ZeroCrossing, each with the
-    bisected time of the event.
+    bisected time of the event.  The knots of a tabulated coefficient are
+    step ends: no step crosses one.
 
     The two mu couplings exist because the first-order link between the
     scale factor and the width can be read two ways; only the "pde" rate
@@ -316,7 +323,10 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
                 f"|mu| fell below 1e-12 |mu0| at t={t_zero:.6g}",
                 crossing_time=float(t_zero))
 
-    ts, rcont = _dopri5(rhs, span, [0.0, a0, 0.0, 0.0], cfg, watcher)
+    knots = sorted({t for f in (coeffs.mass, coeffs.frequency,
+                                coeffs.magnetic_field)
+                    for t in f.knots() if span[0] < t < span[1]})
+    ts, rcont = _dopri5(rhs, span, [0.0, a0, 0.0, 0.0], cfg, watcher, knots)
     return TransformTrajectory(
         span=span, beta=DenseFunction(ts, rcont[:, 0], real=True),
         alpha=DenseFunction(ts, rcont[:, 1]),

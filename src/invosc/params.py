@@ -20,18 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, InvoscError, NonFinite, OutOfDomain
 
-# The Section.read table of each family: the keys it reads besides
-# ``family``, each named after its constructor's parameter.
-_FAMILY_KEYS = {
-    "constant": {"value": "float"},
-    "linear": {"intercept": "float", "slope": "float"},
-    "exponential": {"base": "float", "rate": "float"},
-    "sinusoidal": {"amplitude": "float", "angular_frequency": "float",
-                   "offset": ("float", 0.0)},
-    "polynomial": {"coeffs": "floats"},
-    "tabulated": {"times": "floats", "values": "floats"},
-}
-
 # Past this phase |angular_frequency t|, adjacent float times are a radian
 # or more apart, so a sinusoid there is float noise.
 _MAX_PHASE = 2.0 ** 52
@@ -75,7 +63,7 @@ class TimeFunction:
     _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILY_KEYS:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         t0, t1 = self.span
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
@@ -193,6 +181,13 @@ class TimeFunction:
             return np.polynomial.polynomial.polyval(t, p)
         return self._spline(t)
 
+    def knots(self):
+        """Where the coefficient's third derivative jumps: a tabulated
+        coefficient's interior sample times, else ()."""
+        if self.family != "tabulated":
+            return ()
+        return self.params[1:len(self.params) // 2 - 1]
+
     # -- sign analysis --------------------------------------------------------
 
     def minimum_on_span(self):
@@ -219,20 +214,40 @@ class TimeFunction:
                 if j1 == j0:
                     cands.append(j0 * math.pi / gam)
             return min(off + amp * math.cos(gam * tc) for tc in cands)
-        if self.family == "polynomial" and len(p) > 2:
-            poly = np.polynomial.polynomial
-            cands += [float(r.real) for r in poly.polyroots(poly.polyder(p))
-                      if abs(r.imag) < 1e-12 and t0 <= r.real <= t1]
-        elif self.family == "tabulated":
-            cands += [float(r) for r in
-                      self._spline.derivative().roots(extrapolate=False)
-                      if t0 <= r <= t1]
         with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == "polynomial" and len(p) > 2:
+                # the roots do not depend on the coefficients' scale, and
+                # at unit scale the derivative cannot overflow
+                poly = np.polynomial.polynomial
+                unit = np.divide(p, max(map(abs, p)) or 1.0)
+                cands += [float(r.real)
+                          for r in poly.polyroots(poly.polyder(unit))
+                          if abs(r.imag) < 1e-12 and t0 <= r.real <= t1]
+            elif self.family == "tabulated":
+                cands += [float(r) for r in
+                          self._spline.derivative().roots(extrapolate=False)
+                          if t0 <= r <= t1]
             vals = self._raw_value(np.asarray(cands))
         if not np.isfinite(vals).all():
             raise NonFinite(f"{self.family} family overflows on the span "
                             f"{self.span}")
         return float(vals.min())
+
+
+# Each family's constructor and the Section.read table of the keys it
+# reads besides ``family``, each named after the constructor's parameter.
+FAMILIES = {
+    "constant": (TimeFunction.constant, {"value": "float"}),
+    "linear": (TimeFunction.linear, {"intercept": "float", "slope": "float"}),
+    "exponential": (TimeFunction.exponential,
+                    {"base": "float", "rate": "float"}),
+    "sinusoidal": (TimeFunction.sinusoidal,
+                   {"amplitude": "float", "angular_frequency": "float",
+                    "offset": ("float", 0.0)}),
+    "polynomial": (TimeFunction.polynomial, {"coeffs": "floats"}),
+    "tabulated": (TimeFunction.tabulated,
+                  {"times": "floats", "values": "floats"}),
+}
 
 
 def _sample_sign_ok(f, lo, strict):
@@ -406,6 +421,23 @@ class Section:
             values[key] = getattr(self, reader)(key, default)
         return values
 
+    def variant(self, tag, variants, **fixed):
+        """The variant that key ``tag`` names, built from this section.
+
+        ``variants`` maps each name to ``(make, keys)``.  A name it lacks
+        is refused at the tag's line; otherwise the section is read
+        through ``read`` from ``tag`` and ``keys``, and the variant is
+        ``make(**fixed, **values)`` through ``build``.
+        """
+        name = self.str(tag)
+        if name not in variants:
+            raise ConfigError(f"unknown {tag} {name!r} in [{self.name}]",
+                              self.items[tag][1])
+        make, keys = variants[name]
+        values = self.read({tag: "str", **keys})
+        del values[tag]
+        return self.build(make, **fixed, **values)
+
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)``; a ValueError or package error that
         it raises becomes a ConfigError at this section's header."""
@@ -451,19 +483,3 @@ def parse_sections(text):
                               lineno)
         current.items[key] = (val, lineno)
     return sections
-
-
-def time_function_from_section(section, span):
-    """Build a TimeFunction from one config Section.
-
-    The section holds ``family`` and exactly the keys that family reads
-    (_FAMILY_KEYS); an unknown family, a missing key, or a key of any
-    other family raises ConfigError with a line number.
-    """
-    family = section.str("family")
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family {family!r} in [{section.name}]",
-                          section.items["family"][1])
-    values = section.read({"family": "str", **_FAMILY_KEYS[family]})
-    del values["family"]
-    return section.build(getattr(TimeFunction, family), span=span, **values)

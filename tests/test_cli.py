@@ -6,10 +6,10 @@ written as patched copies of the packaged files; every patch asserts
 its needle first so a config edit cannot silently turn a test into a
 no-op.
 
-The coarse-dt oracle pair documents a deliberate disagreement with the
-idea that dt = 0.05 destabilizes the propagator: the midpoint scheme is
-unitary at any step size (measured drift ~1e-15), so the run passes and
-the expected-Unstable twin is a strict xfail.
+A coarse dt does not destabilize the oracle: the midpoint scheme is
+unitary at any step size (measured drift ~1e-15 at dt = 0.05), so the
+coarse-dt runs pass.  Its Unstable exit is reached by a zgtsv made to
+fail or to break unitarity on purpose.
 """
 
 import inspect
@@ -587,6 +587,26 @@ def test_solve_and_verify_pass_on_the_other_coefficient_families(
     assert capsys.readouterr().out.startswith("verify: PASS")
 
 
+@pytest.mark.parametrize("command,rc,out", [
+    ("verify", EXIT_LADDER,
+     "verify: FAIL (no convergence) refinement ladder is not monotone: "
+     "6.435e-01 -> 6.436e-01 -> 6.436e-01\n"),
+    ("scan", EXIT_INCONCLUSIVE,
+     "scan: INCONCLUSIVE best residual 6.435e-01 (s=-1,h=1/2,branch=+) is "
+     "within 2x of runner-up 7.352e-01 (s=-1,h=1,branch=+)\n"),
+])
+def test_literal_mu_coupling_fails_both_checks(tmp_path, capsys, command, rc,
+                                              out):
+    # mu' = -alpha mu, the other reading of the scale-factor link: its
+    # field misses the Schrodinger equation by 64% at every ladder step,
+    # and no reading of the scan stands out
+    text = patched(Path(C15).read_text(), "[run]\n",
+                   "[run]\nmu_coupling = literal\n")
+    assert main([command, "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "run")]) == rc
+    assert capsys.readouterr().out == out
+
+
 @pytest.fixture()
 def coarse_dt_cfg(tmp_path, c0_text):
     text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
@@ -627,7 +647,7 @@ def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
 def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
                                            monkeypatch):
     # zgtsv reporting a zero pivot on the third of the 20 driven steps
-    # is the Unstable that a coarse dt never raises (see below)
+    # is an Unstable that a coarse dt never raises
     real = lapack.zgtsv
     calls = itertools.count(1)
 
@@ -646,16 +666,28 @@ def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
         "error: Unstable: step 3: singular matrix (zgtsv info 7)\n")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a coarse step was expected to trip the norm-drift guard, but the "
-    "midpoint scheme is unitary at any dt (measured drift ~1e-15 at "
-    "dt=0.05), so the propagation never becomes Unstable"))
-def test_oracle_coarse_dt_reports_unstable(tmp_path, coarse_dt_cfg):
-    out_dir = tmp_path / "run"
-    out_dir.mkdir()
-    rc = main(["oracle", "--config", coarse_dt_cfg, "--out", str(out_dir),
-               "--quiet"])
+def test_non_unitary_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
+                                                monkeypatch):
+    # the norm guard's finite-drift branch: the third of the 20 driven
+    # steps comes out of zgtsv scaled by 1 + 1e-5, which no dt does
+    real = lapack.zgtsv
+    calls = itertools.count(1)
+
+    def scaling_the_third(*args):
+        *rest, x, info = real(*args)
+        return (*rest, x * (1 + 1e-5) if next(calls) == 3 else x, info)
+
+    monkeypatch.setattr(lapack, "zgtsv", scaling_the_third)
+    text = patched(c0_text, *_TABULATED_FIELD)
+    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(text, "dt = 2e-4", "dt = 0.05")
+    rc = main(["oracle", "--config", write_cfg(tmp_path, text),
+               "--out", str(tmp_path / "run")])
     assert rc == EXIT_UNSTABLE
+    assert re.fullmatch(
+        r"error: Unstable: norm drifted by \d\.\d{3}e-0[56] after 3 steps "
+        r"\(dt=0\.05\); the propagation is no longer unitary\n",
+        capsys.readouterr().err)
 
 
 # -- config rejection ----------------------------------------------------------------
@@ -692,6 +724,36 @@ def test_coefficient_range_error_names_its_own_section(tmp_path, c0_text,
     assert rc == EXIT_PARSE
     err = capsys.readouterr().err
     assert f"line {header}: {needle}" in err
+
+
+@pytest.mark.parametrize("old,new,at,message", [
+    ("[mass]\nfamily = constant", "[mass]\nfamily = warp", "family = warp",
+     "unknown family 'warp' in [mass]"),
+    ("type = cartesian", "type = hex", "type = hex",
+     "unknown type 'hex' in [grid]"),
+    ("[mass]\nfamily = constant\nvalue = 1.0",
+     "[mass]\nfamily = constant\nvalue = 1.0\nslope = 5", "slope = 5",
+     "unknown key 'slope' in [mass]"),
+    ("rho_min = 0.0", "rho_min = 0.0\nn_phi = 8", "n_phi = 8",
+     "unknown key 'n_phi' in [grid]"),
+    ("[mass]\nfamily = constant\n", "[mass]\n", "[mass]",
+     "missing key 'family' in [mass]"),
+    ("type = cartesian\n", "", "[grid]", "missing key 'type' in [grid]"),
+], ids=["unknown-family", "unknown-type", "key-of-linear", "key-of-polar",
+        "missing-family", "missing-type"])
+def test_tagged_section_is_refused_at_the_line_at_fault(tmp_path, c0_text,
+                                                        capsys, old, new, at,
+                                                        message):
+    # [mass] and [grid] are read by one rule: the tag, then its variant's
+    # keys, each refusal at its own line before --out is made
+    text = patched(c0_text, old, new)
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index(at) + 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("kind", sorted(_GRIDS))

@@ -245,24 +245,23 @@ def _chain_errors(traj, ref, ts):
         / np.maximum(1.0, np.abs(want)))) for name, want in ref.items()}
 
 
-# Families on which the chain, at its default tolerance, misses the bars
-# above.  Worst over both couplings and branches: polynomial beta 1.1e-11
-# (5.6x its bar), alpha 2.1e-10, mu 1.1e-10, f 3.9e-10; tabulated beta
-# 1.4e-10 (68x), alpha 2.4e-10, mu 9.9e-11.  Both converge to the
-# reference as rel_tol falls (tabulated beta 1.3e-12 at 1e-12), and the
-# knot-to-knot reference matches the exact spline integral of beta to
-# 1.4e-16, so the misses are the chain's step control.
+# The family on which the chain, at its default tolerance, misses the
+# bars above.  Worst over both couplings and branches: polynomial beta
+# 1.1e-11 (5.6x its bar), alpha 2.1e-10, mu 1.1e-10, f 3.9e-10; it
+# converges to the reference as rel_tol falls, so the misses are the
+# chain's step control.  The tabulated field passes because no step
+# crosses a knot, where the spline's third derivative jumps: beta
+# 1.4e-16, alpha 6.3e-11, mu 2.1e-11, f 7.8e-11.
 CHAIN_MISSES_BARS = pytest.mark.xfail(strict=True, reason=(
     "at the default rel_tol 1e-10 the chain misses the bars on a cubic "
-    "mass and on a spline field; see CHAIN_MISSES_BARS"))
+    "mass; see CHAIN_MISSES_BARS"))
 
 
 @pytest.mark.parametrize("branch", [+1, -1])
 @pytest.mark.parametrize("coupling", MU_COUPLINGS)
 @pytest.mark.parametrize("family", [
-    pytest.param(name, marks=CHAIN_MISSES_BARS)
-    if name in ("polynomial", "tabulated") else name
-    for name in sorted(DRIVEN_FAMILIES)])
+    pytest.param(name, marks=CHAIN_MISSES_BARS) if name == "polynomial"
+    else name for name in sorted(DRIVEN_FAMILIES)])
 def test_driven_chain_matches_the_linearized_riccati(family, coupling,
                                                       branch):
     coeffs = make_coeffs(**DRIVEN_FAMILIES[family])
@@ -295,13 +294,55 @@ def test_solve_chain_is_one_coupled_integration(monkeypatch):
     calls = []
     real = ode._dopri5
 
-    def counting(rhs, span, y0, cfg, watcher):
+    def counting(rhs, span, y0, cfg, watcher, knots):
         calls.append(len(y0))
-        return real(rhs, span, y0, cfg, watcher)
+        return real(rhs, span, y0, cfg, watcher, knots)
 
     monkeypatch.setattr(ode, "_dopri5", counting)
     make_chain(fixture_family("ramp"))
     assert calls == [4]
+
+
+def test_chain_steps_end_on_the_knots_inside_the_span(monkeypatch):
+    # the spline field's 10 interior knots, and none from the constant
+    # mass and frequency
+    coeffs = make_coeffs(**DRIVEN_FAMILIES["tabulated"])
+    knots = coeffs.magnetic_field.knots()
+    assert knots == tuple(np.linspace(*SPAN, 12)[1:-1])
+    passed = []
+    real = ode._dopri5
+
+    def recording(rhs, span, y0, cfg, watcher, knots):
+        passed.append(knots)
+        return real(rhs, span, y0, cfg, watcher, knots)
+
+    monkeypatch.setattr(ode, "_dopri5", recording)
+    traj = make_chain(coeffs)
+    assert passed == [list(knots)]
+    ends = traj.alpha._ts
+    assert all(np.min(np.abs(ends - t)) <= 1e-15 for t in knots)
+    # a narrower span passes only the knots inside it
+    solve_chain(coeffs, 1.0, span=(0.25, 0.75))
+    assert passed[1] == [t for t in knots if 0.25 < t < 0.75]
+
+
+def test_a_step_is_shortened_to_end_on_a_knot():
+    # y' = max(t - 0.3, 0) has a kink at 0.3: stepping onto it leaves a
+    # linear slope on each step, which the 5th-order pair integrates
+    # exactly
+    def rhs(t, y):
+        return np.full(y.shape, max(t - 0.3, 0.0), dtype=complex)
+
+    def end(knots):
+        ts, rcont = ode._dopri5(rhs, (0.0, 1.0), [0j], IntegratorConfig(),
+                                lambda *args: None, knots)
+        return ts, abs(rcont[-1, 0, :2].sum() - 0.245)
+
+    ts, err = end([0.3, 0.6])
+    assert 0.3 in ts and 0.6 in ts
+    assert err <= 1e-15
+    ts, err = end([])
+    assert 0.3 not in ts and err > 1e-13
 
 
 def test_out_of_span_evaluation_raises():

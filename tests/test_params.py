@@ -8,9 +8,8 @@ import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
 from invosc.oracle import RadialProblem
-from invosc.params import (_FAMILY_KEYS, CoefficientRangeError,
-                           CoefficientSet, TimeFunction, coefficient_terms,
-                           parse_sections, time_function_from_section)
+from invosc.params import (FAMILIES, CoefficientRangeError, CoefficientSet,
+                           TimeFunction, coefficient_terms, parse_sections)
 from invosc.wavefunction import ModeSpec, PolarGrid, schrodinger_residual
 
 from conftest import SPAN, WINNER, make_chain, make_coeffs
@@ -172,6 +171,18 @@ def test_minimum_on_span_finds_a_dip_between_the_endpoints(f, floor):
     assert low <= dense.min() <= low + 1e-9
     if f.family == "polynomial":
         assert low == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs,low", [
+    ((1.0, 1e308, -1e308), 1.0),
+    ((1e308, -1e308, 1e308), 7.5e307),
+], ids=["endpoints", "dip"])
+def test_polynomial_minimum_takes_roots_at_unit_scale(coeffs, low):
+    # the derivative of either has a 2e308 coefficient, which overflows
+    # (a RuntimeWarning, an error here); its critical point is t = 0.5,
+    # where the second one dips to 0.75e308
+    f = TimeFunction.polynomial(coeffs, (0.0, 1.0))
+    assert f.minimum_on_span() == low
 
 
 def test_a_sinusoid_is_refused_where_its_phase_is_float_noise():
@@ -352,11 +363,15 @@ def test_parse_sections_errors_carry_lines(text, fragment):
     assert err.value.line is not None
 
 
+def read_family(section):
+    return section.variant("family", FAMILIES, span=SPAN)
+
+
 def test_time_function_from_section_families():
     sections = parse_sections(GOOD)
-    f = time_function_from_section(sections["mass"], SPAN)
+    f = read_family(sections["mass"])
     assert f.family == "constant" and f.value(0.3) == 1.0
-    g = time_function_from_section(sections["frequency"], SPAN)
+    g = read_family(sections["frequency"])
     assert g.value(0.5) == pytest.approx(0.95)
 
 
@@ -373,14 +388,15 @@ def test_time_function_from_section_families():
 def test_time_function_from_section_errors(body, fragment):
     sections = parse_sections("[mass]\n" + body)
     with pytest.raises(ConfigError, match=fragment):
-        time_function_from_section(sections["mass"], SPAN)
+        read_family(sections["mass"])
 
 
-@pytest.mark.parametrize("family", sorted(_FAMILY_KEYS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_keys_name_their_constructors_parameters(family):
     # the reader passes each key to the family's constructor by name
-    params = inspect.signature(getattr(TimeFunction, family)).parameters
-    assert set(_FAMILY_KEYS[family]) <= set(params) - {"span"}
+    make, keys = FAMILIES[family]
+    assert make == getattr(TimeFunction, family)
+    assert set(keys) <= set(inspect.signature(make).parameters) - {"span"}
 
 
 def test_section_read_refuses_unknown_keys_then_reads_in_order():
