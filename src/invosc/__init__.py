@@ -23,8 +23,8 @@ from .errors import (BlowUp, ConfigError, DomainTooLarge, FallToCenter,
                      OriginUndefined, OutOfDomain, Overflow, ToleranceNotMet,
                      Unstable, ZeroCrossing, ZeroNorm)
 from .params import CoefficientSet, TimeFunction
-from .ode import (IntegratorConfig, MU_COUPLINGS, TransformTrajectory,
-                  default_alpha0, solve_chain)
+from .ode import (IntegratorConfig, TransformTrajectory, default_alpha0,
+                  solve_chain)
 from .artifacts import write_trajectory_csv
 from .bessel import bessel_j, bessel_n
 from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
@@ -44,7 +44,7 @@ __all__ = [
     "NonFinite", "NonPositiveArgument", "OriginUndefined", "OutOfDomain",
     "Overflow", "ToleranceNotMet", "Unstable", "ZeroCrossing", "ZeroNorm",
     "CoefficientSet", "TimeFunction",
-    "IntegratorConfig", "MU_COUPLINGS", "TransformTrajectory",
+    "IntegratorConfig", "TransformTrajectory",
     "default_alpha0", "solve_chain", "write_trajectory_csv",
     "bessel_j", "bessel_n",
     "CartesianGrid", "ConventionFlags", "GridGeometry", "ModeSpec",

@@ -52,7 +52,7 @@ from .artifacts import (TRAJECTORY_SAMPLES, read_digest, table_rows,
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
-from .ode import IntegratorConfig, MU_COUPLINGS, default_alpha0, solve_chain
+from .ode import IntegratorConfig, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
 from .params import (FAMILIES, CoefficientRangeError, CoefficientSet,
                      Section, parse_sections, within_span)
@@ -136,7 +136,6 @@ class RunConfig:
     oracle: OracleSettings | None
     field_times: tuple
     trajectory_samples: int
-    mu_coupling: str
     chain_cfg: IntegratorConfig
 
     @classmethod
@@ -241,7 +240,6 @@ class RunConfig:
         run = run_s.read({
             "field_times": ("floats", span),
             "trajectory_samples": ("int", TRAJECTORY_SAMPLES),
-            "mu_coupling": ("str", "pde"),
             "rel_tol": ("float", IntegratorConfig.rel_tol),
             "abs_tol": ("float", IntegratorConfig.abs_tol)})
         if not within_span(run["field_times"], span):
@@ -251,9 +249,6 @@ class RunConfig:
         if run["trajectory_samples"] < 2:
             raise ConfigError("trajectory_samples must be at least 2",
                               run_s.items["trajectory_samples"][1])
-        if run["mu_coupling"] not in MU_COUPLINGS:
-            raise ConfigError(f"mu_coupling must be one of {MU_COUPLINGS}",
-                              run_s.items["mu_coupling"][1])
         chain_cfg = run_s.build(IntegratorConfig, rel_tol=run["rel_tol"],
                                 abs_tol=run["abs_tol"])
 
@@ -262,13 +257,12 @@ class RunConfig:
                    grid=grid, verify=verify, oracle=oracle,
                    field_times=run["field_times"],
                    trajectory_samples=run["trajectory_samples"],
-                   mu_coupling=run["mu_coupling"], chain_cfg=chain_cfg)
+                   chain_cfg=chain_cfg)
 
     def chain(self, branch):
         alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)
         return solve_chain(self.coeffs, self.mode.k, span=self.span,
-                           alpha0=alpha0, cfg=self.chain_cfg,
-                           mu_coupling=self.mu_coupling)
+                           alpha0=alpha0, cfg=self.chain_cfg)
 
 
 def _read_flags(label, name, line=None):
@@ -455,7 +449,6 @@ def cmd_solve(args):
         field = sample_field(run.mode, run.traj, cfg.grid, cfg.field_times)
         field.write_csv(out / "field.csv", digest=cfg.digest)
         run.write_summary("summary.txt", [
-            ("mu_coupling", cfg.mu_coupling),
             ("span", f"{cfg.span[0]!r},{cfg.span[1]!r}"),
             ("coefficients", cfg.coeffs.describe()),
             ("grid", cfg.grid.describe()),

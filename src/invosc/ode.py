@@ -5,12 +5,16 @@ coupling from the planar Hamiltonian costs one quadrature and two ODEs:
 
   beta(t)   rotation angle,        beta' = q B / (4 m)
   alpha(t)  Gaussian width,        alpha' = i (m W^2 - alpha^2 / m)
-  mu(t)     radial scale,          mu'   = -(link rate) mu
+  mu(t)     radial scale,          mu'   = i alpha mu / m
   f(t)      accumulated phase,     f'    = (k^2 + 2 mu^2 alpha) / (2 m mu^2)
 
 with W^2 = omega^2 + q^2 B^2 / (4 m^2).  alpha and mu are complex: the
 width equation with real coefficients and the factor i admits no
 nonconstant real solution, so the literal real reading is a dead end.
+Under this mu link the assembled field solves the Schrodinger equation,
+and Re alpha |mu|^2 is conserved for any m, omega and B (the Wronskian
+of the linearized oscillator; Lewis & Riesenfeld, J. Math. Phys. 10,
+1458 (1969)).
 
 The four are integrated together as one system y = (beta, alpha, g, f),
 with g = log(mu / mu0), by an embedded Dormand-Prince 5(4) integrator with
@@ -38,14 +42,8 @@ from .params import CoefficientSet, coefficient_terms, within_span
 
 __all__ = [
     "IntegratorConfig", "DenseFunction", "TransformTrajectory",
-    "default_alpha0", "solve_chain", "MU_COUPLINGS",
+    "default_alpha0", "solve_chain",
 ]
-
-# Couplings for the scale-factor equation.  "pde" ties mu to alpha the way
-# the assembled wavefunction actually needs (mu' = i alpha mu / m, confirmed
-# by the residual check in the wavefunction module); "literal" keeps the
-# direct first-order link mu' = -alpha mu for side-by-side comparison.
-MU_COUPLINGS = ("pde", "literal")
 
 # |alpha| past this multiple of max(|alpha0|, 1) counts as a finite-time
 # escape (BlowUp).
@@ -272,8 +270,7 @@ class TransformTrajectory:
         return np.exp(self.log_mu(t))
 
 
-def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
-                mu_coupling="pde"):
+def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None):
     """Solve beta, alpha, mu, f as one coupled system and bundle the results.
 
     mu starts at mu0 = 1 and is carried as g = log mu, so it cannot pass
@@ -281,22 +278,13 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
     and |mu| falling below 1e-12 |mu0| raises ZeroCrossing, each with the
     bisected time of the event.  The knots of a tabulated coefficient are
     step ends: no step crosses one.
-
-    The two mu couplings exist because the first-order link between the
-    scale factor and the width can be read two ways; only the "pde" rate
-    -i alpha / m survives the residual check downstream, so it is the
-    default.  "literal" is kept so the alternative stays demonstrable
-    rather than merely asserted.
     """
-    if mu_coupling not in MU_COUPLINGS:
-        raise ValueError(f"mu_coupling must be one of {MU_COUPLINGS}")
     cfg = cfg or _DEFAULT_CFG
     span = coeffs.span if span is None else (float(span[0]), float(span[1]))
     a0 = complex(default_alpha0(coeffs, span[0]) if alpha0 is None else alpha0)
     if not (math.isfinite(a0.real) and math.isfinite(a0.imag)):
         raise NonFinite("alpha0 must be finite")
     k = float(k)
-    literal = mu_coupling == "literal"
     ceiling = _BLOWUP_FACTOR * max(abs(a0), 1.0)
 
     def rhs(t, y):
@@ -306,7 +294,7 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None,
         if abs(mu2) < 1e-280:
             raise ZeroCrossing(f"mu vanished at t={t:.6g}", crossing_time=float(t))
         return np.array([rate, 1j * (m * w2 - a * a / m),
-                         -a if literal else 1j * a / m,
+                         1j * a / m,
                          (k * k + 2.0 * mu2 * a) / (2.0 * m * mu2)])
 
     def watcher(t_lo, t_hi, segment):

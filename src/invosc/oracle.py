@@ -67,7 +67,7 @@ def solve_banded(*args, **kwargs):
     """scipy.linalg.solve_banded, imported on call.
 
     Nothing here calls it: it exists only because bench/tracer.py wraps
-    this name as its ``oracle.linsolve`` layer.  ROADMAP item 1 deletes
+    this name as its ``oracle.linsolve`` layer.  ROADMAP item 1b deletes
     it with the tracer's patch.
     """
     from scipy.linalg import solve_banded as solve

@@ -220,8 +220,15 @@ class TimeFunction:
                 # at unit scale the derivative cannot overflow
                 poly = np.polynomial.polynomial
                 unit = np.divide(p, max(map(abs, p)) or 1.0)
-                cands += [float(r.real)
-                          for r in poly.polyroots(poly.polyder(unit))
+                try:
+                    roots = poly.polyroots(poly.polyder(unit))
+                except np.linalg.LinAlgError:
+                    # a leading coefficient this small against the others
+                    # overflows the companion matrix
+                    raise NonFinite("polynomial family's critical points "
+                                    "overflow: its leading coefficient is "
+                                    "negligible against the others") from None
+                cands += [float(r.real) for r in roots
                           if abs(r.imag) < 1e-12 and t0 <= r.real <= t1]
             elif self.family == "tabulated":
                 cands += [float(r) for r in

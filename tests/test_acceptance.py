@@ -195,28 +195,21 @@ def test_criterion_6_reduction_chain():
     assert np.array_equal(got0, hand0)
 
     # constant coefficients: the chain reproduces the closed forms of
-    # beta, mu, f for both scale couplings
+    # beta, mu, f
     tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     c15 = make_coeffs()
     omega0 = math.sqrt(coefficient_terms(c15, 0.0)[1])
     k = 1.0
-    for coupling in ("pde", "literal"):
-        traj = solve_chain(c15, k, span=SPAN,
-                           alpha0=default_alpha0(c15, SPAN[0]), cfg=tight,
-                           mu_coupling=coupling)
-        for t in (0.25, 0.5, 0.75, 1.0):
-            if coupling == "pde":
-                mu_ref = cmath.exp(1j * omega0 * t)
-                f_ref = (k * k * (1.0 - cmath.exp(-2j * omega0 * t))
-                         / (4j * omega0) + omega0 * t)
-            else:
-                mu_ref = cmath.exp(-omega0 * t)
-                f_ref = (k * k * (cmath.exp(2.0 * omega0 * t) - 1.0)
-                         / (4.0 * omega0) + omega0 * t)
-            beta_ref = t / 4.0
-            assert abs(complex(traj.mu(t)) - mu_ref) / abs(mu_ref) < 1e-10
-            assert abs(complex(traj.phase(t)) - f_ref) / abs(f_ref) < 1e-10
-            assert abs(float(traj.beta(t)) - beta_ref) / beta_ref < 1e-10
+    traj = solve_chain(c15, k, span=SPAN,
+                       alpha0=default_alpha0(c15, SPAN[0]), cfg=tight)
+    for t in (0.25, 0.5, 0.75, 1.0):
+        mu_ref = cmath.exp(1j * omega0 * t)
+        f_ref = (k * k * (1.0 - cmath.exp(-2j * omega0 * t))
+                 / (4j * omega0) + omega0 * t)
+        beta_ref = t / 4.0
+        assert abs(complex(traj.mu(t)) - mu_ref) / abs(mu_ref) < 1e-10
+        assert abs(complex(traj.phase(t)) - f_ref) / abs(f_ref) < 1e-10
+        assert abs(float(traj.beta(t)) - beta_ref) / beta_ref < 1e-10
 
 
 def test_criterion_7_oracle_unitarity_and_order():

@@ -111,24 +111,6 @@ def test_solve_reuses_the_scanned_chains(tmp_path, monkeypatch):
     assert len(alpha0s) == 2 and alpha0s[0] != alpha0s[1]
 
 
-def test_collapsing_scale_factor_is_a_solver_error(tmp_path, c0_text, capsys):
-    # frequency 30 with the literal link mu' = -alpha mu: alpha0 = m W is
-    # stationary, so mu = exp(-W t) with W^2 = 900 + 1/4 falls below
-    # 1e-12 |mu0| at t = log(1e12) / W = 0.9209, inside the span
-    text = patched(c0_text, "[frequency]\nfamily = constant\nvalue = 1.0",
-                   "[frequency]\nfamily = constant\nvalue = 30.0")
-    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
-    text = patched(text, "[run]\n", "[run]\nmu_coupling = literal\n")
-    rc = main(["solve", "--config", write_cfg(tmp_path, text),
-               "--out", str(tmp_path)])
-    assert rc == EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert err.startswith("error: ZeroCrossing: ")
-    t_zero = float(err.split(" at t=")[1])
-    assert t_zero == pytest.approx(math.log(1e12) / math.sqrt(900.25),
-                                   abs=1e-3)
-
-
 @pytest.mark.parametrize("command,needle", [
     ("solve", "field_times = 0.0, 0.5, 1.0"),
     ("oracle", "record_times = 0.0, 0.5, 1.0"),
@@ -512,6 +494,30 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name,old,new,at,message", [
+    # the chain has one mu link, so a key that chose one is unknown
+    ("static_c15.cfg", "[run]\n", "[run]\nmu_coupling = pde\n",
+     "mu_coupling = pde", "unknown key 'mu_coupling' in [run]"),
+    # 1e-310 against 2 overflows the companion matrix whose eigenvalues
+    # are the polynomial's critical points: a config error at [mass], not
+    # numpy's "Array must not contain infs or NaNs" with no line
+    ("ramp_mass.cfg", "family = linear\nintercept = 1.0\nslope = 0.1",
+     "family = polynomial\ncoeffs = 1, 2, 1e-300, 1e-310", "[mass]",
+     "mass is not finite on the configured span"),
+], ids=["mu_coupling", "negligible-leading-coefficient"])
+def test_edit_is_refused_at_its_line_before_out_is_made(tmp_path, capsys,
+                                                        name, old, new, at,
+                                                        message):
+    text = patched((CONFIGS / name).read_text(), old, new)
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", write_cfg(tmp_path, text),
+               "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    line = text.splitlines().index(at) + 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_sinusoidal_phase_overflow_is_refused_at_its_section(tmp_path,
                                                               capsys):
     # 1e308 * t1 overflows the phase, past the 2^52 where a sinusoid is
@@ -585,26 +591,6 @@ def test_solve_and_verify_pass_on_the_other_coefficient_families(
     rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.startswith("verify: PASS")
-
-
-@pytest.mark.parametrize("command,rc,out", [
-    ("verify", EXIT_LADDER,
-     "verify: FAIL (no convergence) refinement ladder is not monotone: "
-     "6.435e-01 -> 6.436e-01 -> 6.436e-01\n"),
-    ("scan", EXIT_INCONCLUSIVE,
-     "scan: INCONCLUSIVE best residual 6.435e-01 (s=-1,h=1/2,branch=+) is "
-     "within 2x of runner-up 7.352e-01 (s=-1,h=1,branch=+)\n"),
-])
-def test_literal_mu_coupling_fails_both_checks(tmp_path, capsys, command, rc,
-                                              out):
-    # mu' = -alpha mu, the other reading of the scale-factor link: its
-    # field misses the Schrodinger equation by 64% at every ladder step,
-    # and no reading of the scan stands out
-    text = patched(Path(C15).read_text(), "[run]\n",
-                   "[run]\nmu_coupling = literal\n")
-    assert main([command, "--config", write_cfg(tmp_path, text),
-                 "--out", str(tmp_path / "run")]) == rc
-    assert capsys.readouterr().out == out
 
 
 @pytest.fixture()
@@ -770,7 +756,6 @@ def test_config_without_run_section_takes_the_defaults(tmp_path):
     cfg = RunConfig.load(write_cfg(tmp_path, head))
     assert cfg.field_times == cfg.span
     assert cfg.trajectory_samples == 512
-    assert cfg.mu_coupling == "pde"
     assert cfg.chain_cfg == IntegratorConfig()
 
 
@@ -794,7 +779,7 @@ def test_float_noise_field_phase_is_refused_at_its_section(tmp_path, capsys):
     ("[span]", "[wibble]\nx = 1\n\n[span]", "wibble"),
     ("rho_min = 0.0", "rho_min = 0.0\nwibble = 3", "wibble"),
     ("type = cartesian", "type = spherical", "spherical"),
-    ("[run]\nfield_times", "[run]\nmu_coupling = banana\nfield_times",
+    ("[run]\nfield_times", "[run]\nmu_coupling = pde\nfield_times",
      "mu_coupling"),
     ("[mass]\nfamily = constant\nvalue = 1.0",
      "[mass]\nfamily = constant\nvalue = 1.0\nslope = 5", "slope"),

@@ -15,8 +15,7 @@ from invosc import ode
 from invosc.artifacts import write_trajectory_csv
 from invosc.errors import (BlowUp, NonFinite, OutOfDomain, ToleranceNotMet,
                            ZeroCrossing)
-from invosc.ode import (MU_COUPLINGS, IntegratorConfig, default_alpha0,
-                        solve_chain)
+from invosc.ode import IntegratorConfig, default_alpha0, solve_chain
 from invosc.params import TimeFunction, coefficient_terms
 
 from conftest import SPAN, make_chain, make_coeffs
@@ -85,14 +84,25 @@ def test_riccati_blowup_reports_escape_time():
     assert err.value.escape_time == pytest.approx(math.pi / 4, abs=5e-2)
 
 
-def test_mu_zero_crossing():
-    # alpha0 = m W is stationary with no field, so the literal link gives
-    # mu = exp(-30 t), which falls below 1e-12 at t = log(1e12) / 30.
-    coeffs = make_coeffs(w=30.0, B=0.0, C=0.0, span=(0.0, 2.0))
+def test_mu_zero_crossing(monkeypatch):
+    # |mu|^2 = Re alpha0 / Re alpha(t) on the chain's link, so |alpha|
+    # escapes before |mu| reaches 1e-12; the guard is reached by raising
+    # its floor to 0.1.  At w = 30 this alpha0 takes |mu| down to 0.0236
+    # at t = 0.34.
+    from scipy.optimize import brentq
+
+    coeffs = make_coeffs(w=30.0, B=0.0, C=0.0, span=(0.0, 0.5))
+    alpha0 = 1.0 + 30.0j
+    log_mu = solve_chain(coeffs, 1.0, alpha0=alpha0).log_mu
+    ts = np.linspace(0.0, 0.5, 5001)
+    first = int(np.argmax(log_mu(ts).real < math.log(0.1)))
+    assert first > 0
+    t_cross = brentq(lambda t: log_mu(t).real - math.log(0.1),
+                     ts[first - 1], ts[first], xtol=1e-15)
+    monkeypatch.setattr(ode, "_LOG_MU_FLOOR", math.log(0.1))
     with pytest.raises(ZeroCrossing) as err:
-        solve_chain(coeffs, 1.0, alpha0=30.0, mu_coupling="literal")
-    assert err.value.crossing_time == pytest.approx(math.log(1e12) / 30.0,
-                                                    abs=1e-3)
+        solve_chain(coeffs, 1.0, alpha0=alpha0)
+    assert err.value.crossing_time == pytest.approx(t_cross, abs=1e-12)
 
 
 def test_beta_quadrature_is_exact_for_constant_field():
@@ -132,43 +142,35 @@ def test_max_steps_surfaces_as_tolerance_not_met(monkeypatch):
         width(coeffs)
 
 
-def test_chain_consistency_both_couplings():
-    """mu follows its coupling's log rate r, mu'/mu = -r: r = alpha under
-    "literal", -i alpha / m under "pde"."""
+def test_chain_consistency_of_the_mu_link():
+    """mu follows its link mu'/mu = i alpha / m."""
     coeffs = fixture_family("ramp")
     h = 1e-6
-    for coupling in ("pde", "literal"):
-        traj = make_chain(coeffs, mu_coupling=coupling)
-        for t in (0.1, 0.5, 0.9):
-            rate_fd = -(traj.mu(t + h) - traj.mu(t - h)) / (2 * h * traj.mu(t))
-            rate = traj.alpha(t)
-            if coupling == "pde":
-                rate = -1j * rate / coeffs.mass.value(t)
-            assert abs(rate_fd - rate) < 1e-6, coupling
+    traj = make_chain(coeffs)
+    for t in (0.1, 0.5, 0.9):
+        rate_fd = (traj.mu(t + h) - traj.mu(t - h)) / (2 * h * traj.mu(t))
+        rate = 1j * traj.alpha(t) / coeffs.mass.value(t)
+        assert abs(rate_fd - rate) < 1e-6
 
 
-@pytest.mark.parametrize("coupling", MU_COUPLINGS)
+# The ids of the tests below name the mu link, "pde": mu' = i alpha mu / m.
 @pytest.mark.parametrize("constants", [
     {}, {"m": 2.0, "w": 1.5, "B": 4.0, "q": 1.0}, {"B": 0.0}],
-    ids=["standard", "heavy_strong_field", "no_field"])
-def test_chain_matches_closed_forms_over_the_span(constants, coupling):
+    ids=["standard-pde", "heavy_strong_field-pde", "no_field-pde"])
+def test_chain_matches_closed_forms_over_the_span(constants):
     """Constant coefficients with alpha0 = m W make the chain exact:
-    alpha = m W, beta = q B t / (4 m), mu = exp(i W t) under "pde" or
-    exp(-m W t) under "literal", and f = W t + k^2 int_0^t mu^-2 / (2 m),
-    checked at the default tolerance at every one of 1001 times."""
+    alpha = m W, beta = q B t / (4 m), mu = exp(i W t) and
+    f = W t + k^2 int_0^t mu^-2 / (2 m), checked at the default tolerance
+    at every one of 1001 times."""
     coeffs = make_coeffs(**constants)
     m, q = coeffs.mass.value(0.0), coeffs.charge
     w = math.sqrt(coefficient_terms(coeffs, 0.0)[1])
     k = 1.0
-    traj = make_chain(coeffs, k=k, mu_coupling=coupling)
+    traj = make_chain(coeffs, k=k)
     for t in np.linspace(0.0, 1.0, 1001):
         t = float(t)
-        if coupling == "pde":
-            mu_ref = cmath.exp(1j * w * t)
-            f_ref = w * t + k * k * (1.0 - cmath.exp(-2j * w * t)) / (4j * m * w)
-        else:
-            mu_ref = cmath.exp(-m * w * t)
-            f_ref = w * t + k * k * math.expm1(2.0 * m * w * t) / (4.0 * m * m * w)
+        mu_ref = cmath.exp(1j * w * t)
+        f_ref = w * t + k * k * (1.0 - cmath.exp(-2j * w * t)) / (4j * m * w)
         beta_ref = q * coeffs.magnetic_field.value(t) * t / (4.0 * m)
         assert abs(traj.alpha(t) - m * w) <= 1e-14 * m * w, t
         assert abs(traj.mu(t) - mu_ref) <= 1e-14 * abs(mu_ref), t
@@ -190,34 +192,30 @@ DRIVEN_FAMILIES = {
                                               SPAN)},
 }
 # Worst of |chain - reference| / max(1, |reference|) over the linear,
-# sinusoidal and exponential families, both couplings and both alpha0
-# branches at 201 times, measured at the default tolerance: beta 8.1e-13,
-# alpha 4.1e-11, mu 1.9e-11, f 1.2e-10.
-# Each bar leaves 2.5x headroom.  The reference moves by at most 6.4e-12
+# sinusoidal and exponential families and both alpha0 branches at 201
+# times, measured at the default tolerance: beta 7.7e-13, alpha 4.1e-11,
+# mu 1.9e-11, f 5.6e-11.  Each bar leaves at least 2.5x headroom.  The reference moves by at most 6.4e-12
 # (f) between rtol 1e-12 and 1e-13, well inside every bar.
 DRIVEN_BARS = {"beta": 2e-12, "alpha": 1e-10, "mu": 5e-11, "phase": 3e-10}
 
 
-def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
+def _linearized_reference(coeffs, alpha0, ts, k=1.0):
     """The chain from the classical oscillator, independently of ode.py.
 
     alpha = -i m xi'/xi turns the width equation into the linear
     (m xi')' + m W^2 xi = 0, integrated as (xi, p = m xi') with xi(0) = 1
-    and p(0) = i alpha0 by scipy's DOP853.  The "pde" link gives
-    mu = xi; beta, f and the "literal" link's log mu = -int alpha are
-    quadratures carried along.
+    and p(0) = i alpha0 by scipy's DOP853.  The mu link gives mu = xi;
+    beta and f are quadratures carried along.
     """
     from scipy.integrate import solve_ivp
 
-    literal = mu_coupling == "literal"
-
     def rhs(t, y):
-        xi, p, _, _, log_mu = y
+        xi, p, _, _ = y
         m, w2, rate = coefficient_terms(coeffs, t)
         alpha = -1j * p / xi
-        mu2 = np.exp(2.0 * log_mu) if literal else xi * xi
+        mu2 = xi * xi
         return [p / m, -m * w2 * xi, rate,
-                (k * k + 2.0 * mu2 * alpha) / (2.0 * m * mu2), -alpha]
+                (k * k + 2.0 * mu2 * alpha) / (2.0 * m * mu2)]
 
     # a spline coefficient is integrated knot to knot, because its third
     # derivative jumps at every knot and DOP853 would step across them
@@ -226,7 +224,7 @@ def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
         if fn.family == "tabulated":
             cuts.update(fn.params[:len(fn.params) // 2])
     cuts = sorted(c for c in cuts if SPAN[0] <= c <= SPAN[1])
-    y0, ys = [1.0 + 0j, 1j * alpha0, 0j, 0j, 0j], []
+    y0, ys = [1.0 + 0j, 1j * alpha0, 0j, 0j], []
     for lo, hi in zip(cuts, cuts[1:]):
         inside = ts[(ts >= lo) & ((ts < hi) | (hi == SPAN[1]))]
         sol = solve_ivp(rhs, (lo, hi), y0, method="DOP853", t_eval=inside,
@@ -234,9 +232,8 @@ def _linearized_reference(coeffs, alpha0, mu_coupling, ts, k=1.0):
         assert sol.success, sol.message
         ys.append(sol.y)
         y0 = sol.sol(hi)
-    xi, p, beta, f, log_mu = np.concatenate(ys, axis=1)
-    return {"beta": beta.real, "alpha": -1j * p / xi,
-            "mu": np.exp(log_mu) if literal else xi, "phase": f}
+    xi, p, beta, f = np.concatenate(ys, axis=1)
+    return {"beta": beta.real, "alpha": -1j * p / xi, "mu": xi, "phase": f}
 
 
 def _chain_errors(traj, ref, ts):
@@ -246,48 +243,113 @@ def _chain_errors(traj, ref, ts):
 
 
 # The family on which the chain, at its default tolerance, misses the
-# bars above.  Worst over both couplings and branches: polynomial beta
-# 1.1e-11 (5.6x its bar), alpha 2.1e-10, mu 1.1e-10, f 3.9e-10; it
-# converges to the reference as rel_tol falls, so the misses are the
-# chain's step control.  The tabulated field passes because no step
-# crosses a knot, where the spline's third derivative jumps: beta
-# 1.4e-16, alpha 6.3e-11, mu 2.1e-11, f 7.8e-11.
+# bars above.  Worst over both branches: polynomial beta 6.5e-12 (3.3x
+# its bar), alpha 1.2e-10, mu 6.6e-11, f 3.9e-10; it converges to the
+# reference as rel_tol falls, so the misses are the chain's step control.
+# The tabulated field passes because no step crosses a knot, where the
+# spline's third derivative jumps: beta 8.3e-17, alpha 6.3e-11, mu
+# 2.1e-11, f 5.8e-11.
 CHAIN_MISSES_BARS = pytest.mark.xfail(strict=True, reason=(
     "at the default rel_tol 1e-10 the chain misses the bars on a cubic "
     "mass; see CHAIN_MISSES_BARS"))
 
 
-@pytest.mark.parametrize("branch", [+1, -1])
-@pytest.mark.parametrize("coupling", MU_COUPLINGS)
+@pytest.mark.parametrize("branch", [+1, -1], ids=["pde-1", "pde--1"])
 @pytest.mark.parametrize("family", [
     pytest.param(name, marks=CHAIN_MISSES_BARS) if name == "polynomial"
     else name for name in sorted(DRIVEN_FAMILIES)])
-def test_driven_chain_matches_the_linearized_riccati(family, coupling,
-                                                      branch):
+def test_driven_chain_matches_the_linearized_riccati(family, branch):
     coeffs = make_coeffs(**DRIVEN_FAMILIES[family])
-    traj = make_chain(coeffs, branch=branch, mu_coupling=coupling)
+    traj = make_chain(coeffs, branch=branch)
     ts = np.linspace(*SPAN, 201)
-    ref = _linearized_reference(coeffs, traj.alpha0, coupling, ts)
+    ref = _linearized_reference(coeffs, traj.alpha0, ts)
     errors = _chain_errors(traj, ref, ts)
     assert all(errors[name] <= bar for name, bar in DRIVEN_BARS.items()), \
         errors
 
 
-@pytest.mark.parametrize("coupling", MU_COUPLINGS)
-def test_linearized_riccati_catches_a_perturbed_chain(coupling):
+def test_linearized_riccati_catches_a_perturbed_chain():
     # alpha0 and the field amplitude each off by 1e-9 relative: every
     # component leaves its bar, f by the least (about 2x), beta by the
     # most (about 100x)
     coeffs = make_coeffs(**DRIVEN_FAMILIES["sinusoidal"])
     nudged = make_coeffs(B=TimeFunction.sinusoidal(1.0 + 1e-9, 1.0, SPAN))
     alpha0 = default_alpha0(coeffs)
-    traj = solve_chain(nudged, 1.0, alpha0=alpha0 * (1.0 + 1e-9),
-                       mu_coupling=coupling)
+    traj = solve_chain(nudged, 1.0, alpha0=alpha0 * (1.0 + 1e-9))
     ts = np.linspace(*SPAN, 201)
     errors = _chain_errors(
-        traj, _linearized_reference(coeffs, alpha0, coupling, ts), ts)
+        traj, _linearized_reference(coeffs, alpha0, ts), ts)
     assert all(errors[name] > bar for name, bar in DRIVEN_BARS.items()), \
         errors
+
+
+def _random_coefficients(family, rng):
+    """A coefficient set whose driven coefficient is of ``family``, with
+    random parameters; the other coefficients and q are random constants."""
+    u = rng.uniform
+    kw = {"m": u(0.5, 2.0), "w": u(0.5, 2.0), "B": u(-2.0, 2.0),
+          "q": u(-1.0, 1.0)}
+    if family == "linear":
+        m0 = u(0.5, 2.0)
+        kw["m"] = TimeFunction.linear(m0, m0 * u(-0.5, 0.5), SPAN)
+    elif family == "sinusoidal":
+        kw["B"] = TimeFunction.sinusoidal(u(-2.0, 2.0), u(0.1, 6.0), SPAN,
+                                          offset=u(-1.0, 1.0))
+    elif family == "exponential":
+        kw["w"] = TimeFunction.exponential(u(0.5, 2.0), u(-1.0, 1.0), SPAN)
+    elif family == "polynomial":
+        kw["m"] = TimeFunction.polynomial([u(0.5, 2.0), *u(-0.15, 0.15, 3)],
+                                          SPAN)
+    else:
+        knots = np.linspace(*SPAN, 12)
+        kw["B"] = TimeFunction.tabulated(knots, u(-2.0, 2.0, 12), SPAN)
+    return make_coeffs(**kw)
+
+
+def _invariant_drift(traj, ts):
+    """max |I(t) - I(t0)| / |I(t0)| of I = Re alpha |mu|^2 at ``ts``."""
+    inv = traj.alpha(ts).real * np.exp(2.0 * traj.log_mu(ts).real)
+    return float(np.max(np.abs(inv - inv[0])) / abs(inv[0]))
+
+
+# Re alpha |mu|^2 is conserved exactly under alpha' = i (m W^2 - alpha^2/m)
+# and mu' = i alpha mu / m, for any coefficients and alpha0.  Its drift over
+# 200 random sets per family and branch is at most 1.4 rel_tol, at rel_tol
+# 1e-8, 1e-10 and 1e-11 (abs_tol = rel_tol / 100).
+INVARIANT_BAR = 3.0 * IntegratorConfig.rel_tol
+
+
+@pytest.mark.parametrize("branch", [+1, -1])
+@pytest.mark.parametrize("family", sorted(DRIVEN_FAMILIES))
+def test_chain_conserves_re_alpha_mu_squared(family, branch):
+    rng = np.random.default_rng(sorted(DRIVEN_FAMILIES).index(family))
+    ts = np.linspace(*SPAN, 201)
+    drifts = [_invariant_drift(make_chain(_random_coefficients(family, rng),
+                                          branch=branch), ts)
+              for _ in range(30)]
+    assert max(drifts) <= INVARIANT_BAR, drifts
+
+
+def test_invariant_catches_a_perturbed_mu_rate(monkeypatch):
+    # the mu rate, component 2 of the chain's rhs, off by 1e-6 relative:
+    # the drift reaches about 2e-8, 70x the bar (1e-9 gives 2.1e-11)
+    coeffs = make_coeffs(m=TimeFunction.linear(1.0, 0.1, SPAN),
+                         B=TimeFunction.sinusoidal(1.0, 1.0, SPAN))
+    ts = np.linspace(*SPAN, 201)
+    assert _invariant_drift(make_chain(coeffs), ts) <= INVARIANT_BAR
+    real = ode._dopri5
+
+    def perturbed(rhs, *args):
+        def scaled(t, y):
+            dy = rhs(t, y)
+            dy[2] *= 1.0 + 1e-6
+            return dy
+        return real(scaled, *args)
+
+    monkeypatch.setattr(ode, "_dopri5", perturbed)
+    for branch in (+1, -1):
+        drift = _invariant_drift(make_chain(coeffs, branch=branch), ts)
+        assert drift > 10.0 * INVARIANT_BAR, (branch, drift)
 
 
 def test_solve_chain_is_one_coupled_integration(monkeypatch):
@@ -372,11 +434,6 @@ def test_nan_step_is_named_with_its_time():
     with pytest.raises(NonFinite, match=r"chain step from t=0\.\d+ is not "):
         ode._dopri5(rhs, (0.0, 1.0), [0j], IntegratorConfig(),
                     lambda *args: None)
-
-
-def test_solve_chain_rejects_unknown_coupling():
-    with pytest.raises(ValueError, match="mu_coupling"):
-        solve_chain(make_coeffs(C=0.0), 1.0, mu_coupling="middle")
 
 
 def test_trajectory_csv_round_trip(tmp_path):

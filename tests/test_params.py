@@ -185,6 +185,13 @@ def test_polynomial_minimum_takes_roots_at_unit_scale(coeffs, low):
     assert f.minimum_on_span() == low
 
 
+def test_negligible_leading_coefficient_is_non_finite():
+    # the derivative's companion matrix holds -1 / 1.5e-310 at unit scale
+    f = TimeFunction.polynomial((1.0, 2.0, 1e-300, 1e-310), (0.0, 1.0))
+    with pytest.raises(NonFinite, match="critical points overflow"):
+        f.minimum_on_span()
+
+
 def test_a_sinusoid_is_refused_where_its_phase_is_float_noise():
     # from |angular_frequency t| = 2^52 on, adjacent times are a radian or
     # more apart in phase; the rule reads either end of the span
