@@ -113,10 +113,9 @@ class DenseFunction:
     (checked by test).
     """
 
-    def __init__(self, ts, rcont, real=False):
+    def __init__(self, ts, rcont):
         self._ts = ts                  # step boundaries, shape (K+1,)
         self._rcont = rcont            # interpolant table, shape (K, 5)
-        self.real = real
         self.span = (float(ts[0]), float(ts[-1]))
 
     def __call__(self, t):
@@ -129,8 +128,6 @@ class DenseFunction:
         ta = self._ts[idx]
         h = self._ts[idx + 1] - ta
         val = _quartic(self._rcont[idx], np.clip((t_arr - ta) / h, 0.0, 1.0))
-        if self.real:
-            val = val.real
         return val if val.ndim else val[()]
 
 
@@ -316,7 +313,7 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None):
                     for t in f.knots() if span[0] < t < span[1]})
     ts, rcont = _dopri5(rhs, span, [0.0, a0, 0.0, 0.0], cfg, watcher, knots)
     return TransformTrajectory(
-        span=span, beta=DenseFunction(ts, rcont[:, 0], real=True),
+        span=span, beta=DenseFunction(ts, rcont[:, 0].real),
         alpha=DenseFunction(ts, rcont[:, 1]),
         log_mu=DenseFunction(ts, rcont[:, 2]),
         phase=DenseFunction(ts, rcont[:, 3]), alpha0=a0)

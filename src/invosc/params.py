@@ -298,16 +298,15 @@ class CoefficientSet:
 
     def _check_sign(self, name, strict, what):
         """Refuse the coefficient ``name`` where it is <= 0 (``strict``) or
-        < 0 on the span, and where it overflows there: either way a
-        CoefficientRangeError names it."""
+        < 0 on the span, and where the check overflows: either way a
+        CoefficientRangeError names it, an overflow with its cause."""
         f = getattr(self, name)
         try:
             low = f.minimum_on_span()
             ok = low > 0.0 if strict else low >= 0.0
             ok = ok and _sample_sign_ok(f, 0.0, strict)
         except NonFinite as exc:
-            raise CoefficientRangeError(
-                name, f"{name} is not finite on the configured span") from exc
+            raise CoefficientRangeError(name, f"{name}: {exc}") from exc
         if not ok:
             raise CoefficientRangeError(name, f"{what} on the configured span")
 
@@ -355,6 +354,25 @@ def coefficient_terms(coeffs: CoefficientSet, t):
 
 # -- config file scanning -----------------------------------------------------
 
+def _floats(raw):
+    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# Each reader name of a Section.read table: (parse, what a value must be
+# for parse to take it, whether the value must also be finite).
+_READERS = {
+    "float": (float, "a number", True),
+    "int": (int, "an integer", False),
+    "complex": (lambda raw: complex(raw.replace(" ", "")), "a complex number",
+                True),
+    "str": (str, "a string", False),
+    "floats": (_floats, "a non-empty number list", True),
+}
+
+
 class Section:
     """One parsed config section with typed key lookups.
 
@@ -372,7 +390,8 @@ class Section:
         self.header_line = header_line
         self.items: dict[str, tuple[str, int]] = {}
 
-    def _parse(self, key, default, kind, what, finite=False):
+    def _parse(self, key, reader, default=_MISSING):
+        parse, what, finite = _READERS[reader]
         if key not in self.items:
             if default is self._MISSING:
                 raise ConfigError(f"missing key {key!r} in [{self.name}]",
@@ -380,35 +399,12 @@ class Section:
             return default
         raw, line = self.items[key]
         try:
-            value = kind(raw)
+            value = parse(raw)
         except ValueError:
             raise ConfigError(f"{key} = {raw!r} is not {what}", line) from None
         if finite and not np.all(np.isfinite(value)):
             raise ConfigError(f"{key} = {raw!r} is not finite", line)
         return value
-
-    def float(self, key, default=_MISSING):
-        return self._parse(key, default, float, "a number", finite=True)
-
-    def int(self, key, default=_MISSING):
-        return self._parse(key, default, int, "an integer")
-
-    def complex(self, key, default=_MISSING):
-        return self._parse(key, default,
-                           lambda raw: complex(raw.replace(" ", "")),
-                           "a complex number", finite=True)
-
-    def str(self, key, default=_MISSING):
-        return self._parse(key, default, lambda raw: raw, "a string")
-
-    def floats(self, key, default=_MISSING):
-        def parse(raw):
-            values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-            if not values:
-                raise ValueError("empty list")
-            return values
-        return self._parse(key, default, parse, "a non-empty number list",
-                           finite=True)
 
     def read(self, keys):
         """The values of ``keys`` as a dict, read in its order.
@@ -423,9 +419,8 @@ class Section:
                 raise ConfigError(f"unknown key {key!r} in [{self.name}]", line)
         values = {}
         for key, spec in keys.items():
-            reader, default = ((spec, self._MISSING) if isinstance(spec, str)
-                               else spec)
-            values[key] = getattr(self, reader)(key, default)
+            values[key] = self._parse(key, *(
+                (spec,) if isinstance(spec, str) else spec))
         return values
 
     def variant(self, tag, variants, **fixed):
@@ -436,7 +431,7 @@ class Section:
         through ``read`` from ``tag`` and ``keys``, and the variant is
         ``make(**fixed, **values)`` through ``build``.
         """
-        name = self.str(tag)
+        name = self._parse(tag, "str")
         if name not in variants:
             raise ConfigError(f"unknown {tag} {name!r} in [{self.name}]",
                               self.items[tag][1])

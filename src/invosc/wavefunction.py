@@ -224,54 +224,47 @@ def theta_from_xy(x, y, beta):
 
 @dataclass(frozen=True)
 class CartesianGrid:
-    """Uniform x-y grid; axis 0 runs along x, axis 1 along y.
+    """Uniform square grid on [-L, L]^2, L = half_width, with n nodes per
+    axis; axis 0 runs along x, axis 1 along y.  Even n keeps the origin
+    off-node.
 
     rho_min > 0 marks an excluded disk around the origin: field values
     are still sampled there (the field itself is regular), but residual
     statistics skip it because the 1/rho^2 potential term is not.
     """
 
-    x_min: float
-    x_max: float
-    nx: int
-    y_min: float
-    y_max: float
-    ny: int
+    half_width: float
+    n: int
     rho_min: float = 0.0
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid extents must be increasing")
-        if self.nx < 8 or self.ny < 8:
+        # the spacing is 2 L / (n - 1), so 2 L must be a finite float
+        if not (self.half_width > 0 and math.isfinite(2.0 * self.half_width)):
+            raise ValueError(f"half_width must be positive with 2 * "
+                             f"half_width finite, got {self.half_width!r}")
+        if self.n < 8:
             raise ValueError("grid needs at least 8 points per axis")
         if self.rho_min < 0:
             raise ValueError("rho_min must be >= 0")
 
-    @classmethod
-    def centered(cls, half_width, n, rho_min=0.0):
-        """Square grid on [-L, L]^2; even n keeps the origin off-node."""
-        L = float(half_width)
-        return cls(-L, L, int(n), -L, L, int(n), rho_min)
-
     @property
     def shape(self):
-        return (self.nx, self.ny)
+        return (self.n, self.n)
 
     def spacing(self):
-        return ((self.x_max - self.x_min) / (self.nx - 1),
-                (self.y_max - self.y_min) / (self.ny - 1))
+        h = 2.0 * self.half_width / (self.n - 1)
+        return (h, h)
 
     def axes(self):
-        return (np.linspace(self.x_min, self.x_max, self.nx),
-                np.linspace(self.y_min, self.y_max, self.ny))
+        xs = np.linspace(-self.half_width, self.half_width, self.n)
+        return (xs, xs)
 
     def xy_mesh(self):
         xs, ys = self.axes()
         return np.meshgrid(xs, ys, indexing="ij")
 
     def outer_radius(self):
-        corners = max(abs(self.x_min), abs(self.x_max)), max(abs(self.y_min), abs(self.y_max))
-        return math.hypot(*corners)
+        return math.hypot(self.half_width, self.half_width)
 
     def active_mask(self, floor):
         """Residual points: 2 nodes inside every edge, at rho >= floor."""
@@ -283,8 +276,8 @@ class CartesianGrid:
         return mask
 
     def describe(self):
-        return (f"cartesian {self.nx}x{self.ny} "
-                f"[{self.x_min:g},{self.x_max:g}]x[{self.y_min:g},{self.y_max:g}] "
+        L = self.half_width
+        return (f"cartesian {self.n}x{self.n} [{-L:g},{L:g}]x[{-L:g},{L:g}] "
                 f"rho_min={self.rho_min:g}")
 
 

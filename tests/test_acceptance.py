@@ -108,7 +108,7 @@ def test_criterion_4_convention_scan_decisiveness():
     def factory(branch):
         return make_chain(coeffs, branch=branch)
 
-    grid = CartesianGrid.centered(6.0, 128)
+    grid = CartesianGrid(6.0, 128)
     outcome = convention_scan(mode, factory, coeffs, grid, (0.4,), step=4e-2)
     rows = {row.flags: row for row in outcome.rows}
     best = rows[outcome.winner]
@@ -117,8 +117,7 @@ def test_criterion_4_convention_scan_decisiveness():
             assert row.rel_inf >= 10.0 * best.rel_inf, flags.label()
     assert best.envelope_decays
     refined = convention_scan(mode, factory, coeffs,
-                              dataclasses.replace(grid, nx=2 * grid.nx,
-                                                  ny=2 * grid.ny),
+                              dataclasses.replace(grid, n=2 * grid.n),
                               (0.4,), step=4e-2)
     assert refined.winner == outcome.winner
     _budget(started, 180.0)
@@ -161,7 +160,7 @@ def test_criterion_6_reduction_chain():
     coeffs = make_coeffs(C=0.0)
     traj = make_chain(coeffs)
     mode = ModeSpec.from_coupling(k=1.0, n=2, C=0.0, conventions=WINNER)
-    xs, ys = CartesianGrid.centered(3.0, 16).xy_mesh()
+    xs, ys = CartesianGrid(3.0, 16).xy_mesh()
     t = 0.6
     got = assemble_psi(mode, traj, xs, ys, t)
     rho = np.hypot(xs, ys)

@@ -424,6 +424,20 @@ def test_checks_pass_below_nu_one(tmp_path, nu_tenth_cfg, capsys, command):
     assert rc == EXIT_OK
 
 
+def test_order_window_is_fixed(tmp_path, nu_tenth_cfg, capsys):
+    # at nu = 0.1 the residual meets a 2.5e-4 bar at order 1.42, outside
+    # the window of a 2nd-order time stencil; no key widens the window
+    cfg = Path(nu_tenth_cfg)
+    cfg.write_text(patched(cfg.read_text(), "max_rel_inf = 2e-4",
+                           "max_rel_inf = 2.5e-4"))
+    rc = main(["verify", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    out = capsys.readouterr().out
+    assert out.startswith("verify: FAIL")
+    assert out.endswith("(need rel_inf<=0.00025, order in [1.7,2.3])\n")
+    assert rc == EXIT_VERIFY
+
+
 def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
     cfg = write_cfg(tmp_path, patched(
         c0_text,
@@ -498,13 +512,22 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     # the chain has one mu link, so a key that chose one is unknown
     ("static_c15.cfg", "[run]\n", "[run]\nmu_coupling = pde\n",
      "mu_coupling = pde", "unknown key 'mu_coupling' in [run]"),
+    # verify's order window is fixed, so a key that moved it is unknown
+    ("static_c15.cfg", "max_rel_inf = 1e-5",
+     "max_rel_inf = 1e-5\norder_lo = 1.0", "order_lo = 1.0",
+     "unknown key 'order_lo' in [verification]"),
+    ("static_c15.cfg", "max_rel_inf = 1e-5",
+     "max_rel_inf = 1e-5\norder_hi = 3.0", "order_hi = 3.0",
+     "unknown key 'order_hi' in [verification]"),
     # 1e-310 against 2 overflows the companion matrix whose eigenvalues
     # are the polynomial's critical points: a config error at [mass], not
     # numpy's "Array must not contain infs or NaNs" with no line
     ("ramp_mass.cfg", "family = linear\nintercept = 1.0\nslope = 0.1",
      "family = polynomial\ncoeffs = 1, 2, 1e-300, 1e-310", "[mass]",
-     "mass is not finite on the configured span"),
-], ids=["mu_coupling", "negligible-leading-coefficient"])
+     "mass: polynomial family's critical points overflow: its leading "
+     "coefficient is negligible against the others"),
+], ids=["mu_coupling", "order_lo", "order_hi",
+        "negligible-leading-coefficient"])
 def test_edit_is_refused_at_its_line_before_out_is_made(tmp_path, capsys,
                                                         name, old, new, at,
                                                         message):
@@ -862,29 +885,19 @@ _ORACLE_BAR = "min_fidelity = 0.999"
      "max_rel_inf = 'inf' is not finite"),
     ("verify", _VERIFY_BAR, "max_rel_inf = 0",
      "max_rel_inf must be positive"),
-    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = nan",
-     "order_lo = 'nan' is not finite"),
-    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_hi = inf",
-     "order_hi = 'inf' is not finite"),
-    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.3",
-     "order_lo must be below order_hi"),
-    ("verify", _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 2.0\norder_hi = 1.9",
-     "order_lo must be below order_hi"),
     ("oracle", _ORACLE_BAR, "min_fidelity = nan",
      "min_fidelity = 'nan' is not finite"),
     ("oracle", _ORACLE_BAR, "min_fidelity = 1.5",
      "min_fidelity must lie in [0, 1]"),
     ("oracle", _ORACLE_BAR, "min_fidelity = -0.1",
      "min_fidelity must lie in [0, 1]"),
-], ids=["nan-bar", "inf-bar", "zero-bar", "nan-order_lo", "inf-order_hi",
-        "order_lo-at-default-hi", "reversed-window", "nan-fidelity",
+], ids=["nan-bar", "inf-bar", "zero-bar", "nan-fidelity",
         "fidelity-above-one", "negative-fidelity"])
 def test_unmeetable_threshold_is_refused_at_its_line(tmp_path, capsys,
                                                      command, old, new,
                                                      message):
     # a NaN bar ran the whole ladder (or the propagation) and exited 4
-    # with "need rel_inf<=nan"; the refusal names the value's line, the
-    # later key's when the order window is reversed
+    # with "need rel_inf<=nan"; the refusal names the value's line
     text = patched(Path(C15).read_text(), old, new)
     line = text.splitlines().index(new.splitlines()[-1]) + 1
     out_dir = tmp_path / "run"
@@ -898,7 +911,6 @@ def test_unmeetable_threshold_is_refused_at_its_line(tmp_path, capsys,
 @pytest.mark.parametrize("old,new", [
     (_ORACLE_BAR, "min_fidelity = 0"), (_ORACLE_BAR, "min_fidelity = 1"),
     (_VERIFY_BAR, "max_rel_inf = 5e-324"),
-    (_VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = -1e300\norder_hi = 1e300"),
 ])
 def test_thresholds_at_the_edge_of_their_range_load(tmp_path, old, new):
     text = patched(Path(C15).read_text(), old, new)
@@ -929,10 +941,8 @@ def _number_edits(text, value):
 
 
 # static_c15 with the optional number keys that no bundled config sets
-_OPTIONAL_KEYS = patched(
-    patched(Path(C15).read_text(), "[run]\n",
-            "[run]\nrel_tol = 1e-10\nabs_tol = 1e-12\n"),
-    _VERIFY_BAR, f"{_VERIFY_BAR}\norder_lo = 1.7\norder_hi = 2.3")
+_OPTIONAL_KEYS = patched(Path(C15).read_text(), "[run]\n",
+                         "[run]\nrel_tol = 1e-10\nabs_tol = 1e-12\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
@@ -973,14 +983,19 @@ _OVERFLOW_NAMES = {
     ("static_c15.cfg", "mode", "amp_second"): "assembled field is not finite",
     ("exp_omega.cfg", "mass", "value"): "chain slope is not finite",
     ("exp_omega.cfg", "frequency", "base"): "W^2",
-    ("exp_omega.cfg", "frequency", "rate"): "frequency is not finite",
+    ("exp_omega.cfg", "frequency", "rate"):
+        "frequency: exponential family overflows on the span",
     ("exp_omega.cfg", "magnetic_field", "value"): "W^2",
-    ("exp_omega.cfg", "span", "t1"): "frequency is not finite",
+    ("exp_omega.cfg", "span", "t1"):
+        "frequency: exponential family overflows on the span",
     ("exp_omega.cfg", "mode", "k"): "chain slope is not finite",
     ("exp_omega.cfg", "mode", "amp_first"): "assembled field is not finite",
     ("exp_omega.cfg", "mode", "amp_second"): "assembled field is not finite",
     ("ramp_mass.cfg", "mass", "intercept"): "chain slope is not finite",
     ("sinusoidal_b.cfg", "magnetic_field", "amplitude"): "W^2",
+    # 2 * 1e308 is inf: the grid spacing would be too
+    ("static_c0.cfg", "grid", "half_width"):
+        "[grid]: half_width must be positive with 2 * half_width finite",
 }
 # and through oracle, which reads the [oracle] numbers that solve ignores
 _ORACLE_OVERFLOW_NAMES = {
@@ -1022,13 +1037,15 @@ def test_finite_extremes_end_in_a_contract_exit_code(tmp_path, capsys, name,
     ("ramp_mass.cfg", "mass", "solve", _OVERFLOW_NAMES),
     ("sinusoidal_b.cfg", "magnetic_field", "solve", _OVERFLOW_NAMES),
     ("static_c15.cfg", "oracle", "oracle", _ORACLE_OVERFLOW_NAMES),
-], ids=["linear-mass", "sinusoidal-field", "oracle"])
+    ("static_c0.cfg", "grid", "solve", _OVERFLOW_NAMES),
+], ids=["linear-mass", "sinusoidal-field", "oracle", "cartesian-grid"])
 def test_finite_extremes_of_driven_families_and_the_oracle(tmp_path, capsys,
                                                            name, section,
                                                            command, names,
                                                            value):
-    # the sweep above, on the coefficient families its two configs lack
-    # and on every [oracle] number through the command that reads them
+    # the sweep above, on the coefficient families its two configs lack,
+    # on every [oracle] number through the command that reads them, and
+    # on the one Cartesian grid (only [grid]: each static_c0 solve scans)
     edits = [edit for edit in _number_edits((CONFIGS / name).read_text(),
                                             value) if edit[2] == section]
     assert len(edits) >= 2

@@ -318,7 +318,8 @@ def test_overflowing_sign_check_names_its_coefficient(coefficient):
     # math.exp(1e308) raised OverflowError out of minimum_on_span
     big = TimeFunction.exponential(1.0, 1e308, SPAN)
     with pytest.raises(CoefficientRangeError,
-                       match=f"^{coefficient} is not finite on the configured"
+                       match=f"^{coefficient}: exponential family overflows "
+                             "on the span"
                        ) as err:
         make_coeffs(**{{"mass": "m", "frequency": "w"}[coefficient]: big})
     assert err.value.coefficient == coefficient

@@ -191,18 +191,22 @@ def test_mode_describe_names_the_conventions(mode_c15):
 # -- grids -------------------------------------------------------------------------
 
 def test_centered_cartesian_grid_geometry():
-    g = CartesianGrid.centered(6.0, 128)
+    # the bits static_c0's field.csv, residual_ladder.csv and summaries
+    # carry
+    g = CartesianGrid(6.0, 128)
     assert g.shape == (128, 128)
-    assert g.spacing() == (12.0 / 127.0, 12.0 / 127.0)
+    assert g.spacing() == (12.0 / 127, 12.0 / 127)
     xs, ys = g.axes()
-    assert xs[0] == -6.0 and xs[-1] == 6.0 and len(ys) == 128
-    assert g.outer_radius() == pytest.approx(math.hypot(6.0, 6.0))
+    for axis in (xs, ys):
+        assert np.array_equal(axis, np.linspace(-6.0, 6.0, 128))
+    assert g.outer_radius() == math.hypot(6.0, 6.0)
+    assert g.describe() == "cartesian 128x128 [-6,6]x[-6,6] rho_min=0"
     # even point count keeps the origin off-node
     assert not np.any(xs == 0.0)
 
 
 def test_cartesian_active_mask_trims_edges_and_disk():
-    g = CartesianGrid.centered(3.0, 16)
+    g = CartesianGrid(3.0, 16)
     assert g.active_mask(0.0).sum() == 12 * 12
     masked = g.active_mask(1.0)
     assert masked.sum() < 12 * 12
@@ -247,11 +251,13 @@ def test_polar_disk_grid_masks_the_degenerate_ring():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        CartesianGrid(1.0, -1.0, 16, -1.0, 1.0, 16)
+        CartesianGrid(-1.0, 16)
+    with pytest.raises(ValueError, match="2 \\* half_width finite"):
+        CartesianGrid(1e308, 16)
     with pytest.raises(ValueError):
-        CartesianGrid.centered(1.0, 4)
+        CartesianGrid(1.0, 4)
     with pytest.raises(ValueError):
-        CartesianGrid.centered(1.0, 16, rho_min=-0.1)
+        CartesianGrid(1.0, 16, rho_min=-0.1)
     with pytest.raises(ValueError):
         PolarGrid(-0.1, 8.0, 16, 16)
     with pytest.raises(ValueError):
@@ -360,7 +366,7 @@ def test_zero_field_keeps_the_frame_and_angle_fixed():
     # beta integrates a vanishing rate and must come back exactly 0.0
     assert traj.beta(0.37) == 0.0
     assert traj.beta(1.0) == 0.0
-    X, Y = CartesianGrid.centered(3.0, 16).xy_mesh()
+    X, Y = CartesianGrid(3.0, 16).xy_mesh()
     assert np.array_equal(theta_from_xy(X, Y, 0.0), np.arctan2(X, Y))
 
 
@@ -468,7 +474,7 @@ def test_deduplicated_radial_factor_matches_per_node(case, chain_c15):
         traj, grid = RealScaleChain(), PolarGrid(0.4, 8.0, 96, 80)
     else:
         mode = ModeSpec.from_coupling(k=1.0, n=0, C=0.0, conventions=WINNER)
-        traj, grid = chain_c15, CartesianGrid.centered(6.0, 65)
+        traj, grid = chain_c15, CartesianGrid(6.0, 65)
     X, Y = grid.xy_mesh()
     if case == "cartesian_origin_nu0":
         assert np.count_nonzero(np.hypot(X, Y) == 0.0) == 1
@@ -624,7 +630,7 @@ def _write_csv_per_row(field, path, digest=None):
                          f"{(vv.real * vv.real + vv.imag * vv.imag):.17g}\n")
 
 
-_CARTESIAN = CartesianGrid(-1.0, 2.0, 67, -3.0, 0.5, 71)
+_CARTESIAN = CartesianGrid(2.0, 69)
 _POLAR = PolarGrid(0.0, 7.3, 67, 71)
 
 
@@ -636,7 +642,8 @@ _POLAR = PolarGrid(0.0, 7.3, 67, 71)
 ])
 def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
                                                       digest, grid):
-    # 67 x 71 = 4757 rows per slice: one full chunk plus a partial tail
+    # 69 x 69 = 4761 and 67 x 71 = 4757 rows per slice: one full chunk
+    # plus a partial tail
     times = (0.1, 1.0 / 3.0, 0.0)
     rng = np.random.default_rng(7)
     shape = (len(times), *grid.shape)
@@ -654,7 +661,8 @@ def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
         field.write_csv(new, digest=digest)
         _write_csv_per_row(field, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
-    assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * 4757
+    assert (len(new.read_text().splitlines())
+            == (4 if digest else 3) + 3 * math.prod(grid.shape))
 
 
 class _ListGrid:
@@ -738,7 +746,7 @@ def test_known_plane_wave_passes_the_operator():
     def plane(X, Y, t):
         return np.exp(1j * (p * X + q * Y - energy * t))
 
-    grid = CartesianGrid.centered(0.016, 33)
+    grid = CartesianGrid(0.016, 33)
     rep = schrodinger_residual(None, None, coeffs, grid, (0.5,),
                                steps=(2e-4,), psi=plane)
     assert rep.rel_inf < 3e-8
@@ -852,9 +860,9 @@ def _reference_hamiltonian(values, grid, geometry, coeffs, t):
 
 @pytest.mark.parametrize("grid,C", [
     (PolarGrid(0.4, 8.0, 48, 40), 1.5),
-    (CartesianGrid.centered(6.0, 44, rho_min=0.5), 1.5),
+    (CartesianGrid(6.0, 44, rho_min=0.5), 1.5),
     (PolarGrid(0.0, 6.0, 40, 36), 0.0),
-    (CartesianGrid.centered(6.0, 41), 0.0),
+    (CartesianGrid(6.0, 41), 0.0),
 ], ids=["polar", "cartesian", "polar-disk-C0", "cartesian-origin-C0"])
 def test_folded_operator_matches_the_separate_derivatives(grid, C):
     # random nodes weigh every stencil term alike; a smooth field makes
