@@ -11,8 +11,10 @@ Five subcommands cover the pipeline end to end:
 Config files use the small ``[section] / key = value`` format scanned by
 params.parse_sections; every key is read through params.Section, whose
 errors name the offending line.  Physics inputs (coefficients, charge,
-coupling, mode numbers, span, grid extents) must be explicit; only
-numerical knobs (tolerances, ladder steps, sample counts) carry defaults.
+coupling, mode numbers, span, grid extents) must be explicit, except three
+that default to 0: ``[mode] amp_second``, a sinusoid's ``offset`` and a
+Cartesian grid's ``rho_min``.  Otherwise only numerical knobs (tolerances,
+ladder steps, sample counts) carry defaults.
 
 Every CSV and summary of a config command embeds a sha256 digest of the
 effective config, and every config command refuses an output directory
@@ -618,6 +620,11 @@ def main(argv=None):
                      if isinstance(exc, kind)), EXIT_SOLVER)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        # a size no allocator can meet, such as numpy's refusal of a grid
+        # or table past the address space
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

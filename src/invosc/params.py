@@ -257,11 +257,11 @@ FAMILIES = {
 }
 
 
-def _sample_sign_ok(f, lo, strict):
+def _sample_sign_ok(f, strict):
     """Secondary sampled check backing the closed-form bound."""
     ts = np.linspace(f.span[0], f.span[1], _POSITIVITY_SAMPLES)
     vals = np.asarray(f.value(ts))
-    return bool(np.all(vals > 0) if strict else np.all(vals >= lo))
+    return bool(np.all(vals > 0) if strict else np.all(vals >= 0.0))
 
 
 class CoefficientRangeError(ValueError):
@@ -304,7 +304,7 @@ class CoefficientSet:
         try:
             low = f.minimum_on_span()
             ok = low > 0.0 if strict else low >= 0.0
-            ok = ok and _sample_sign_ok(f, 0.0, strict)
+            ok = ok and _sample_sign_ok(f, strict)
         except NonFinite as exc:
             raise CoefficientRangeError(name, f"{name}: {exc}") from exc
         if not ok:
@@ -440,11 +440,11 @@ class Section:
         del values[tag]
         return self.build(make, **fixed, **values)
 
-    def build(self, make, *args, **kwargs):
-        """``make(*args, **kwargs)``; a ValueError or package error that
-        it raises becomes a ConfigError at this section's header."""
+    def build(self, make, **kwargs):
+        """``make(**kwargs)``; a ValueError or package error that it
+        raises becomes a ConfigError at this section's header."""
         try:
-            return make(*args, **kwargs)
+            return make(**kwargs)
         except (ValueError, InvoscError) as exc:
             raise ConfigError(f"[{self.name}]: {exc}",
                               self.header_line) from exc

@@ -111,26 +111,13 @@ class ConventionFlags:
 
     @classmethod
     def from_label(cls, text):
-        """Parse 's=+1,h=1/2,branch=-' (the CLI override format)."""
-        fields = {}
-        for part in text.split(","):
-            if "=" not in part:
-                raise ValueError(f"malformed flag item {part!r}")
-            key, _, val = part.partition("=")
-            key = key.strip()
-            if key in fields:
-                raise ValueError(f"repeated flag key {key!r}")
-            fields[key] = val.strip()
-        unknown = set(fields) - {"s", "h", "branch"}
-        if unknown or set(fields) != {"s", "h", "branch"}:
-            raise ValueError(f"flags need exactly s=, h=, branch=; got {text!r}")
-        try:
-            s = {"+1": +1, "-1": -1, "+": +1, "-": -1}[fields["s"]]
-            h = {"1": 1.0, "1/2": 0.5, "0.5": 0.5}[fields["h"]]
-            b = {"+1": +1, "-1": -1, "+": +1, "-": -1}[fields["branch"]]
-        except KeyError as bad:
-            raise ValueError(f"unrecognized flag value {bad}") from None
-        return cls(s, h, b)
+        """The flag set whose label() is ``text``, spaces ignored."""
+        key = "".join(text.split())
+        for flags in cls.all_combinations():
+            if flags.label() == key:
+                return flags
+        raise ValueError(f"{text!r} is not a flags label such as "
+                         "s=-1,h=1/2,branch=+")
 
 
 def order_from_coupling(C, n):

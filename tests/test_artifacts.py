@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invosc import write_trajectory_csv
-from invosc.artifacts import read_digest, write_summary
+from invosc.artifacts import read_digest, write_summary, write_trajectory_csv
 from invosc.wavefunction import (ConventionFlags, LadderRung, ResidualReport,
                                  ScanOutcome, ScanRow)
 

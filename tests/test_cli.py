@@ -1052,13 +1052,22 @@ def test_finite_extremes_of_driven_families_and_the_oracle(tmp_path, capsys,
     _run_extremes(tmp_path, capsys, command, name, edits, value, names)
 
 
+_NOT_A_LABEL = "is not a flags label such as s=-1,h=1/2,branch=+"
+
+
 @pytest.mark.parametrize("flags_line,argv,message", [
-    ("flags = s=+2,h=1,branch=+", [], "flags: unrecognized flag value '+2'"),
+    ("flags = s=+2,h=1,branch=+", [],
+     f"flags: 's=+2,h=1,branch=+' {_NOT_A_LABEL}"),
     (None, ["--flags", "s=+2,h=1,branch=+"],
-     "--flags: unrecognized flag value '+2'"),
+     f"--flags: 's=+2,h=1,branch=+' {_NOT_A_LABEL}"),
     (None, ["--flags", "s=+1,h=1,branch=+,s=-1"],
-     "--flags: repeated flag key 's'"),
-], ids=["config-value", "cli-value", "cli-repeated-key"])
+     f"--flags: 's=+1,h=1,branch=+,s=-1' {_NOT_A_LABEL}"),
+    ("flags = s=-1,h=0.5,branch=+", [],
+     f"flags: 's=-1,h=0.5,branch=+' {_NOT_A_LABEL}"),
+    (None, ["--flags", "s=-1,h=1/2,branch=+1"],
+     f"--flags: 's=-1,h=1/2,branch=+1' {_NOT_A_LABEL}"),
+], ids=["config-value", "cli-value", "cli-repeated-key", "config-spelling",
+        "cli-spelling"])
 def test_malformed_flags_are_a_parse_error(tmp_path, c0_text, capsys,
                                            flags_line, argv, message):
     # the config line carries its number; the override has none, and is
@@ -1197,3 +1206,29 @@ def test_bessel_table_past_the_amos_limit_writes_no_table(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: DomainTooLarge: ") and "2^51" in err
     assert not (tmp_path / "bessel_table.csv").exists()
+
+
+# Both sizes ask for more than the 128 TiB user address space, so numpy
+# refuses them before any page is touched, whatever the overcommit setting.
+# A size that fits the address space is left untested: it could succeed.
+_ALLOCATION_REFUSED = "error: MemoryError: Unable to allocate 728. TiB "
+
+
+def test_unallocatable_table_exits_solver_in_one_line(tmp_path, capsys):
+    rc = main(["bessel-table", "1.5", "0.1", "30", "100000000000000",
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith(_ALLOCATION_REFUSED) and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_unallocatable_grid_exits_solver_in_one_line(tmp_path, capsys):
+    text = Path(C15).read_text()
+    text = patched(text, "n_rho = 256\nn_phi = 256",
+                   "n_rho = 10000000\nn_phi = 10000000")
+    rc = main(["solve", "--quiet", "--config", write_cfg(tmp_path, text),
+               "--out", str(tmp_path / "run")])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith(_ALLOCATION_REFUSED) and err.count("\n") == 1

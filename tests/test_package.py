@@ -29,8 +29,10 @@ def _run(*args):
 
 def test_import_leaves_test_and_spline_dependencies_unloaded():
     # mpmath is a test-only reference; scipy.interpolate is needed only by
-    # tabulated coefficients, which no bundled config uses.
-    proc = _run("-c", "import sys, invosc; print(' '.join(sorted(sys.modules)))")
+    # tabulated coefficients, which no bundled config uses.  invosc.cli is
+    # what every command loads.
+    proc = _run("-c", "import sys, invosc.cli; "
+                      "print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "mpmath" not in loaded
@@ -167,11 +169,14 @@ def test_oracle_imports_only_params_and_errors():
     assert _package_imports(oracle) == {"params", "errors"}
 
 
-def test_cli_main_resolves_lazily():
-    proc = _run("-c", "import sys, invosc; assert 'invosc.cli' not in sys.modules; "
-                      "main = invosc.cli_main; import invosc.cli as cli; "
-                      "assert main is cli.main")
+def test_package_namespace_holds_only_its_version():
+    # every public name has one import path, its submodule, so importing
+    # the package itself loads no submodule and no numpy
+    proc = _run("-c", "import sys, invosc; print(invosc.__version__, "
+                      "*sorted(m for m in sys.modules "
+                      "if m.startswith(('invosc.', 'numpy'))))")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0.1.0"]
 
 
 def test_main_reuses_one_parser_and_keeps_no_state_between_calls(tmp_path):

@@ -143,14 +143,18 @@ def test_flag_enumeration_order_is_stable():
 
 def test_flag_label_spellings():
     assert ConventionFlags(-1, 0.5, +1).label() == "s=-1,h=1/2,branch=+"
-    assert ConventionFlags.from_label("s=+1,h=0.5,branch=-1") == \
+    assert ConventionFlags.from_label(" s=+1, h=1/2,\tbranch=- ") == \
         ConventionFlags(+1, 0.5, -1)
 
 
 def test_flag_parsing_rejects_garbage():
-    for bad in ("s=+1,h=1", "s=+1,h=1,branch=+,extra=1", "s=2,h=1,branch=+",
-                "s=+1,h=third,branch=+", "nonsense"):
-        with pytest.raises(ValueError):
+    # one text per reading: other spellings of a value, another key order
+    # and anything else are refused with one message
+    for bad in ("s=+1,h=0.5,branch=-1", "s=+,h=1,branch=+",
+                "h=1,s=+1,branch=+", "s=+1,h=1", "s=+1,h=1,branch=+,extra=1",
+                "s=2,h=1,branch=+", "s=+1,h=third,branch=+", "nonsense", ""):
+        with pytest.raises(ValueError, match=r"is not a flags label such as "
+                                             r"s=-1,h=1/2,branch=\+$"):
             ConventionFlags.from_label(bad)
 
 
