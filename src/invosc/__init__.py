@@ -10,7 +10,7 @@ The package is organized as a pipeline:
                 N_nu at positive real argument
   wavefunction  assembly of the full field, residual checks, convention scan
   oracle        an independent Crank-Nicolson radial propagator
-  artifacts     the text of every artifact but the oracle's
+  artifacts     the text of every artifact
   cli           config-driven commands emitting CSV artifacts
 
 Import each name from its submodule: this namespace holds only

@@ -1,4 +1,4 @@
-"""The text of every artifact but the oracle's: ``# config_digest: <sha256>``
+"""The text of every artifact: ``# config_digest: <sha256>``
 (none without a digest), ``# `` comments, then headers and comma-separated
 rows with every float in ``'%.17g'``, or ``key = value`` lines."""
 
@@ -8,7 +8,7 @@ import numpy as np
 
 DIGEST = b"# config_digest: "
 _CHUNK_ROWS = 4096      # one format_columns call a chunk: see invosc.g17
-TRAJECTORY_SAMPLES = 512    # trajectory.csv rows unless the config sets them
+TRAJECTORY_SAMPLES = 512    # trajectory.csv rows
 
 
 def _texts(values, seps):
@@ -86,9 +86,9 @@ def read_digest(path):
                  for line in head if line.startswith(DIGEST)), None)
 
 
-def write_trajectory_csv(traj, path, num=TRAJECTORY_SAMPLES, digest=None):
-    """The transformation chain at ``num`` evenly spaced times."""
-    ts = np.linspace(traj.span[0], traj.span[1], num)
+def write_trajectory_csv(traj, path, digest=None):
+    """The transformation chain at TRAJECTORY_SAMPLES evenly spaced times."""
+    ts = np.linspace(traj.span[0], traj.span[1], TRAJECTORY_SAMPLES)
     a, m, f = (np.asarray(fn(ts)) for fn in (traj.alpha, traj.mu, traj.phase))
     with Table(path, digest) as table:
         table.lines("t,beta,re_alpha,im_alpha,re_mu,im_mu,re_f,im_f")

@@ -14,7 +14,7 @@ errors name the offending line.  Physics inputs (coefficients, charge,
 coupling, mode numbers, span, grid extents) must be explicit, except three
 that default to 0: ``[mode] amp_second``, a sinusoid's ``offset`` and a
 Cartesian grid's ``rho_min``.  Otherwise only numerical knobs (tolerances,
-ladder steps, sample counts) carry defaults.
+ladder steps, field times) carry defaults.
 
 Every CSV and summary of a config command embeds a sha256 digest of the
 effective config, and every config command refuses an output directory
@@ -49,8 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import (TRAJECTORY_SAMPLES, read_digest, table_rows,
-                        write_summary, write_trajectory_csv)
+from .artifacts import (Table, read_digest, table_rows, write_summary,
+                        write_trajectory_csv)
 from .bessel import bessel_j, bessel_n
 from .errors import (ConfigError, GridTooCoarse, Inconclusive, InvoscError,
                      OutOfDomain, Unstable)
@@ -139,7 +139,6 @@ class RunConfig:
     verify: VerifySettings | None
     oracle: OracleSettings | None
     field_times: tuple
-    trajectory_samples: int
     chain_cfg: IntegratorConfig
 
     @classmethod
@@ -238,25 +237,19 @@ class RunConfig:
         run_s = sections.get("run") or Section("run", None)
         run = run_s.read({
             "field_times": ("floats", span),
-            "trajectory_samples": ("int", TRAJECTORY_SAMPLES),
             "rel_tol": ("float", IntegratorConfig.rel_tol),
             "abs_tol": ("float", IntegratorConfig.abs_tol)})
         if not within_span(run["field_times"], span):
             raise ConfigError(
                 f"field_times must lie in the span [{span[0]!r}, "
                 f"{span[1]!r}]", run_s.items["field_times"][1])
-        if run["trajectory_samples"] < 2:
-            raise ConfigError("trajectory_samples must be at least 2",
-                              run_s.items["trajectory_samples"][1])
         chain_cfg = run_s.build(IntegratorConfig, rel_tol=run["rel_tol"],
                                 abs_tol=run["abs_tol"])
 
         return cls(path=str(path), digest=digest, coeffs=coeffs, span=span,
                    mode=mode, flags=flags, flags_source=flags_source,
                    grid=grid, verify=verify, oracle=oracle,
-                   field_times=run["field_times"],
-                   trajectory_samples=run["trajectory_samples"],
-                   chain_cfg=chain_cfg)
+                   field_times=run["field_times"], chain_cfg=chain_cfg)
 
     def chain(self, branch):
         alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)
@@ -443,9 +436,10 @@ def cmd_solve(args):
         artifacts = ["trajectory.csv", "field.csv"]
         if run.scan is not None:
             artifacts.append("scan_table.csv")
-        write_trajectory_csv(run.traj, out / "trajectory.csv",
-                             num=cfg.trajectory_samples, digest=cfg.digest)
+        # the field first: a grid that cannot be allocated leaves no file
         field = sample_field(run.mode, run.traj, cfg.grid, cfg.field_times)
+        write_trajectory_csv(run.traj, out / "trajectory.csv",
+                             digest=cfg.digest)
         field.write_csv(out / "field.csv", digest=cfg.digest)
         run.write_summary("summary.txt", [
             ("span", f"{cfg.span[0]!r},{cfg.span[1]!r}"),
@@ -501,9 +495,9 @@ def cmd_oracle(args):
         u0 = np.asarray(reference(cfg.span[0]), dtype=complex)
         result = propagate(problem, u0, record_times=orc.record_times,
                            reference=reference)
-        result.write_csv(run.out / "fidelity.csv", digest=cfg.digest)
+        result.write_csv(run.out / "fidelity.csv", cfg.digest, Table)
         result.write_snapshots_csv(run.out / "oracle_snapshots.csv",
-                                   digest=cfg.digest)
+                                   cfg.digest, Table)
         min_f = min(result.fidelities)
         run.write_summary("oracle_summary.txt", [
             ("problem", problem.describe()),

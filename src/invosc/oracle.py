@@ -35,12 +35,13 @@ scipy releases older than scipy's gh-23420 change.
 
 This module deliberately shares nothing with the assembly path except the
 coefficient definitions in params: agreement between the two routes is
-evidence, not construction.
+evidence, not construction.  So its two writers import no text format:
+they lay out fidelity.csv and oracle_snapshots.csv through the table
+class that cli passes them, artifacts.Table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +59,9 @@ __all__ = ["RadialProblem", "PropagationResult", "effective_potential",
 # the module docstring for the derivation.
 _CROSS_TERM = 1
 
-# Snapshot rows formatted per write, as the field writer does; the
-# oracle keeps its own constant to stay independent of the assembly path.
-_CSV_CHUNK_ROWS = 4096
+# The constant-coefficient path holds an n_rho x n_rho float64 eigenvector
+# matrix: 2 GiB at this cap.
+_MAX_N_RHO = 2 ** 14
 
 
 def solve_banded(*args, **kwargs):
@@ -120,6 +121,8 @@ class RadialProblem:
     def __post_init__(self):
         if self.n_rho < 256:
             raise ValueError("n_rho must be at least 256")
+        if self.n_rho > _MAX_N_RHO:
+            raise ValueError(f"n_rho must be at most {_MAX_N_RHO}")
         # written so that NaN fails both tests
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
@@ -175,47 +178,24 @@ class PropagationResult:
     norm_drift_total: float         # end-to-start relative norm change
     fidelities: tuple | None = None  # vs. reference, when one was given
 
-    def write_csv(self, path, digest=None):
-        with open(path, "w", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest: {digest}\n")
-            fh.write(f"# {self.problem.describe()}\n")
-            fh.write(f"# norm_drift_step:{self.norm_drift_step:.8e};"
-                     f"norm_drift_total:{self.norm_drift_total:.8e}\n")
-            fh.write("t,fidelity\n")
-            for i, t in enumerate(self.times):
-                f = (self.fidelities[i] if self.fidelities is not None
-                     else float("nan"))
-                fh.write(f"{t:.17g},{f:.17g}\n")
+    def write_csv(self, path, digest, table):
+        """fidelity.csv through ``table(path, digest, comments)``: t and
+        the fidelity, nan without a reference."""
+        drift = (f"norm_drift_step:{self.norm_drift_step:.8e};"
+                 f"norm_drift_total:{self.norm_drift_total:.8e}")
+        with table(path, digest, (self.problem.describe(), drift)) as out:
+            out.lines("t,fidelity")
+            out.rows(self.times, math.nan if self.fidelities is None
+                     else self.fidelities)
 
-    def write_snapshots_csv(self, path, digest=None):
-        """One row t,rho,re_u,im_u per unknown and snapshot, in %.17g.
-
-        rho repeats in every snapshot, so it is formatted once: chunk by
-        chunk, into one "rho," line per unknown, kept as one string per
-        chunk (about 20 bytes per unknown).  Each snapshot then formats
-        only re and im, and the row template takes the chunk's lines as
-        a %s field.
-        """
-        rho = self.problem.rho
-        starts = range(0, rho.size, _CSV_CHUNK_ROWS)
-        prefixes = []
-        for lo in starts:
-            part = rho[lo:lo + _CSV_CHUNK_ROWS]
-            prefixes.append(("%.17g,\n" * len(part)) % tuple(part.tolist()))
-        with open(path, "w", encoding="utf-8") as fh:
-            if digest:
-                fh.write(f"# config_digest: {digest}\n")
-            fh.write("t,rho,re_u,im_u\n")
-            for i, t in enumerate(self.times):
-                row = format(t, ".17g") + ",%s%.17g,%.17g\n"
-                u = self.fields[i]
-                for lo, prefix in zip(starts, prefixes):
-                    part = u[lo:lo + _CSV_CHUNK_ROWS]
-                    rows = zip(prefix.splitlines(), part.real.tolist(),
-                               part.imag.tolist())
-                    fh.write((row * len(part))
-                             % tuple(itertools.chain.from_iterable(rows)))
+    def write_snapshots_csv(self, path, digest, table):
+        """oracle_snapshots.csv: one row t,rho,re_u,im_u per unknown and
+        snapshot."""
+        with table(path, digest) as out:
+            out.lines("t,rho,re_u,im_u")
+            rho = self.problem.rho
+            for t, u in zip(self.times, self.fields):
+                out.rows(t, rho, u.real, u.imag)
 
 
 def _kinetic_stencil(problem: RadialProblem):

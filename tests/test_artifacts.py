@@ -14,9 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invosc.artifacts import read_digest, write_summary, write_trajectory_csv
+import invosc.artifacts as artifacts
+from invosc.artifacts import (Table, read_digest, write_summary,
+                              write_trajectory_csv)
+from invosc.oracle import PropagationResult, RadialProblem
 from invosc.wavefunction import (ConventionFlags, LadderRung, ResidualReport,
                                  ScanOutcome, ScanRow)
+
+from conftest import SPAN, make_coeffs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -84,10 +89,13 @@ def _trajectory_per_row(traj, path, num=512, digest=None):
 
 @DIGESTS
 @pytest.mark.parametrize("num", [512, 4100])
-def test_trajectory_csv_matches_the_per_row_writer(tmp_path, digest, num):
+def test_trajectory_csv_matches_the_per_row_writer(tmp_path, monkeypatch,
+                                                   digest, num):
+    # 4100 rows take the writer past one 4,096-row chunk
+    monkeypatch.setattr(artifacts, "TRAJECTORY_SAMPLES", num)
     traj = _Chain(num)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write_trajectory_csv(traj, new, num=num, digest=digest)
+    write_trajectory_csv(traj, new, digest=digest)
     _trajectory_per_row(traj, old, num=num, digest=digest)
     assert new.read_bytes() == old.read_bytes()
 
@@ -194,14 +202,60 @@ def test_read_digest_reads_the_first_four_lines_as_bytes(tmp_path, head,
     assert read_digest(path) == digest
 
 
-def test_bench_tracer_patches_and_restores_every_name():
-    # the tracer swaps timing wrappers into the package's namespaces by
-    # name, so a writer or kernel that leaves its owner breaks --trace
+def _oracle_result(count, fidelities=True):
+    """A PropagationResult of ``count`` snapshot times on 256 unknowns,
+    with EDGES among its times, fidelities and fields."""
+    problem = RadialProblem(make_coeffs(), 1, 6.5, 256, 1e-2, SPAN)
+    values = _floats(len(EDGES) + count, 12)
+    fields = _complex(_floats(count * 256, 13), _floats(count * 256, 14))
+    return PropagationResult(
+        problem=problem, times=tuple(values[:count].tolist()),
+        fields=fields.reshape(count, 256), norm_drift_step=1.2345678901e-13,
+        norm_drift_total=-0.0,
+        fidelities=(tuple(values[3:count + 3].tolist()) if fidelities
+                    else None))
+
+
+def _fidelity_per_row(result, path, digest=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        if digest:
+            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# {result.problem.describe()}\n")
+        fh.write(f"# norm_drift_step:{result.norm_drift_step:.8e};"
+                 f"norm_drift_total:{result.norm_drift_total:.8e}\n")
+        fh.write("t,fidelity\n")
+        for i, t in enumerate(result.times):
+            f = (result.fidelities[i] if result.fidelities is not None
+                 else float("nan"))
+            fh.write(f"{t:.17g},{f:.17g}\n")
+
+
+@DIGESTS
+@pytest.mark.parametrize("fidelities", [True, False],
+                         ids=["reference", "no-reference"])
+@pytest.mark.parametrize("count", [3, 300])
+def test_fidelity_csv_matches_the_per_row_writer(tmp_path, digest, fidelities,
+                                                 count):
+    # 300 rows, at least 128, send both columns through the g17 kernel
+    result = _oracle_result(count, fidelities)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    result.write_csv(new, digest, Table)
+    _fidelity_per_row(result, old, digest=digest)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer",
                                                   BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_bench_tracer_patches_and_restores_every_name():
+    # the tracer swaps timing wrappers into the package's namespaces by
+    # name, so a writer or kernel that leaves its owner breaks --trace
+    tracer = _tracer()
     try:
         tracer.install()
         saved = list(tracer._saved)
@@ -210,5 +264,25 @@ def test_bench_tracer_patches_and_restores_every_name():
             assert owner.__dict__[attr] is not original, attr
     finally:
         tracer.uninstall()
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original, attr
+
+
+def test_bench_tracer_counts_the_bytes_of_both_oracle_files(tmp_path):
+    # the tracer wraps both oracle writers by name and reads the path as
+    # their first argument, so a renamed writer or a moved path fails here
+    result = _oracle_result(2)
+    paths = tmp_path / "fidelity.csv", tmp_path / "oracle_snapshots.csv"
+    tracer = _tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        result.write_csv(paths[0], "d" * 64, Table)
+        result.write_snapshots_csv(paths[1], "d" * 64, Table)
+    finally:
+        tracer.uninstall()
+    assert [(span[0], span[5]) for span in tracer.spans] == [
+        ("cli.artifact_write", {"bytes": path.stat().st_size})
+        for path in paths]
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original, attr

@@ -512,6 +512,10 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     # the chain has one mu link, so a key that chose one is unknown
     ("static_c15.cfg", "[run]\n", "[run]\nmu_coupling = pde\n",
      "mu_coupling = pde", "unknown key 'mu_coupling' in [run]"),
+    # trajectory.csv has a fixed row count, so a key that set it is unknown
+    ("static_c15.cfg", "[run]\n", "[run]\ntrajectory_samples = 512\n",
+     "trajectory_samples = 512",
+     "unknown key 'trajectory_samples' in [run]"),
     # verify's order window is fixed, so a key that moved it is unknown
     ("static_c15.cfg", "max_rel_inf = 1e-5",
      "max_rel_inf = 1e-5\norder_lo = 1.0", "order_lo = 1.0",
@@ -526,8 +530,12 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
      "family = polynomial\ncoeffs = 1, 2, 1e-300, 1e-310", "[mass]",
      "mass: polynomial family's critical points overflow: its leading "
      "coefficient is negligible against the others"),
-], ids=["mu_coupling", "order_lo", "order_hi",
-        "negligible-leading-coefficient"])
+    # the constant-coefficient oracle holds an n_rho x n_rho eigenvector
+    # matrix, 2 GiB at the cap; the refusal is made before any allocation
+    ("static_c15.cfg", "n_rho = 1024", "n_rho = 16385", "[oracle]",
+     "[oracle]: n_rho must be at most 16384"),
+], ids=["mu_coupling", "trajectory_samples", "order_lo", "order_hi",
+        "negligible-leading-coefficient", "oracle-n_rho-cap"])
 def test_edit_is_refused_at_its_line_before_out_is_made(tmp_path, capsys,
                                                         name, old, new, at,
                                                         message):
@@ -778,7 +786,6 @@ def test_config_without_run_section_takes_the_defaults(tmp_path):
     assert sep
     cfg = RunConfig.load(write_cfg(tmp_path, head))
     assert cfg.field_times == cfg.span
-    assert cfg.trajectory_samples == 512
     assert cfg.chain_cfg == IntegratorConfig()
 
 
@@ -856,21 +863,6 @@ def test_malformed_ladder_is_rejected_at_its_line(tmp_path, capsys, command,
     message = ("dt_ladder must be positive and strictly decreasing" if finite
                else f"dt_ladder = {ladder!r} is not finite")
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("samples", ["0", "1", "-5"])
-def test_trajectory_samples_below_two_is_rejected_at_its_line(
-        tmp_path, c0_text, capsys, samples):
-    text = patched(c0_text, "[run]\n",
-                   f"[run]\ntrajectory_samples = {samples}\n")
-    line = text.splitlines().index(f"trajectory_samples = {samples}") + 1
-    out_dir = tmp_path / "run"
-    rc = main(["solve", "--config", write_cfg(tmp_path, text),
-               "--out", str(out_dir)])
-    assert rc == EXIT_PARSE
-    assert (f"line {line}: trajectory_samples must be at least 2"
-            in capsys.readouterr().err)
     assert not out_dir.exists()
 
 
@@ -1232,3 +1224,5 @@ def test_unallocatable_grid_exits_solver_in_one_line(tmp_path, capsys):
     assert rc == EXIT_SOLVER
     err = capsys.readouterr().err
     assert err.startswith(_ALLOCATION_REFUSED) and err.count("\n") == 1
+    # the grid is built before the first artifact is written
+    assert not list((tmp_path / "run").glob("*.csv"))

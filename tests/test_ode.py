@@ -439,13 +439,13 @@ def test_nan_step_is_named_with_its_time():
 def test_trajectory_csv_round_trip(tmp_path):
     traj = make_chain(make_coeffs(C=0.0))
     path = tmp_path / "chain.csv"
-    write_trajectory_csv(traj, path, num=64, digest="feedbeef")
+    write_trajectory_csv(traj, path, digest="feedbeef")
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_digest: feedbeef"
     assert lines[1] == "t,beta,re_alpha,im_alpha,re_mu,im_mu,re_f,im_f"
     rows = np.loadtxt(lines[2:], delimiter=",")
-    assert rows.shape == (64, 8)
-    ts = np.linspace(*traj.span, 64)
+    assert rows.shape == (512, 8)
+    ts = np.linspace(*traj.span, 512)
     assert np.allclose(rows[:, 0], ts, atol=1e-15)
     alphas = np.array([traj.alpha(t) for t in ts])
     assert np.allclose(rows[:, 2] + 1j * rows[:, 3], alphas, rtol=0,
@@ -455,5 +455,5 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_trajectory_csv_without_digest_has_no_comment(tmp_path):
     traj = make_chain(make_coeffs(C=0.0))
     path = tmp_path / "chain.csv"
-    write_trajectory_csv(traj, path, num=8)
+    write_trajectory_csv(traj, path)
     assert path.read_text().startswith("t,beta,")

@@ -18,6 +18,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, lapack, solve_banded
 
 import invosc.oracle as oracle
+from invosc.artifacts import Table
 from invosc.errors import (FallToCenter, MismatchedGrids, NonFinite,
                            OutOfDomain, Unstable)
 from invosc.oracle import (PropagationResult, RadialProblem,
@@ -346,7 +347,7 @@ def test_result_csv_layouts(tmp_path, harmonic):
                     reference=lambda t: u0 * cmath.exp(-1j * t))
 
     fid_path = tmp_path / "fidelity.csv"
-    res.write_csv(fid_path, digest="c" * 64)
+    res.write_csv(fid_path, "c" * 64, Table)
     lines = fid_path.read_text().splitlines()
     assert lines[0] == "# config_digest: " + "c" * 64
     assert lines[1] == "# " + prob.describe()
@@ -355,7 +356,7 @@ def test_result_csv_layouts(tmp_path, harmonic):
     assert len(lines) == 4 + 3
 
     snap_path = tmp_path / "snapshots.csv"
-    res.write_snapshots_csv(snap_path)
+    res.write_snapshots_csv(snap_path, None, Table)
     lines = snap_path.read_text().splitlines()
     assert lines[0] == "t,rho,re_u,im_u"
     assert len(lines) == 1 + 3 * 512
@@ -392,7 +393,7 @@ def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
     res = PropagationResult(problem=prob, times=times, fields=fields,
                             norm_drift_step=0.0, norm_drift_total=0.0)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    res.write_snapshots_csv(new, digest=digest)
+    res.write_snapshots_csv(new, digest, Table)
     _write_snapshots_per_row(res, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
     assert len(new.read_text().splitlines()) == (2 if digest else 1) + 3 * 4199
@@ -404,7 +405,7 @@ def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
     res = propagate(prob, u0, record_times=(1.0,))
     assert res.fidelities is None
     path = tmp_path / "fid.csv"
-    res.write_csv(path)
+    res.write_csv(path, None, Table)
     assert path.read_text().splitlines()[-1].endswith(",nan")
 
 
