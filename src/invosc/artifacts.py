@@ -1,6 +1,6 @@
-"""The text of every artifact: ``# config_digest: <sha256>``
-(none without a digest), ``# `` comments, then headers and comma-separated
-rows with every float in ``'%.17g'``, or ``key = value`` lines."""
+"""The text of every artifact: ``# config_digest: <sha256>``, ``# ``
+comments, then headers and comma-separated rows with every float in
+``'%.17g'``, or ``key = value`` lines."""
 
 import io
 
@@ -59,10 +59,10 @@ def table_rows(*columns, lead=None):
 class Table(io.BufferedWriter):
     """An artifact file: digest, comments, rows led by the ``lead`` columns."""
 
-    def __init__(self, path, digest=None, comments=(), lead=()):
+    def __init__(self, path, digest, comments=(), lead=()):
         super().__init__(io.FileIO(path, "w"))
         self.lead = lead and list(_chunks([np.ravel(c) for c in lead], b","))
-        self.lines(*([DIGEST.decode() + digest] if digest else []),
+        self.lines(DIGEST.decode() + digest,
                    *(f"# {comment}" for comment in comments))
 
     def lines(self, *lines):
@@ -72,7 +72,7 @@ class Table(io.BufferedWriter):
         self.writelines(table_rows(*columns, lead=self.lead))
 
 
-def write_summary(path, pairs, digest=None):
+def write_summary(path, pairs, digest):
     """The digest line, then ``key = value`` for each pair."""
     with Table(path, digest) as out:
         out.lines(*(f"{key} = {value}" for key, value in pairs))
@@ -86,7 +86,7 @@ def read_digest(path):
                  for line in head if line.startswith(DIGEST)), None)
 
 
-def write_trajectory_csv(traj, path, digest=None):
+def write_trajectory_csv(traj, path, digest):
     """The transformation chain at TRAJECTORY_SAMPLES evenly spaced times."""
     ts = np.linspace(traj.span[0], traj.span[1], TRAJECTORY_SAMPLES)
     a, m, f = (np.asarray(fn(ts)) for fn in (traj.alpha, traj.mu, traj.phase))

@@ -13,7 +13,8 @@ arguments raise NonFinite, and so do not reach AMOS; off-axis
 DomainTooLarge, so the caller shrinks the grid or the time window rather
 than trust an unvalidated regime.  Past 2^51 AMOS stops and scipy's
 non-AMOS fallback loses the phase x mod 2 pi.  J and N are
-property-tested against mpmath at 40 digits over |z| <= 30.
+property-tested against mpmath at 40 digits over |z| <= 30, J off the
+axis over |arg z| <= pi/2.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ params.parse_sections; every key is read through params.Section, whose
 errors name the offending line.  Physics inputs (coefficients, charge,
 coupling, mode numbers, span, grid extents) must be explicit, except three
 that default to 0: ``[mode] amp_second``, a sinusoid's ``offset`` and a
-Cartesian grid's ``rho_min``.  Otherwise only numerical knobs (tolerances,
-ladder steps, field times) carry defaults.
+Cartesian grid's ``rho_min``.  Otherwise only numerical knobs (ladder
+steps, field times) carry defaults.
 
-Every CSV and summary of a config command embeds a sha256 digest of the
-effective config, and every config command refuses an output directory
+Every CSV and summary of a config command embeds the sha256 digest of the
+config file's text, and every config command refuses an output directory
 whose CSV files carry another digest.  Outputs are deterministic: fixed
 float format, fixed iteration order, no timestamps.  One process owns an
 output directory at a time, enforced with a ``.lock`` file.
@@ -119,9 +119,8 @@ class OracleSettings:
 class RunConfig:
     """Everything a command needs, read once from a config file.
 
-    ``flags`` come from --flags or else ``[mode] flags``, as
-    ``flags_source`` ("cli" or "config") says; None means "scan", and
-    then ``mode`` carries the default reading.  Every object a command
+    ``flags`` come from ``[mode] flags``; None means "scan", and then
+    ``mode`` carries the default reading.  Every object a command
     runs is built here, through its section's ``build``, so a value that
     its constructor refuses is a config error at that section.
     verification and oracle sections are optional at parse time; the
@@ -134,23 +133,18 @@ class RunConfig:
     span: tuple
     mode: ModeSpec
     flags: ConventionFlags | None
-    flags_source: str
     grid: object
     verify: VerifySettings | None
     oracle: OracleSettings | None
     field_times: tuple
-    chain_cfg: IntegratorConfig
 
     @classmethod
-    def load(cls, path, flags_override=None):
+    def load(cls, path):
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        digest_src = text
-        if flags_override is not None:
-            digest_src += f"\n# cli_flags_override = {flags_override}\n"
-        digest = hashlib.sha256(digest_src.encode()).hexdigest()
+        digest = hashlib.sha256(text.encode()).hexdigest()
 
         sections = parse_sections(text)
         for name, section in sections.items():
@@ -182,11 +176,13 @@ class RunConfig:
                                "amp_first": "complex",
                                "amp_second": ("complex", 0j),
                                "angular_sign": "int"})
-        flags = _read_flags(mode_kw.pop("flags"), "flags",
-                            mode_s.items["flags"][1])
-        flags_source = "config"
-        if flags_override is not None:
-            flags, flags_source = _read_flags(flags_override, "--flags"), "cli"
+        label = mode_kw.pop("flags")
+        try:
+            flags = (None if label == "scan"
+                     else ConventionFlags.from_label(label))
+        except ValueError as exc:
+            raise ConfigError(f"flags: {exc}",
+                              mode_s.items["flags"][1]) from None
         mode = mode_s.build(ModeSpec.from_coupling, C=consts["C"],
                             conventions=flags or ConventionFlags(), **mode_kw)
 
@@ -235,36 +231,20 @@ class RunConfig:
                                   orc_s.items["record_times"][1]) from exc
 
         run_s = sections.get("run") or Section("run", None)
-        run = run_s.read({
-            "field_times": ("floats", span),
-            "rel_tol": ("float", IntegratorConfig.rel_tol),
-            "abs_tol": ("float", IntegratorConfig.abs_tol)})
+        run = run_s.read({"field_times": ("floats", span)})
         if not within_span(run["field_times"], span):
             raise ConfigError(
                 f"field_times must lie in the span [{span[0]!r}, "
                 f"{span[1]!r}]", run_s.items["field_times"][1])
-        chain_cfg = run_s.build(IntegratorConfig, rel_tol=run["rel_tol"],
-                                abs_tol=run["abs_tol"])
 
         return cls(path=str(path), digest=digest, coeffs=coeffs, span=span,
-                   mode=mode, flags=flags, flags_source=flags_source,
-                   grid=grid, verify=verify, oracle=oracle,
-                   field_times=run["field_times"], chain_cfg=chain_cfg)
+                   mode=mode, flags=flags, grid=grid, verify=verify,
+                   oracle=oracle, field_times=run["field_times"])
 
     def chain(self, branch):
         alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)
         return solve_chain(self.coeffs, self.mode.k, span=self.span,
-                           alpha0=alpha0, cfg=self.chain_cfg)
-
-
-def _read_flags(label, name, line=None):
-    """The conventions a flags label names, or None for "scan"."""
-    if label == "scan":
-        return None
-    try:
-        return ConventionFlags.from_label(label)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}", line) from None
+                           alpha0=alpha0)
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -276,6 +256,10 @@ def _resolve_out(args):
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {out} is not a directory: "
+                          f"{exc.strerror}") from exc
+    except OSError as exc:
+        # a name too long, a read-only file system: nothing is written
+        raise ConfigError(f"cannot make output directory {out}: "
                           f"{exc.strerror}") from exc
     return path
 
@@ -379,8 +363,7 @@ def _run(args, need=None, scan=False, levels=1):
     ``levels`` ladder levels; make and lock the output directory, refusing
     one that holds another config's artifacts; then resolve the flags and
     yield the _Run, holding the lock."""
-    cfg = RunConfig.load(args.config, flags_override=getattr(args, "flags",
-                                                             None))
+    cfg = RunConfig.load(args.config)
     scan = scan or cfg.flags is None
     settings = {"verification": cfg.verify, "oracle": cfg.oracle}
     if need is not None and settings[need] is None:
@@ -395,7 +378,7 @@ def _run(args, need=None, scan=False, levels=1):
     with _OutputLock(out):
         _refuse_digest_clash(out, cfg.digest)
         chain = functools.cache(cfg.chain)
-        flags, source, outcome = cfg.flags, cfg.flags_source, None
+        flags, source, outcome = cfg.flags, "config", None
         if scan:
             outcome = _scan(cfg, out, chain)
             flags = outcome.winner
@@ -446,8 +429,8 @@ def cmd_solve(args):
             ("coefficients", cfg.coeffs.describe()),
             ("grid", cfg.grid.describe()),
             ("field_times", ",".join(repr(t) for t in cfg.field_times)),
-            ("chain_rel_tol", repr(cfg.chain_cfg.rel_tol)),
-            ("chain_abs_tol", repr(cfg.chain_cfg.abs_tol)),
+            ("chain_rel_tol", repr(IntegratorConfig.rel_tol)),
+            ("chain_abs_tol", repr(IntegratorConfig.abs_tol)),
             ("alpha0", repr(run.traj.alpha0)),
             ("artifacts", ",".join(artifacts)),
         ])
@@ -567,15 +550,12 @@ def _build_parser():
                     "field: solve, verify, cross-check.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, with_config=True, with_flags=True,
+    def add(name, func, help_text, with_config=True,
             out_help=f"output directory (default ${OUT_DIR_ENV} or .)"):
         p = sub.add_parser(name, help=help_text)
         if with_config:
             p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", default=None, help=out_help)
-        if with_flags:
-            p.add_argument("--flags", default=None,
-                           help="override [mode] flags, e.g. s=-1,h=1/2,branch=+")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary line")
         p.set_defaults(func=func)
@@ -588,10 +568,9 @@ def _build_parser():
     add("oracle", cmd_oracle,
         "propagate the independent radial reference and compare")
     add("scan", cmd_scan,
-        "rank all 8 convention readings by residual", with_flags=False)
+        "rank all 8 convention readings by residual")
     p = add("bessel-table", cmd_bessel_table,
             "tabulate J_nu and N_nu on a range", with_config=False,
-            with_flags=False,
             out_help="write bessel_table.csv into this directory "
                      "(default: print the table to stdout)")
     p.add_argument("nu", type=float, help="order")

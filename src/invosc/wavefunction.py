@@ -483,7 +483,7 @@ class WaveField:
         if not np.all(np.isfinite(self.values.view(float))):
             raise NonFinite("field values must be finite")
 
-    def write_csv(self, path, digest=None):
+    def write_csv(self, path, digest):
         """One row x,y,t,re_psi,im_psi,abs2 per node and time."""
         with artifacts.Table(path, digest, [f"mode: {self.mode.describe()}",
                                             f"grid: {self.grid.describe()}"],
@@ -633,7 +633,7 @@ class ResidualReport:
                 f"refinement:temporal;grid:{self.grid_desc};"
                 f"rho_min:{self.rho_min:.8g}")
 
-    def write_csv(self, path, digest=None):
+    def write_csv(self, path, digest):
         with artifacts.Table(path, digest, [self.summary_line()]) as table:
             table.lines("level,dt,spacing,rel_inf,rel_l2")
             table.rows(range(len(self.rungs)),
@@ -779,7 +779,7 @@ class ScanOutcome:
         return cls(winner=best.flags, runner_up=second.flags, rows=tuple(rows),
                    margin=margin)
 
-    def write_csv(self, path, digest=None):
+    def write_csv(self, path, digest):
         comment = f"winner: {self.winner.label()} margin: {self.margin:.17g}"
         with artifacts.Table(path, digest, [comment]) as table:
             table.lines("exponent_sign,exponent_half,alpha_branch,"

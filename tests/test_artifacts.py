@@ -30,8 +30,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 EDGES = (-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 0.5, -0.5, 2.5,
          1000000000000000.25, 0.000123456789, 1e16, 1e17, 5e-324,
          float("nan"), float("inf"), -float("inf"))
-DIGESTS = pytest.mark.parametrize("digest", ["d" * 64, None],
-                                  ids=["digest", "no-digest"])
+DIGESTS = pytest.mark.parametrize("digest", ["d" * 64], ids=["digest"])
 
 
 def _floats(count, seed):
@@ -71,15 +70,14 @@ class _Chain:
         return _complex(_floats(self.count, 6), -_floats(self.count, 7))
 
 
-def _trajectory_per_row(traj, path, num=512, digest=None):
+def _trajectory_per_row(traj, path, digest, num=512):
     ts = np.linspace(traj.span[0], traj.span[1], num)
     b = np.asarray(traj.beta(ts), dtype=float)
     a = np.asarray(traj.alpha(ts))
     m = np.asarray(traj.mu(ts))
     f = np.asarray(traj.phase(ts))
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write("t,beta,re_alpha,im_alpha,re_mu,im_mu,re_f,im_f\n")
         for i in range(num):
             row = (ts[i], b[i], a[i].real, a[i].imag,
@@ -96,14 +94,13 @@ def test_trajectory_csv_matches_the_per_row_writer(tmp_path, monkeypatch,
     traj = _Chain(num)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_trajectory_csv(traj, new, digest=digest)
-    _trajectory_per_row(traj, old, num=num, digest=digest)
+    _trajectory_per_row(traj, old, digest, num=num)
     assert new.read_bytes() == old.read_bytes()
 
 
-def _ladder_per_row(report, path, digest=None):
+def _ladder_per_row(report, path, digest):
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# {report.summary_line()}\n")
         fh.write("level,dt,spacing,rel_inf,rel_l2\n")
         for i, rung in enumerate(report.rungs):
@@ -132,10 +129,9 @@ def test_residual_ladder_csv_matches_the_per_row_writer(tmp_path, digest,
     assert new.read_bytes() == old.read_bytes()
 
 
-def _scan_per_row(outcome, path, digest=None):
+def _scan_per_row(outcome, path, digest):
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# winner: {outcome.winner.label()} "
                  f"margin: {outcome.margin:.17g}\n")
         fh.write("exponent_sign,exponent_half,alpha_branch,"
@@ -216,10 +212,9 @@ def _oracle_result(count, fidelities=True):
                     else None))
 
 
-def _fidelity_per_row(result, path, digest=None):
+def _fidelity_per_row(result, path, digest):
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# {result.problem.describe()}\n")
         fh.write(f"# norm_drift_step:{result.norm_drift_step:.8e};"
                  f"norm_drift_total:{result.norm_drift_total:.8e}\n")

@@ -31,7 +31,6 @@ from invosc.bessel import bessel_j, bessel_n
 from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
                         EXIT_SOLVER, EXIT_UNSTABLE, EXIT_VERIFY, OUT_DIR_ENV,
                         _GRIDS, RunConfig, _OutputLock, main)
-from invosc.ode import IntegratorConfig
 from invosc.oracle import snap_times
 
 from conftest import count_calls
@@ -56,6 +55,17 @@ def write_cfg(tmp_path, text, name="case.cfg"):
 @pytest.fixture()
 def c0_text():
     return Path(C0).read_text()
+
+
+@pytest.fixture()
+def winner_text(c0_text):
+    """static_c0 with its flags set to the scan's winner: no scan runs."""
+    return patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
+
+
+@pytest.fixture()
+def winner_cfg(tmp_path_factory, winner_text):
+    return write_cfg(tmp_path_factory.mktemp("cfg"), winner_text)
 
 
 def test_exit_codes_are_the_documented_contract():
@@ -83,12 +93,12 @@ def test_solve_resolves_scan_and_writes_artifacts(tmp_path, capsys):
     assert first.startswith("# config_digest: ") and len(first) == 17 + 64
 
 
-def test_solve_is_byte_deterministic(tmp_path):
+def test_solve_is_byte_deterministic(tmp_path, winner_cfg):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()
     for d in (d1, d2):
-        rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
-                   "--out", str(d), "--quiet"])
+        rc = main(["solve", "--config", winner_cfg, "--out", str(d),
+                   "--quiet"])
         assert rc == EXIT_OK
     for name in ("trajectory.csv", "field.csv", "summary.txt"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
@@ -192,34 +202,49 @@ def test_out_naming_a_regular_file_is_a_parse_error(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
-def test_quiet_silences_stdout(tmp_path, capsys):
-    rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path), "--quiet"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", C15],
+    ["bessel-table", "1", "0.1", "2", "5"],
+])
+def test_out_that_cannot_be_made_is_a_parse_error(tmp_path, capsys, argv):
+    # a 300-character name is past every common file system's 255, so
+    # the mkdir fails whoever runs it; one error line, no traceback
+    out = tmp_path / ("a" * 300)
+    rc = main([*argv, "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", f"error: cannot make output directory {out}: File name too "
+            "long\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quiet_silences_stdout(tmp_path, winner_cfg, capsys):
+    rc = main(["solve", "--config", winner_cfg, "--out", str(tmp_path),
+               "--quiet"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out == ""
 
 
-def test_out_dir_env_var_is_honored(tmp_path, monkeypatch):
+def test_out_dir_env_var_is_honored(tmp_path, winner_cfg, monkeypatch):
     monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
-    rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL, "--quiet"])
+    rc = main(["solve", "--config", winner_cfg, "--quiet"])
     assert rc == EXIT_OK
     assert (tmp_path / "summary.txt").exists()
 
 
-def test_locked_output_directory_is_refused(tmp_path, capsys):
+def test_locked_output_directory_is_refused(tmp_path, winner_cfg, capsys):
     (tmp_path / ".lock").touch()
-    rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path)])
+    rc = main(["solve", "--config", winner_cfg, "--out", str(tmp_path)])
     assert rc == EXIT_SOLVER
     assert "locked" in capsys.readouterr().err
     (tmp_path / ".lock").unlink()
-    rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path), "--quiet"])
+    rc = main(["solve", "--config", winner_cfg, "--out", str(tmp_path),
+               "--quiet"])
     assert rc == EXIT_OK
     assert not (tmp_path / ".lock").exists()
 
 
-def test_stale_lock_is_diagnosed_and_kept(tmp_path, capsys):
+def test_stale_lock_is_diagnosed_and_kept(tmp_path, winner_cfg, capsys):
     host = socket.gethostname()
     with _OutputLock(tmp_path):
         assert (tmp_path / ".lock").read_text() == f"{os.getpid()}\n{host}\n"
@@ -228,8 +253,7 @@ def test_stale_lock_is_diagnosed_and_kept(tmp_path, capsys):
     lock = tmp_path / ".lock"
     for owner, stale in ((child.pid, True), (os.getpid(), False)):
         lock.write_text(f"{owner}\n{host}\n")
-        rc = main(["solve", "--config", C0, "--flags", WINNER_LABEL,
-                   "--out", str(tmp_path)])
+        rc = main(["solve", "--config", winner_cfg, "--out", str(tmp_path)])
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "locked" in err
@@ -249,48 +273,47 @@ def test_verify_passes_on_the_singular_core_config(tmp_path, capsys):
 
 
 def test_verify_fails_loudly_under_corrupted_flags(tmp_path, capsys):
-    rc = main(["verify", "--config", C15, "--flags", "s=+1,h=1,branch=-",
-               "--out", str(tmp_path)])
+    cfg = write_cfg(tmp_path, patched(Path(C15).read_text(),
+                                      f"flags = {WINNER_LABEL}",
+                                      "flags = s=+1,h=1,branch=-"))
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "run")])
     assert rc == EXIT_LADDER
     # the partial ladder still lands on disk for inspection
-    assert (tmp_path / "residual_ladder.csv").exists()
+    assert (tmp_path / "run" / "residual_ladder.csv").exists()
     assert "GridTooCoarse" in capsys.readouterr().err
 
 
-def test_verify_rejects_an_unrankable_single_level(tmp_path, c0_text,
+def test_verify_rejects_an_unrankable_single_level(tmp_path, winner_text,
                                                    capsys):
     # one level loads, since the scan steps with it alone
     cfg = write_cfg(tmp_path, patched(
-        c0_text, "dt_ladder = 4e-2, 2e-2, 1e-2", "dt_ladder = 4e-2"))
+        winner_text, "dt_ladder = 4e-2, 2e-2, 1e-2", "dt_ladder = 4e-2"))
     assert RunConfig.load(cfg).verify.dt_ladder == (4e-2,)
-    rc = main(["verify", "--config", cfg, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path)])
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_LADDER
     assert "ladder level" in capsys.readouterr().err
 
 
-def test_verify_exit_distinguishes_missed_tolerance(tmp_path, c0_text,
+def test_verify_exit_distinguishes_missed_tolerance(tmp_path, winner_text,
                                                     capsys):
     cfg = write_cfg(tmp_path, patched(
-        c0_text, "max_rel_inf = 2e-4", "max_rel_inf = 1e-9"))
-    rc = main(["verify", "--config", cfg, "--flags", WINNER_LABEL,
-               "--out", str(tmp_path)])
+        winner_text, "max_rel_inf = 2e-4", "max_rel_inf = 1e-9"))
+    rc = main(["verify", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_VERIFY
     assert capsys.readouterr().out.startswith("verify: FAIL")
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "scan", "oracle"])
-def test_commands_refuse_mixed_digests_in_one_directory(tmp_path, c0_text,
-                                                        capsys, command):
-    flags = [] if command == "scan" else ["--flags", WINNER_LABEL]
+def test_commands_refuse_mixed_digests_in_one_directory(tmp_path,
+                                                        winner_text, capsys,
+                                                        command):
     out_dir = tmp_path / "run"
-    cfg_a = write_cfg(tmp_path, c0_text, name="a.cfg")
-    rc = main([command, "--config", cfg_a, *flags, "--out", str(out_dir),
-               "--quiet"])
+    cfg_a = write_cfg(tmp_path, winner_text, name="a.cfg")
+    rc = main([command, "--config", cfg_a, "--out", str(out_dir), "--quiet"])
     assert rc == EXIT_OK
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-    cfg_b = write_cfg(tmp_path, c0_text + "# revised\n", name="b.cfg")
-    rc = main([command, "--config", cfg_b, *flags, "--out", str(out_dir)])
+    cfg_b = write_cfg(tmp_path, winner_text + "# revised\n", name="b.cfg")
+    rc = main([command, "--config", cfg_b, "--out", str(out_dir)])
     assert rc == EXIT_PARSE
     assert "different config" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
@@ -301,21 +324,23 @@ def test_commands_refuse_mixed_digests_in_one_directory(tmp_path, c0_text,
     (b"x,y\n1,2\n", EXIT_OK),
     (b"# config_digest: \xff\xfe\n1,2\n", EXIT_PARSE),
 ], ids=["binary", "text", "binary-digest"])
-def test_verify_reads_foreign_csv_as_bytes(tmp_path, capsys, data, rc):
+def test_verify_reads_foreign_csv_as_bytes(tmp_path, winner_cfg, capsys,
+                                           data, rc):
     # a .csv without a digest line is skipped whatever its encoding; one
     # with a digest line that is not this config's is a clash
     (tmp_path / "foreign.csv").write_bytes(data)
-    assert main(["verify", "--config", C0, "--flags", WINNER_LABEL,
-                 "--out", str(tmp_path), "--quiet"]) == rc
+    assert main(["verify", "--config", winner_cfg, "--out", str(tmp_path),
+                 "--quiet"]) == rc
     err = capsys.readouterr().err
     assert ("foreign.csv in the output directory was written from a "
             "different config" in err) == (rc == EXIT_PARSE)
 
 
-def test_verify_skips_a_directory_named_like_a_csv(tmp_path, capsys):
+def test_verify_skips_a_directory_named_like_a_csv(tmp_path, winner_cfg,
+                                                   capsys):
     (tmp_path / "x.csv").mkdir()
-    assert main(["verify", "--config", C0, "--flags", WINNER_LABEL,
-                 "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    assert main(["verify", "--config", winner_cfg, "--out", str(tmp_path),
+                 "--quiet"]) == EXIT_OK
     assert capsys.readouterr().err == ""
 
 
@@ -460,15 +485,15 @@ def test_oracle_requires_its_section(tmp_path, c0_text, capsys):
      "[oracle]: n_rho must be at least 256"),
 ], ids=["zero-dt", "infinite-dt", "infinite-rho_max", "subnormal-dt",
         "few-cells"])
-def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
+def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path,
+                                                          winner_text,
                                                           capsys, old, new,
                                                           at, message):
     # 1e400 reads as inf, which would make one step of the whole span, and
     # an infinite wall leaves no finite grid point: the reader refuses
     # both at their lines; 1e-320 makes an infinite step count, which
     # RadialProblem refuses at the header
-    text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
-    text = patched(text, old, new)
+    text = patched(winner_text, old, new)
     out_dir = tmp_path / "run"
     rc = main(["oracle", "--config", write_cfg(tmp_path, text),
                "--out", str(out_dir)])
@@ -487,12 +512,9 @@ def test_oracle_refuses_a_step_or_wall_that_is_not_finite(tmp_path, c0_text,
      "amp_first = 'nan' is not finite"),
     ("solve", "amp_first = 1.0", "amp_first = 0.0", "[mode]",
      "amp_first and amp_second are both 0"),
-    ("solve", "[run]\n", "[run]\nrel_tol = -1\n", "[run]",
-     "tolerances must be positive"),
     ("verify", "times = 0.4", "times = 5.0", "times = 5.0",
      "times +- dt_ladder[0] must lie in the span"),
-], ids=["k", "C", "angular_sign", "amp_first", "null-state", "rel_tol",
-        "times"])
+], ids=["k", "C", "angular_sign", "amp_first", "null-state", "times"])
 def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
                                                      command, old, new, at,
                                                      message):
@@ -516,6 +538,12 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     ("static_c15.cfg", "[run]\n", "[run]\ntrajectory_samples = 512\n",
      "trajectory_samples = 512",
      "unknown key 'trajectory_samples' in [run]"),
+    # the chain runs at IntegratorConfig's tolerances, so a key that set
+    # them is unknown
+    ("static_c15.cfg", "[run]\n", "[run]\nrel_tol = 1e-11\n",
+     "rel_tol = 1e-11", "unknown key 'rel_tol' in [run]"),
+    ("static_c15.cfg", "[run]\n", "[run]\nabs_tol = 1e-13\n",
+     "abs_tol = 1e-13", "unknown key 'abs_tol' in [run]"),
     # verify's order window is fixed, so a key that moved it is unknown
     ("static_c15.cfg", "max_rel_inf = 1e-5",
      "max_rel_inf = 1e-5\norder_lo = 1.0", "order_lo = 1.0",
@@ -534,8 +562,9 @@ def test_refused_value_is_a_config_error_at_its_line(tmp_path, capsys,
     # matrix, 2 GiB at the cap; the refusal is made before any allocation
     ("static_c15.cfg", "n_rho = 1024", "n_rho = 16385", "[oracle]",
      "[oracle]: n_rho must be at most 16384"),
-], ids=["mu_coupling", "trajectory_samples", "order_lo", "order_hi",
-        "negligible-leading-coefficient", "oracle-n_rho-cap"])
+], ids=["mu_coupling", "trajectory_samples", "rel_tol", "abs_tol",
+        "order_lo", "order_hi", "negligible-leading-coefficient",
+        "oracle-n_rho-cap"])
 def test_edit_is_refused_at_its_line_before_out_is_made(tmp_path, capsys,
                                                         name, old, new, at,
                                                         message):
@@ -592,12 +621,11 @@ _OTHER_FAMILIES = pytest.mark.parametrize("old,new,calls", [
 
 @_OTHER_FAMILIES
 def test_oracle_passes_on_the_other_coefficient_families(
-        tmp_path, c0_text, capsys, monkeypatch, old, new, calls):
+        tmp_path, winner_text, capsys, monkeypatch, old, new, calls):
     # constant values from any family take the closed-form path, and a
     # time-dependent family steps; both clear the bundled threshold
     seen = count_calls(monkeypatch, lapack, ("dstemr", "zgtsv"))
-    text = patched(c0_text, old, new)
-    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(winner_text, old, new)
     assert "min_fidelity = 0.999\n" in text
     cfg = write_cfg(tmp_path, text)
     rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "run")])
@@ -625,9 +653,8 @@ def test_solve_and_verify_pass_on_the_other_coefficient_families(
 
 
 @pytest.fixture()
-def coarse_dt_cfg(tmp_path, c0_text):
-    text = patched(c0_text, "flags = scan", f"flags = {WINNER_LABEL}")
-    text = patched(text, "dt = 2e-4", "dt = 0.05")
+def coarse_dt_cfg(tmp_path, winner_text):
+    text = patched(winner_text, "dt = 2e-4", "dt = 0.05")
     return write_cfg(tmp_path, text, name="coarse_dt.cfg")
 
 
@@ -643,13 +670,12 @@ def test_oracle_stays_unitary_at_coarse_dt(tmp_path, coarse_dt_cfg, capsys):
     assert drift < 1e-9
 
 
-def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
-                                                 monkeypatch):
+def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, winner_text,
+                                                 capsys, monkeypatch):
     # the tabulated field steps (20 zgtsv solves at dt = 0.05), so this
     # reaches the stepped path that the closed-form case above skips
     seen = count_calls(monkeypatch, lapack, ("dstemr", "zgtsv"))
-    text = patched(c0_text, *_TABULATED_FIELD)
-    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(winner_text, *_TABULATED_FIELD)
     text = patched(text, "dt = 2e-4", "dt = 0.05")
     out_dir = tmp_path / "run"
     rc = main(["oracle", "--config", write_cfg(tmp_path, text),
@@ -661,7 +687,7 @@ def test_driven_oracle_stays_unitary_at_coarse_dt(tmp_path, c0_text, capsys,
     assert drift < 1e-9
 
 
-def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
+def test_failed_oracle_step_exits_unstable(tmp_path, winner_text, capsys,
                                            monkeypatch):
     # zgtsv reporting a zero pivot on the third of the 20 driven steps
     # is an Unstable that a coarse dt never raises
@@ -673,8 +699,7 @@ def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
         return (*out[:-1], 7) if next(calls) == 3 else out
 
     monkeypatch.setattr(lapack, "zgtsv", failing_on_the_third)
-    text = patched(c0_text, *_TABULATED_FIELD)
-    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(winner_text, *_TABULATED_FIELD)
     text = patched(text, "dt = 2e-4", "dt = 0.05")
     rc = main(["oracle", "--config", write_cfg(tmp_path, text),
                "--out", str(tmp_path / "run")])
@@ -683,7 +708,7 @@ def test_failed_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
         "error: Unstable: step 3: singular matrix (zgtsv info 7)\n")
 
 
-def test_non_unitary_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
+def test_non_unitary_oracle_step_exits_unstable(tmp_path, winner_text, capsys,
                                                 monkeypatch):
     # the norm guard's finite-drift branch: the third of the 20 driven
     # steps comes out of zgtsv scaled by 1 + 1e-5, which no dt does
@@ -695,8 +720,7 @@ def test_non_unitary_oracle_step_exits_unstable(tmp_path, c0_text, capsys,
         return (*rest, x * (1 + 1e-5) if next(calls) == 3 else x, info)
 
     monkeypatch.setattr(lapack, "zgtsv", scaling_the_third)
-    text = patched(c0_text, *_TABULATED_FIELD)
-    text = patched(text, "flags = scan", f"flags = {WINNER_LABEL}")
+    text = patched(winner_text, *_TABULATED_FIELD)
     text = patched(text, "dt = 2e-4", "dt = 0.05")
     rc = main(["oracle", "--config", write_cfg(tmp_path, text),
                "--out", str(tmp_path / "run")])
@@ -786,7 +810,6 @@ def test_config_without_run_section_takes_the_defaults(tmp_path):
     assert sep
     cfg = RunConfig.load(write_cfg(tmp_path, head))
     assert cfg.field_times == cfg.span
-    assert cfg.chain_cfg == IntegratorConfig()
 
 
 def test_float_noise_field_phase_is_refused_at_its_section(tmp_path, capsys):
@@ -932,9 +955,10 @@ def _number_edits(text, value):
                    + "\n", index + 1, section, key)
 
 
-# static_c15 with the optional number keys that no bundled config sets
-_OPTIONAL_KEYS = patched(Path(C15).read_text(), "[run]\n",
-                         "[run]\nrel_tol = 1e-10\nabs_tol = 1e-12\n")
+# sinusoidal_b with the one optional number key that no bundled config sets
+_OPTIONAL_KEYS = patched((CONFIGS / "sinusoidal_b.cfg").read_text(),
+                         "angular_frequency = 1.0\n",
+                         "angular_frequency = 1.0\noffset = 0.0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
@@ -948,8 +972,7 @@ def test_non_finite_number_is_refused_at_its_line(tmp_path, capsys, text,
     # each number of each config in turn: no key means anything with a
     # non-finite value, and 1e400 reads as inf, so the reader refuses
     # every edit at its own line; some used to load (static_c0's
-    # [grid] rho_min = nan, [run] rel_tol = nan) or name only a section
-    # header
+    # [grid] rho_min = nan) or name only a section header
     edits = list(_number_edits(text, value))
     assert len(edits) >= 30             # every config sets 30 numbers or more
     out_dir = tmp_path / "run"
@@ -1047,32 +1070,19 @@ def test_finite_extremes_of_driven_families_and_the_oracle(tmp_path, capsys,
 _NOT_A_LABEL = "is not a flags label such as s=-1,h=1/2,branch=+"
 
 
-@pytest.mark.parametrize("flags_line,argv,message", [
-    ("flags = s=+2,h=1,branch=+", [],
-     f"flags: 's=+2,h=1,branch=+' {_NOT_A_LABEL}"),
-    (None, ["--flags", "s=+2,h=1,branch=+"],
-     f"--flags: 's=+2,h=1,branch=+' {_NOT_A_LABEL}"),
-    (None, ["--flags", "s=+1,h=1,branch=+,s=-1"],
-     f"--flags: 's=+1,h=1,branch=+,s=-1' {_NOT_A_LABEL}"),
-    ("flags = s=-1,h=0.5,branch=+", [],
-     f"flags: 's=-1,h=0.5,branch=+' {_NOT_A_LABEL}"),
-    (None, ["--flags", "s=-1,h=1/2,branch=+1"],
-     f"--flags: 's=-1,h=1/2,branch=+1' {_NOT_A_LABEL}"),
-], ids=["config-value", "cli-value", "cli-repeated-key", "config-spelling",
-        "cli-spelling"])
-def test_malformed_flags_are_a_parse_error(tmp_path, c0_text, capsys,
-                                           flags_line, argv, message):
-    # the config line carries its number; the override has none, and is
-    # refused before the output directory is made
-    text = c0_text
-    if flags_line is not None:
-        text = patched(text, "flags = scan", flags_line)
-        message = f"line {text.splitlines().index(flags_line) + 1}: {message}"
+@pytest.mark.parametrize("label", [
+    "s=+2,h=1,branch=+", "s=-1,h=0.5,branch=+",
+], ids=["config-value", "config-spelling"])
+def test_malformed_flags_are_a_parse_error(tmp_path, c0_text, capsys, label):
+    # refused at its config line before the output directory is made
+    text = patched(c0_text, "flags = scan", f"flags = {label}")
+    line = text.splitlines().index(f"flags = {label}") + 1
     out_dir = tmp_path / "run"
     rc = main(["solve", "--config", write_cfg(tmp_path, text),
-               "--out", str(out_dir), *argv])
+               "--out", str(out_dir)])
     assert rc == EXIT_PARSE
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == (
+        f"error: line {line}: flags: {label!r} {_NOT_A_LABEL}\n")
     assert not out_dir.exists()
 
 

@@ -450,10 +450,3 @@ def test_trajectory_csv_round_trip(tmp_path):
     alphas = np.array([traj.alpha(t) for t in ts])
     assert np.allclose(rows[:, 2] + 1j * rows[:, 3], alphas, rtol=0,
                        atol=1e-15)
-
-
-def test_trajectory_csv_without_digest_has_no_comment(tmp_path):
-    traj = make_chain(make_coeffs(C=0.0))
-    path = tmp_path / "chain.csv"
-    write_trajectory_csv(traj, path)
-    assert path.read_text().startswith("t,beta,")

@@ -356,26 +356,26 @@ def test_result_csv_layouts(tmp_path, harmonic):
     assert len(lines) == 4 + 3
 
     snap_path = tmp_path / "snapshots.csv"
-    res.write_snapshots_csv(snap_path, None, Table)
+    res.write_snapshots_csv(snap_path, "c" * 64, Table)
     lines = snap_path.read_text().splitlines()
-    assert lines[0] == "t,rho,re_u,im_u"
-    assert len(lines) == 1 + 3 * 512
+    assert lines[0] == "# config_digest: " + "c" * 64
+    assert lines[1] == "t,rho,re_u,im_u"
+    assert len(lines) == 2 + 3 * 512
 
 
-def _write_snapshots_per_row(result, path, digest=None):
+def _write_snapshots_per_row(result, path, digest):
     """PropagationResult.write_snapshots_csv as it was before chunked
     formatting, kept as the byte reference."""
     rho = result.problem.rho
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write("t,rho,re_u,im_u\n")
         for i, t in enumerate(result.times):
             for r, u in zip(rho, result.fields[i]):
                 fh.write(f"{t:.17g},{r:.17g},{u.real:.17g},{u.imag:.17g}\n")
 
 
-@pytest.mark.parametrize("digest", ["c" * 64, None])
+@pytest.mark.parametrize("digest", ["c" * 64])
 def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
                                                           digest):
     # 4199 unknowns per snapshot: one full chunk plus a partial tail
@@ -396,7 +396,7 @@ def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
     res.write_snapshots_csv(new, digest, Table)
     _write_snapshots_per_row(res, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
-    assert len(new.read_text().splitlines()) == (2 if digest else 1) + 3 * 4199
+    assert len(new.read_text().splitlines()) == 2 + 3 * 4199
 
 
 def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
@@ -405,7 +405,7 @@ def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
     res = propagate(prob, u0, record_times=(1.0,))
     assert res.fidelities is None
     path = tmp_path / "fid.csv"
-    res.write_csv(path, None, Table)
+    res.write_csv(path, "c" * 64, Table)
     assert path.read_text().splitlines()[-1].endswith(",nan")
 
 

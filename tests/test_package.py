@@ -180,25 +180,25 @@ def test_package_namespace_holds_only_its_version():
 
 
 def test_main_reuses_one_parser_and_keeps_no_state_between_calls(tmp_path):
-    # the argparse tree is built once per process; a --flags override in
-    # one call must not leak into the next call's defaults
+    # the argparse tree is built once per process; --quiet in one call
+    # must not leak into the next call's defaults
     proc = _run("-c", "import sys; from pathlib import Path; import invosc; "
                       "from invosc import cli; "
                       "cfg = str(Path(invosc.__file__).parent / 'configs' "
                       "/ 'static_c15.cfg'); out = Path(sys.argv[1]); "
                       "parser = cli._build_parser(); "
                       "rcs = [cli.main(['solve', '--quiet', '--config', cfg, "
-                      "'--out', str(out / 'cli'), '--flags', "
-                      "'s=+1,h=1,branch=+']), "
-                      "cli.main(['solve', '--quiet', '--config', cfg, "
-                      "'--out', str(out / 'config')])]; "
+                      "'--out', str(out / 'quiet')]), "
+                      "cli.main(['solve', '--config', cfg, "
+                      "'--out', str(out / 'loud')])]; "
                       "print(cli._build_parser() is parser, *rcs)",
                 str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "0", "0"]
-    for source in ("cli", "config"):
-        summary = (tmp_path / source / "summary.txt").read_text()
-        assert f"\nflags_source = {source}\n" in summary
+    assert proc.stdout.splitlines() == [
+        "solve: flags s=-1,h=1/2,branch=+ (config), wrote trajectory.csv, "
+        "field.csv, summary.txt", "True 0 0"]
+    assert ((tmp_path / "quiet" / "summary.txt").read_bytes()
+            == (tmp_path / "loud" / "summary.txt").read_bytes())
 
 
 @pytest.mark.parametrize("module", ["invosc", "invosc.cli"])

@@ -616,13 +616,12 @@ def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
                              geometry=geometry)
 
 
-def _write_csv_per_row(field, path, digest=None):
+def _write_csv_per_row(field, path, digest):
     """WaveField.write_csv as it was before chunked formatting, kept as
     the byte reference."""
     X, Y = field.grid.xy_mesh()
     with open(path, "w", encoding="utf-8") as fh:
-        if digest:
-            fh.write(f"# config_digest: {digest}\n")
+        fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# mode: {field.mode.describe()}\n")
         fh.write(f"# grid: {field.grid.describe()}\n")
         fh.write("x,y,t,re_psi,im_psi,abs2\n")
@@ -640,9 +639,7 @@ _POLAR = PolarGrid(0.0, 7.3, 67, 71)
 
 @pytest.mark.parametrize("digest,grid", [
     pytest.param("c" * 64, _CARTESIAN, id="c" * 64),
-    pytest.param(None, _CARTESIAN, id="None"),
     pytest.param("c" * 64, _POLAR, id="c" * 64 + "-polar"),
-    pytest.param(None, _POLAR, id="None-polar"),
 ])
 def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
                                                       digest, grid):
@@ -666,7 +663,7 @@ def test_chunked_field_csv_matches_the_per_row_writer(tmp_path, mode_c15,
         _write_csv_per_row(field, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
     assert (len(new.read_text().splitlines())
-            == (4 if digest else 3) + 3 * math.prod(grid.shape))
+            == 4 + 3 * math.prod(grid.shape))
 
 
 class _ListGrid:
@@ -689,7 +686,7 @@ _FALLBACK = [5e-324, -2.5e-310, 1000000000000000.25, -0.0, 0.0,
              -np.nextafter(1e17, np.inf), 1e300]
 
 
-@pytest.mark.parametrize("digest", ["c" * 64, None], ids=["digest", "none"])
+@pytest.mark.parametrize("digest", ["c" * 64], ids=["digest"])
 @pytest.mark.parametrize("rows", [1, 4096, 4097])
 def test_chunk_edges_match_the_per_row_writer(tmp_path, mode_c15, rows,
                                               digest):
@@ -713,7 +710,7 @@ def test_chunk_edges_match_the_per_row_writer(tmp_path, mode_c15, rows,
         field.write_csv(new, digest=digest)
         _write_csv_per_row(field, old, digest=digest)
     assert new.read_bytes() == old.read_bytes()
-    assert len(new.read_text().splitlines()) == (4 if digest else 3) + 3 * rows
+    assert len(new.read_text().splitlines()) == 4 + 3 * rows
 
 
 def test_field_csv_writer_peak_memory(tmp_path, mode_c15):
@@ -1037,12 +1034,13 @@ def test_scan_winner_has_a_decaying_envelope(scan_outcome):
 
 def test_scan_table_csv_marks_one_winner(tmp_path, scan_outcome):
     path = tmp_path / "scan.csv"
-    scan_outcome.write_csv(path)
+    scan_outcome.write_csv(path, digest="e" * 64)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# winner: s=-1,h=1/2,branch=+ margin: ")
-    assert lines[1] == ("exponent_sign,exponent_half,alpha_branch,"
+    assert lines[0] == "# config_digest: " + "e" * 64
+    assert lines[1].startswith("# winner: s=-1,h=1/2,branch=+ margin: ")
+    assert lines[2] == ("exponent_sign,exponent_half,alpha_branch,"
                         "rel_inf,rel_l2,envelope_decays,winner")
-    rows = [line.split(",") for line in lines[2:]]
+    rows = [line.split(",") for line in lines[3:]]
     assert len(rows) == 8
     assert sum(int(r[-1]) for r in rows) == 1
 
