@@ -58,9 +58,9 @@ from .ode import IntegratorConfig, default_alpha0, solve_chain
 from .oracle import RadialProblem, propagate, snap_times
 from .params import (FAMILIES, CoefficientRangeError, CoefficientSet,
                      Section, parse_sections, within_span)
-from .wavefunction import (RESIDUAL_STEPS, CartesianGrid, ConventionFlags,
-                           GridGeometry, ModeSpec, PolarGrid, ScanOutcome,
-                           assemble_psi, convention_scan, sample_field,
+from .wavefunction import (CartesianGrid, ConventionFlags, GridGeometry,
+                           ModeSpec, PolarGrid, ScanOutcome, assemble_psi,
+                           convention_scan, sample_field,
                            schrodinger_residual, sector_winding)
 
 __all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_PARSE", "EXIT_SOLVER",
@@ -130,7 +130,6 @@ class RunConfig:
     path: str
     digest: str
     coeffs: CoefficientSet
-    span: tuple
     mode: ModeSpec
     flags: ConventionFlags | None
     grid: object
@@ -192,7 +191,8 @@ class RunConfig:
         if "verification" in sections:
             ver_s = sections["verification"]
             verify = VerifySettings(**ver_s.read({
-                "times": "floats", "dt_ladder": ("floats", RESIDUAL_STEPS),
+                "times": "floats",
+                "dt_ladder": ("floats", (8e-3, 4e-3, 2e-3)),
                 "max_rel_inf": "float"}))
             # a bar no result can meet is refused before the ladder runs
             if verify.max_rel_inf <= 0:
@@ -220,7 +220,7 @@ class RunConfig:
             oracle = OracleSettings(
                 orc_kw.pop("record_times"), orc_kw.pop("min_fidelity"),
                 orc_s.build(RadialProblem, coeffs=coeffs,
-                            n=sector_winding(mode), span=span, **orc_kw))
+                            n=sector_winding(mode), **orc_kw))
             if not 0 <= oracle.min_fidelity <= 1:
                 raise ConfigError("min_fidelity must lie in [0, 1]",
                                   orc_s.items["min_fidelity"][1])
@@ -237,14 +237,13 @@ class RunConfig:
                 f"field_times must lie in the span [{span[0]!r}, "
                 f"{span[1]!r}]", run_s.items["field_times"][1])
 
-        return cls(path=str(path), digest=digest, coeffs=coeffs, span=span,
-                   mode=mode, flags=flags, grid=grid, verify=verify,
-                   oracle=oracle, field_times=run["field_times"])
+        return cls(path=str(path), digest=digest, coeffs=coeffs, mode=mode,
+                   flags=flags, grid=grid, verify=verify, oracle=oracle,
+                   field_times=run["field_times"])
 
     def chain(self, branch):
-        alpha0 = default_alpha0(self.coeffs, self.span[0], branch=branch)
-        return solve_chain(self.coeffs, self.mode.k, span=self.span,
-                           alpha0=alpha0)
+        alpha0 = default_alpha0(self.coeffs, branch=branch)
+        return solve_chain(self.coeffs, self.mode.k, alpha0=alpha0)
 
 
 # -- shared plumbing ----------------------------------------------------------
@@ -359,10 +358,12 @@ class _Run:
 @contextlib.contextmanager
 def _run(args, need=None, scan=False, levels=1):
     """Load the config; refuse it without the section ``need``, without
-    [verification] for a scan (``scan`` forces one), or with fewer than
-    ``levels`` ladder levels; make and lock the output directory, refusing
-    one that holds another config's artifacts; then resolve the flags and
-    yield the _Run, holding the lock."""
+    [verification] for a scan (``scan`` forces one), with fewer than
+    ``levels`` ladder levels, or, for the oracle, with a second-kind
+    amplitude; solve the chain of each branch the run needs, once; make
+    and lock the output directory, refusing one that holds another
+    config's artifacts; then resolve the flags and yield the _Run,
+    holding the lock."""
     cfg = RunConfig.load(args.config)
     scan = scan or cfg.flags is None
     settings = {"verification": cfg.verify, "oracle": cfg.oracle}
@@ -374,24 +375,29 @@ def _run(args, need=None, scan=False, levels=1):
     if cfg.verify is not None and len(cfg.verify.dt_ladder) < levels:
         raise GridTooCoarse("cannot estimate a convergence order from "
                             f"{len(cfg.verify.dt_ladder)} ladder level")
+    if need == "oracle" and cfg.mode.amp_second != 0:
+        raise ConfigError("oracle needs [mode] amp_second = 0: its "
+                          "w = u / rho^nu layout holds only the regular "
+                          "solution")
+    branches = (+1, -1) if scan else (cfg.flags.alpha_branch,)
+    chains = {branch: cfg.chain(branch) for branch in branches}
     out = _resolve_out(args)
     with _OutputLock(out):
         _refuse_digest_clash(out, cfg.digest)
-        chain = functools.cache(cfg.chain)
         flags, source, outcome = cfg.flags, "config", None
         if scan:
-            outcome = _scan(cfg, out, chain)
+            outcome = _scan(cfg, out, chains)
             flags = outcome.winner
             source = f"scan(margin={outcome.margin:.6g})"
         yield _Run(args.command, cfg, out, source, outcome,
-                   chain(flags.alpha_branch),
+                   chains[flags.alpha_branch],
                    dataclasses.replace(cfg.mode, conventions=flags))
 
 
-def _scan(cfg, out, chain):
-    """Rank the eight readings, write scan_table.csv and refuse a tie; a
-    memoized ``chain(branch)`` keeps the winner's chain for the command."""
-    outcome = convention_scan(cfg.mode, chain, cfg.coeffs, cfg.grid,
+def _scan(cfg, out, chains):
+    """Rank the eight readings on the chains of both branches, write
+    scan_table.csv and refuse a tie."""
+    outcome = convention_scan(cfg.mode, chains, cfg.coeffs, cfg.grid,
                               times=cfg.verify.times,
                               step=cfg.verify.dt_ladder[0])
     outcome.write_csv(out / "scan_table.csv", digest=cfg.digest)
@@ -425,7 +431,7 @@ def cmd_solve(args):
                              digest=cfg.digest)
         field.write_csv(out / "field.csv", digest=cfg.digest)
         run.write_summary("summary.txt", [
-            ("span", f"{cfg.span[0]!r},{cfg.span[1]!r}"),
+            ("span", f"{cfg.coeffs.span[0]!r},{cfg.coeffs.span[1]!r}"),
             ("coefficients", cfg.coeffs.describe()),
             ("grid", cfg.grid.describe()),
             ("field_times", ",".join(repr(t) for t in cfg.field_times)),
@@ -475,7 +481,7 @@ def cmd_oracle(args):
             return assemble_psi(mode, run.traj, rho, zero, t,
                                 geometry=geometry)
 
-        u0 = np.asarray(reference(cfg.span[0]), dtype=complex)
+        u0 = np.asarray(reference(problem.span[0]), dtype=complex)
         result = propagate(problem, u0, record_times=orc.record_times,
                            reference=reference)
         result.write_csv(run.out / "fidelity.csv", cfg.digest, Table)

@@ -173,8 +173,6 @@ def _dopri5(rhs, span, y0, cfg, watcher, knots=()):
     step-size rule takes no factor from a nan error.
     """
     t0, t1 = float(span[0]), float(span[1])
-    if not t1 > t0:
-        raise ValueError("span must be increasing")
     y = np.asarray(y0, dtype=complex)
     t = t0
     k1 = rhs(t, y)
@@ -235,14 +233,14 @@ def _bisect_threshold(segment, t_lo, t_hi, crosses):
     return hi
 
 
-def default_alpha0(coeffs: CoefficientSet, t0=None, branch=+1):
-    """Stationary point of the static width equation, m(t0) * W(t0).
+def default_alpha0(coeffs: CoefficientSet, branch=+1):
+    """Stationary point of the static width equation, m(t0) * W(t0), at
+    the start t0 of the coefficients' span.
 
     ``branch`` selects the sign; +1 is the decaying-envelope branch under
     the scan-selected conventions.
     """
-    t0 = coeffs.span[0] if t0 is None else t0
-    m, w2, _ = coefficient_terms(coeffs, t0)
+    m, w2, _ = coefficient_terms(coeffs, coeffs.span[0])
     return branch * m * math.sqrt(w2)
 
 
@@ -267,8 +265,9 @@ class TransformTrajectory:
         return np.exp(self.log_mu(t))
 
 
-def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None):
-    """Solve beta, alpha, mu, f as one coupled system and bundle the results.
+def solve_chain(coeffs: CoefficientSet, k, alpha0=None, cfg=None):
+    """Solve beta, alpha, mu, f as one coupled system over the
+    coefficients' span and bundle the results.
 
     mu starts at mu0 = 1 and is carried as g = log mu, so it cannot pass
     through zero; |alpha| growing past 1e6 max(|alpha0|, 1) raises BlowUp
@@ -277,8 +276,8 @@ def solve_chain(coeffs: CoefficientSet, k, span=None, alpha0=None, cfg=None):
     step ends: no step crosses one.
     """
     cfg = cfg or _DEFAULT_CFG
-    span = coeffs.span if span is None else (float(span[0]), float(span[1]))
-    a0 = complex(default_alpha0(coeffs, span[0]) if alpha0 is None else alpha0)
+    span = coeffs.span
+    a0 = complex(default_alpha0(coeffs) if alpha0 is None else alpha0)
     if not (math.isfinite(a0.real) and math.isfinite(a0.imag)):
         raise NonFinite("alpha0 must be finite")
     k = float(k)

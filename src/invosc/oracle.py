@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (FallToCenter, MismatchedGrids, NonFinite, OutOfDomain,
                      Unstable)
-from .params import CoefficientSet, coefficient_terms, within_span
+from .params import CoefficientSet, coefficient_terms
 
 __all__ = ["RadialProblem", "PropagationResult", "effective_potential",
            "propagate", "fidelity"]
@@ -102,7 +102,8 @@ def effective_potential(coeffs: CoefficientSet, n, rho, t):
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """Grid and stepping description for one sector propagation.
+    """Grid and stepping description for one sector propagation over the
+    coefficients' span.
 
     The unknowns sit at the cell centres rho_j = (j + 1/2) drho,
     j = 0 .. N_rho - 1, with drho = rho_max / N_rho, for every sector.
@@ -116,7 +117,6 @@ class RadialProblem:
     rho_max: float
     n_rho: int
     dt: float
-    span: tuple
 
     def __post_init__(self):
         if self.n_rho < 256:
@@ -129,18 +129,15 @@ class RadialProblem:
         if not 0 < self.rho_max < math.inf:
             raise ValueError("rho_max must be positive and finite")
         t0, t1 = self.span
-        if not t1 > t0:
-            raise ValueError("span must be increasing")
         if not (t1 - t0) / self.dt < math.inf:
             raise ValueError("dt leaves no finite step count over the span")
-        if not within_span(self.span, self.coeffs.span):
-            lo, hi = self.coeffs.span
-            raise OutOfDomain(f"span {self.span} outside coefficients "
-                              f"span ({lo}, {hi})")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "span", (float(t0), float(t1)))
         if 2.0 * self.coeffs.coupling + self.n * self.n < 0.0:
             raise FallToCenter("2C + n^2 < 0: no regular radial solution")
+
+    @property
+    def span(self):
+        return self.coeffs.span
 
     @property
     def drho(self):

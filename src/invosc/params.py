@@ -107,11 +107,10 @@ class TimeFunction:
         return cls("polynomial", tuple(span), cs)
 
     @classmethod
-    def tabulated(cls, times, values, span=None):
+    def tabulated(cls, times, values, span):
         """Natural cubic spline through the samples; exact at the nodes.
 
-        The span defaults to the sample range.  Sample times must be
-        strictly increasing.
+        Sample times must be strictly increasing.
         """
         # Imported here: no bundled config tabulates, and scipy.interpolate
         # (with scipy.optimize behind it) adds ~40% to ``import invosc``.
@@ -126,8 +125,6 @@ class TimeFunction:
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
             raise NonFinite("tabulated samples contain non-finite entries")
         spline = CubicSpline(ts, vs, bc_type="natural")
-        if span is None:
-            span = (float(ts[0]), float(ts[-1]))
         return cls("tabulated", tuple(span), tuple(ts) + tuple(vs), spline)
 
     # -- evaluation -----------------------------------------------------------
@@ -278,7 +275,8 @@ class CoefficientSet:
     """The full physical input: m(t), omega(t), B(t), q, C.
 
     The scalar potential is zero by the gauge choice.  Mass positivity and frequency nonnegativity are enforced at construction by
-    exact per-family bounds plus a 1024-point sample sweep.
+    exact per-family bounds plus a 1024-point sample sweep.  The three
+    share one span, the run's, which ``span`` gives.
     """
 
     mass: TimeFunction
@@ -290,9 +288,9 @@ class CoefficientSet:
     def __post_init__(self):
         if not (math.isfinite(self.charge) and math.isfinite(self.coupling)):
             raise NonFinite("charge and coupling must be finite")
-        span = self.span
-        if span[0] >= span[1]:
-            raise ValueError("coefficient spans have an empty intersection")
+        if not (self.mass.span == self.frequency.span
+                == self.magnetic_field.span):
+            raise ValueError("coefficients must share one span")
         self._check_sign("mass", True, "nonpositive mass")
         self._check_sign("frequency", False, "negative frequency")
 
@@ -312,9 +310,7 @@ class CoefficientSet:
 
     @property
     def span(self):
-        t0 = max(f.span[0] for f in (self.mass, self.frequency, self.magnetic_field))
-        t1 = min(f.span[1] for f in (self.mass, self.frequency, self.magnetic_field))
-        return (t0, t1)
+        return self.mass.span
 
     def describe(self):
         """Canonical one-line description, as the run summary records it."""

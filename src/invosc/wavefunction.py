@@ -56,10 +56,8 @@ __all__ = [
     "LadderRung", "ResidualReport", "ScanRow", "ScanOutcome",
     "order_from_coupling", "theta_from_xy", "assemble_psi", "sample_field",
     "schrodinger_residual", "convention_scan", "sector_winding",
-    "GridGeometry", "RESIDUAL_STEPS",
+    "GridGeometry",
 ]
-
-RESIDUAL_STEPS = (8e-3, 4e-3, 2e-3)  # default ladder; its first is the scan's
 
 
 # -- conventions and mode -------------------------------------------------------
@@ -387,8 +385,9 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
 
     x and y broadcast; the return matches their broadcast shape (scalar
     in, scalar out).  Points at the exact origin follow the regularity
-    of the mode: nu = 0 with n = 0 has the finite limit A e^{-i f},
-    nu >= 1 vanishes, anything else has no limit and raises.
+    of the mode: nu = 0 with n = 0 has the finite limit A e^{-i f}, every
+    nu > 0 vanishes like rho^nu, and nu = 0 with n != 0, which turns as
+    e^{-i sign n phi}, has no limit and raises, as a second-kind part does.
 
     The field is the product of three factors (see the module
     docstring): the radial factor with its envelope, which depends on
@@ -424,9 +423,9 @@ def assemble_psi(mode: ModeSpec, traj, x, y, t, geometry=None):
             raise OriginUndefined("second-kind radial part diverges at rho = 0")
         if mode.nu == 0.0 and mode.n == 0:
             origin_value = mode.amp_first * np.exp(-1j * f)
-        elif mode.nu < 1.0:
+        elif mode.nu == 0.0:
             raise OriginUndefined(
-                f"no limit at rho = 0 for nu = {mode.nu:g}, n = {mode.n}")
+                f"no limit at rho = 0 for nu = 0, n = {mode.n}")
 
     ru = geometry.radii
     key = (mode.nu, mode.k, mode.amp_first, mode.amp_second, mu)
@@ -655,12 +654,12 @@ def _residual_floor(grid, coeffs):
 
 
 def schrodinger_residual(mode, traj, coeffs: CoefficientSet, grid, times,
-                         steps=RESIDUAL_STEPS, psi=None, geometry=None):
+                         steps, psi=None, geometry=None):
     """Measure the discretized PDE residual over a ladder of time steps.
 
     The ladder keeps ``grid`` fixed and walks ``steps``, a decreasing
-    sequence of time steps of the 2nd-order d/dt stencil (default
-    RESIDUAL_STEPS); each rung is one step.  ``psi(x_mesh, y_mesh, t)``
+    sequence of time steps of the 2nd-order d/dt stencil; each rung is
+    one step.  ``psi(x_mesh, y_mesh, t)``
     overrides the assembled field, which keeps the operator testable
     against known exact solutions; otherwise ``mode`` and ``traj`` drive
     assemble_psi.  ``geometry`` supplies the GridGeometry of ``grid``'s
@@ -791,28 +790,25 @@ class ScanOutcome:
                 for r in self.rows)))
 
 
-def convention_scan(mode_template: ModeSpec, traj_factory, coeffs, grid,
-                    times, step=RESIDUAL_STEPS[0]):
+def convention_scan(mode_template: ModeSpec, trajs, coeffs, grid, times,
+                    step):
     """Measure the residual of all 8 flag readings and keep the argmin.
 
-    ``traj_factory(branch)`` must return the chain solved with alpha0 on
-    that branch; it is called once per branch and shared across the four
-    flag sets riding on it.  The flags leave the winding alone, so one
-    GridGeometry of ``grid`` serves all eight residuals.  Ties break
-    toward the enumeration order of ConventionFlags.all_combinations().
+    ``trajs`` maps each alpha branch, +1 and -1, to the chain solved with
+    alpha0 on that branch, which the four flag sets riding on it share;
+    ``step`` is the residual's one time step.  The flags leave the
+    winding alone, so one GridGeometry of ``grid`` serves all eight
+    residuals.  Ties break toward the enumeration order of
+    ConventionFlags.all_combinations().
     The ranked table comes back tied or not: its ``margin`` says how
     far the winner stands from the runner-up, and the caller decides
     whether that is decisive.
     """
     times = tuple(float(t) for t in times)
     geometry = GridGeometry(*grid.xy_mesh(), sector_winding(mode_template))
-    trajs = {}
     rows = []
     for flags in ConventionFlags.all_combinations():
-        branch = flags.alpha_branch
-        if branch not in trajs:
-            trajs[branch] = traj_factory(branch)
-        traj = trajs[branch]
+        traj = trajs[flags.alpha_branch]
         mode = dataclasses.replace(mode_template, conventions=flags)
         report = schrodinger_residual(mode, traj, coeffs, grid, times,
                                       steps=(step,), geometry=geometry)

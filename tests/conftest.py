@@ -71,8 +71,8 @@ def count_calls(monkeypatch, owner, names):
 
 
 def make_chain(coeffs, k=1.0, branch=+1, **kw):
-    alpha0 = default_alpha0(coeffs, coeffs.span[0], branch=branch)
-    return solve_chain(coeffs, k, span=coeffs.span, alpha0=alpha0, **kw)
+    alpha0 = default_alpha0(coeffs, branch=branch)
+    return solve_chain(coeffs, k, alpha0=alpha0, **kw)
 
 
 @pytest.fixture(scope="session")

@@ -82,14 +82,12 @@ def test_criterion_3_pde_residual_ladder():
     coeffs = make_coeffs()
     mode = ModeSpec.from_coupling(k=1.0, n=1, C=1.5)
 
-    def factory(branch):
-        return make_chain(coeffs, branch=branch)
-
-    selected = convention_scan(mode, factory, coeffs,
+    chains = {b: make_chain(coeffs, branch=b) for b in (+1, -1)}
+    selected = convention_scan(mode, chains, coeffs,
                                PolarGrid(0.4, 8.0, 128, 128), (0.4,),
                                step=8e-3)
     mode = dataclasses.replace(mode, conventions=selected.winner)
-    traj = factory(selected.winner.alpha_branch)
+    traj = chains[selected.winner.alpha_branch]
     report = schrodinger_residual(mode, traj, coeffs,
                                   PolarGrid(0.4, 8.0, 256, 256), (0.4,),
                                   steps=(8e-3, 4e-3, 2e-3))
@@ -105,18 +103,16 @@ def test_criterion_4_convention_scan_decisiveness():
     coeffs = make_coeffs(C=0.0)
     mode = ModeSpec.from_coupling(k=1.0, n=1, C=0.0)
 
-    def factory(branch):
-        return make_chain(coeffs, branch=branch)
-
+    chains = {b: make_chain(coeffs, branch=b) for b in (+1, -1)}
     grid = CartesianGrid(6.0, 128)
-    outcome = convention_scan(mode, factory, coeffs, grid, (0.4,), step=4e-2)
+    outcome = convention_scan(mode, chains, coeffs, grid, (0.4,), step=4e-2)
     rows = {row.flags: row for row in outcome.rows}
     best = rows[outcome.winner]
     for flags, row in rows.items():
         if flags != outcome.winner:
             assert row.rel_inf >= 10.0 * best.rel_inf, flags.label()
     assert best.envelope_decays
-    refined = convention_scan(mode, factory, coeffs,
+    refined = convention_scan(mode, chains, coeffs,
                               dataclasses.replace(grid, n=2 * grid.n),
                               (0.4,), step=4e-2)
     assert refined.winner == outcome.winner
@@ -131,7 +127,7 @@ def test_criterion_5_oracle_fidelity():
     winding = sector_winding(mode)
 
     def run(n_rho, record_times):
-        prob = RadialProblem(coeffs, winding, 12.0, n_rho, 1e-4, SPAN)
+        prob = RadialProblem(coeffs, winding, 12.0, n_rho, 1e-4)
         rho = prob.rho
         u0 = assemble_psi(mode, traj, rho, 0.0 * rho, SPAN[0])
         return propagate(prob, u0, record_times=record_times,
@@ -199,8 +195,7 @@ def test_criterion_6_reduction_chain():
     c15 = make_coeffs()
     omega0 = math.sqrt(coefficient_terms(c15, 0.0)[1])
     k = 1.0
-    traj = solve_chain(c15, k, span=SPAN,
-                       alpha0=default_alpha0(c15, SPAN[0]), cfg=tight)
+    traj = solve_chain(c15, k, alpha0=default_alpha0(c15), cfg=tight)
     for t in (0.25, 0.5, 0.75, 1.0):
         mu_ref = cmath.exp(1j * omega0 * t)
         f_ref = (k * k * (1.0 - cmath.exp(-2j * omega0 * t))
@@ -214,7 +209,7 @@ def test_criterion_6_reduction_chain():
 def test_criterion_7_oracle_unitarity_and_order():
     started = time.perf_counter()
     coeffs = make_coeffs(B=0.0, C=0.0)
-    prob = RadialProblem(coeffs, 0, 8.0, 512, 1e-4, SPAN)
+    prob = RadialProblem(coeffs, 0, 8.0, 512, 1e-4)
     u0 = (1.0 + 0.5 * prob.rho ** 2) * np.exp(-prob.rho ** 2 / 2.0)
     res = propagate(prob, u0)
     assert res.norm_drift_total < 1e-9

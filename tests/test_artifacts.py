@@ -21,7 +21,7 @@ from invosc.oracle import PropagationResult, RadialProblem
 from invosc.wavefunction import (ConventionFlags, LadderRung, ResidualReport,
                                  ScanOutcome, ScanRow)
 
-from conftest import SPAN, make_coeffs
+from conftest import make_coeffs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -201,7 +201,7 @@ def test_read_digest_reads_the_first_four_lines_as_bytes(tmp_path, head,
 def _oracle_result(count, fidelities=True):
     """A PropagationResult of ``count`` snapshot times on 256 unknowns,
     with EDGES among its times, fidelities and fields."""
-    problem = RadialProblem(make_coeffs(), 1, 6.5, 256, 1e-2, SPAN)
+    problem = RadialProblem(make_coeffs(), 1, 6.5, 256, 1e-2)
     values = _floats(len(EDGES) + count, 12)
     fields = _complex(_floats(count * 256, 13), _floats(count * 256, 14))
     return PropagationResult(

@@ -31,6 +31,7 @@ from invosc.bessel import bessel_j, bessel_n
 from invosc.cli import (EXIT_INCONCLUSIVE, EXIT_LADDER, EXIT_OK, EXIT_PARSE,
                         EXIT_SOLVER, EXIT_UNSTABLE, EXIT_VERIFY, OUT_DIR_ENV,
                         _GRIDS, RunConfig, _OutputLock, main)
+from invosc.errors import BlowUp
 from invosc.oracle import snap_times
 
 from conftest import count_calls
@@ -121,6 +122,62 @@ def test_solve_reuses_the_scanned_chains(tmp_path, monkeypatch):
     assert len(alpha0s) == 2 and alpha0s[0] != alpha0s[1]
 
 
+def test_solve_with_set_flags_solves_one_chain(tmp_path, monkeypatch):
+    import invosc.cli as cli
+    calls = count_calls(monkeypatch, cli, ["solve_chain"])
+    rc = main(["solve", "--config", C15, "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_OK
+    assert calls == {"solve_chain": 1}
+
+
+@pytest.mark.parametrize("config,branches", [(C15, 1), (C0, 2)],
+                         ids=["flags", "scan"])
+def test_failed_chain_leaves_no_out(tmp_path, monkeypatch, capsys, config,
+                                    branches):
+    # every chain a run needs is solved before --out is made: here the
+    # last of them fails, so nothing has been made when the run ends
+    import invosc.cli as cli
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(kwargs["alpha0"])
+        if len(calls) == branches:
+            raise BlowUp("|alpha| crossed 1e+06 at t=0.5", escape_time=0.5)
+        return object()
+
+    monkeypatch.setattr(cli, "solve_chain", failing)
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--config", config, "--out", str(out_dir)])
+    assert rc == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "error: BlowUp: |alpha| crossed 1e+06 at t=0.5\n")
+    assert len(calls) == branches
+    assert not out_dir.exists()
+
+
+def test_oracle_refuses_a_second_kind_amplitude(tmp_path, monkeypatch,
+                                                capsys):
+    # the oracle's w = u / rho^nu holds only the regular solution, so the
+    # refusal comes before any chain and before --out; solve still runs
+    # the config and fails in the solver, since N_nu needs a real mu
+    import invosc.cli as cli
+    calls = count_calls(monkeypatch, cli, ["solve_chain"])
+    cfg = write_cfg(tmp_path, patched(Path(C15).read_text(),
+                                      "amp_second = 0.0",
+                                      "amp_second = 0.25"))
+    out_dir = tmp_path / "run"
+    rc = main(["oracle", "--config", cfg, "--out", str(out_dir)])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: oracle needs [mode] amp_second = 0: its w = u / rho^nu "
+        "layout holds only the regular solution\n")
+    assert calls == {"solve_chain": 0} and not out_dir.exists()
+    rc = main(["solve", "--config", cfg, "--out", str(out_dir), "--quiet"])
+    assert rc == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(
+        "error: NonPositiveArgument: ")
+
+
 @pytest.mark.parametrize("command,needle", [
     ("solve", "field_times = 0.0, 0.5, 1.0"),
     ("oracle", "record_times = 0.0, 0.5, 1.0"),
@@ -181,7 +238,7 @@ def test_times_the_later_checks_accept_still_load(tmp_path, c0_text, needle,
         chain.alpha(np.array(values))           # the field's own check
     else:
         assert cfg.oracle.record_times == values
-        assert sorted(snap_times(cfg.span, cfg.oracle.problem.dt,
+        assert sorted(snap_times(cfg.coeffs.span, cfg.oracle.problem.dt,
                                  values)[2]) == [
             0, 2500, 5000]
 
@@ -809,7 +866,7 @@ def test_config_without_run_section_takes_the_defaults(tmp_path):
     head, sep, _ = text.partition("[run]")
     assert sep
     cfg = RunConfig.load(write_cfg(tmp_path, head))
-    assert cfg.field_times == cfg.span
+    assert cfg.field_times == cfg.coeffs.span
 
 
 def test_float_noise_field_phase_is_refused_at_its_section(tmp_path, capsys):

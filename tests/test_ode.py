@@ -80,7 +80,7 @@ def test_riccati_blowup_reports_escape_time():
     # imaginary axis: a = tan(t + pi/4), escaping at t = pi/4.
     coeffs = make_coeffs(B=0.0, C=0.0, span=(0.0, 2.0))
     with pytest.raises(BlowUp) as err:
-        width(coeffs, alpha0=1j, span=(0.0, 2.0))
+        width(coeffs, alpha0=1j)
     assert err.value.escape_time == pytest.approx(math.pi / 4, abs=5e-2)
 
 
@@ -384,7 +384,9 @@ def test_chain_steps_end_on_the_knots_inside_the_span(monkeypatch):
     ends = traj.alpha._ts
     assert all(np.min(np.abs(ends - t)) <= 1e-15 for t in knots)
     # a narrower span passes only the knots inside it
-    solve_chain(coeffs, 1.0, span=(0.25, 0.75))
+    ts, narrow = np.linspace(*SPAN, 12), (0.25, 0.75)
+    solve_chain(make_coeffs(B=TimeFunction.tabulated(ts, np.cos(ts), narrow),
+                            span=narrow), 1.0)
     assert passed[1] == [t for t in knots if 0.25 < t < 0.75]
 
 

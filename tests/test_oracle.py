@@ -39,7 +39,7 @@ def stationary_deviation(harmonic):
     """Modulus drift of the lowest static profile at three radial counts."""
     out = {}
     for n_rho in (1024, 2048, 4096):
-        prob = RadialProblem(harmonic, 0, 6.0, n_rho, 1e-4, SPAN)
+        prob = RadialProblem(harmonic, 0, 6.0, n_rho, 1e-4)
         u0 = np.exp(-prob.rho ** 2 / 2.0)
         res = propagate(prob, u0)
         out[n_rho] = float(np.max(np.abs(np.abs(res.fields[-1])
@@ -112,7 +112,7 @@ def test_every_sector_uses_the_cell_centres(n, C):
     # singular (nu = 2), regular (nu = 0) and pure winding (nu = 1)
     # sectors share one layout: N unknowns at (j + 1/2) drho, measured
     # by rho_j drho in u
-    prob = RadialProblem(make_coeffs(C=C), n, 8.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(make_coeffs(C=C), n, 8.0, 512, 1e-3)
     assert prob.nu == math.sqrt(n * n + 2.0 * C)
     assert prob.rho.shape == (512,)
     assert prob.rho[0] == pytest.approx(0.5 * prob.drho)
@@ -132,7 +132,7 @@ def test_sector_operator_eigenvalues_converge_at_second_order(nu):
     coeffs = make_coeffs(m=1.0, w=1.0, B=0.0, C=0.5 * nu * nu)
     errors = []
     for n_rho in (1024, 2048, 4096):
-        prob = RadialProblem(coeffs, 0, 12.0, n_rho, 1e-3, SPAN)
+        prob = RadialProblem(coeffs, 0, 12.0, n_rho, 1e-3)
         basis, off = oracle._symmetrised_operator(prob)
         m, a, s = oracle._sector_terms(coeffs, 0, SPAN[0])
         levels = eigh_tridiagonal(
@@ -145,7 +145,7 @@ def test_sector_operator_eigenvalues_converge_at_second_order(nu):
 
 
 def test_problem_refinement_and_description(coeffs_c15):
-    prob = RadialProblem(coeffs_c15, -1, 8.0, 256, 1e-3, SPAN)
+    prob = RadialProblem(coeffs_c15, -1, 8.0, 256, 1e-3)
     fine = dataclasses.replace(prob, n_rho=2 * prob.n_rho)
     assert fine.n_rho == 512
     assert fine.drho == pytest.approx(prob.drho / 2.0)
@@ -158,9 +158,10 @@ def test_large_order_keeps_the_operator_finite():
     # 3.9e-4, where rho^(2 nu + 1) would underflow to 0.  The measures
     # and face ratios stay finite and positive, and a driven propagation
     # stays unitary.
-    coeffs = make_coeffs(m=TimeFunction.linear(1.0, 0.1, SPAN), w=100.0,
-                         B=0.0, C=0.5 * (50.0 ** 2 - 1.0))
-    prob = RadialProblem(coeffs, 1, 1.6, 2048, 1e-3, (0.0, 0.01))
+    span = (0.0, 0.01)
+    coeffs = make_coeffs(m=TimeFunction.linear(1.0, 0.1, span), w=100.0,
+                         B=0.0, C=0.5 * (50.0 ** 2 - 1.0), span=span)
+    prob = RadialProblem(coeffs, 1, 1.6, 2048, 1e-3)
     assert prob.nu == 50.0
     assert prob.rho[0] ** 101 == 0.0
     k_sub, k_diag, k_sup = oracle._kinetic_stencil(prob)
@@ -175,25 +176,21 @@ def test_large_order_keeps_the_operator_finite():
 
 def test_problem_validation(coeffs_c15):
     with pytest.raises(ValueError):
-        RadialProblem(coeffs_c15, 0, 8.0, 128, 1e-3, SPAN)
+        RadialProblem(coeffs_c15, 0, 8.0, 128, 1e-3)
     with pytest.raises(ValueError):
-        RadialProblem(coeffs_c15, 0, 8.0, 512, 0.0, SPAN)
+        RadialProblem(coeffs_c15, 0, 8.0, 512, 0.0)
     with pytest.raises(ValueError):
-        RadialProblem(coeffs_c15, 0, -8.0, 512, 1e-3, SPAN)
-    with pytest.raises(ValueError):
-        RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (1.0, 0.0))
+        RadialProblem(coeffs_c15, 0, -8.0, 512, 1e-3)
     with pytest.raises(ValueError, match="finite step count"):
-        RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-320, SPAN)
-    with pytest.raises(OutOfDomain):
-        RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-3, (0.0, 2.0))
+        RadialProblem(coeffs_c15, 0, 8.0, 512, 1e-320)
     with pytest.raises(FallToCenter):
-        RadialProblem(make_coeffs(C=-1.0), 1, 8.0, 512, 1e-3, SPAN)
+        RadialProblem(make_coeffs(C=-1.0), 1, 8.0, 512, 1e-3)
 
 
 # -- propagation guards --------------------------------------------------------------
 
 def test_initial_state_guards(harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3)
     good = np.exp(-prob.rho ** 2 / 2.0)
     with pytest.raises(MismatchedGrids):
         propagate(prob, good[:-1])
@@ -208,7 +205,7 @@ def test_initial_state_guards(harmonic):
 
 
 def test_record_times_snap_and_sort(harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3)
     u0 = np.exp(-prob.rho ** 2 / 2.0)
     res = propagate(prob, u0, record_times=(1.0, 0.50002, 0.0))
     assert res.times == (0.0, 0.5, 1.0)
@@ -224,7 +221,7 @@ def test_record_times_snap_and_sort(harmonic):
 
 def test_free_ring_norm_is_conserved():
     coeffs = make_coeffs(w=0.0, B=0.0, C=0.0)
-    prob = RadialProblem(coeffs, 0, 10.0, 512, 1e-4, SPAN)
+    prob = RadialProblem(coeffs, 0, 10.0, 512, 1e-4)
     u0 = np.exp(-(prob.rho - 4.0) ** 2)
     res = propagate(prob, u0)
     assert res.norm_drift_total < 1e-9
@@ -234,7 +231,7 @@ def test_free_ring_norm_is_conserved():
 def test_unitary_even_at_coarse_dt(harmonic):
     # the midpoint scheme is norm-preserving independent of dt; a large
     # step costs accuracy, never stability
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 0.05, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 0.05)
     u0 = np.exp(-prob.rho ** 2 / 2.0)
     res = propagate(prob, u0)
     assert res.norm_drift_total < 1e-9
@@ -258,7 +255,7 @@ def test_stationary_modulus_converges_in_the_grid(stationary_deviation):
 
 
 def test_halving_dt_quarters_the_error(harmonic):
-    prob = RadialProblem(harmonic, 0, 8.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(harmonic, 0, 8.0, 512, 1e-3)
     u0 = (1.0 + 0.5 * prob.rho ** 2) * np.exp(-prob.rho ** 2 / 2.0)
     w = prob.weights()
 
@@ -283,8 +280,8 @@ def test_opposite_windings_differ_by_the_frame_phase():
     # propagates to the same shape times exp(+2i rate n t)
     coeffs = make_coeffs(w=0.0, B=2.0, C=0.0)
     rate = 0.5
-    plus = RadialProblem(coeffs, +1, 8.0, 512, 5e-4, SPAN)
-    minus = RadialProblem(coeffs, -1, 8.0, 512, 5e-4, SPAN)
+    plus = RadialProblem(coeffs, +1, 8.0, 512, 5e-4)
+    minus = RadialProblem(coeffs, -1, 8.0, 512, 5e-4)
     u0 = np.exp(-(plus.rho - 3.0) ** 2)
     up = propagate(plus, u0).fields[-1]
     um = propagate(minus, u0).fields[-1]
@@ -303,7 +300,7 @@ def test_fidelity_against_assembly_improves_with_the_grid(coeffs_ramp,
     winding = sector_winding(mode)
     scores = []
     for n_rho in (256, 512, 1024):
-        prob = RadialProblem(coeffs_ramp, winding, 12.0, n_rho, 5e-4, SPAN)
+        prob = RadialProblem(coeffs_ramp, winding, 12.0, n_rho, 5e-4)
         rho = prob.rho
         u0 = assemble_psi(mode, chain_ramp, rho, 0.0 * rho, SPAN[0])
         res = propagate(prob, u0, record_times=(1.0,),
@@ -318,7 +315,7 @@ def test_fidelity_against_assembly_improves_with_the_grid(coeffs_ramp,
 # -- overlap metric ------------------------------------------------------------------
 
 def test_fidelity_trivial_cases(harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3)
     w = prob.weights()
     u = np.exp(-prob.rho ** 2 / 2.0).astype(complex)
     assert fidelity(u, u, w) == pytest.approx(1.0, abs=1e-14)
@@ -329,7 +326,7 @@ def test_fidelity_trivial_cases(harmonic):
 
 
 def test_fidelity_shape_and_zero_guards(harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-3)
     w = prob.weights()
     u = np.exp(-prob.rho ** 2 / 2.0).astype(complex)
     with pytest.raises(MismatchedGrids):
@@ -341,7 +338,7 @@ def test_fidelity_shape_and_zero_guards(harmonic):
 # -- exports -------------------------------------------------------------------------
 
 def test_result_csv_layouts(tmp_path, harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-2, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-2)
     u0 = np.exp(-prob.rho ** 2 / 2.0)
     res = propagate(prob, u0, record_times=(0.0, 0.5, 1.0),
                     reference=lambda t: u0 * cmath.exp(-1j * t))
@@ -379,7 +376,7 @@ def _write_snapshots_per_row(result, path, digest):
 def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
                                                           digest):
     # 4199 unknowns per snapshot: one full chunk plus a partial tail
-    prob = RadialProblem(harmonic, 1, 7.3, 4199, 1e-2, SPAN)
+    prob = RadialProblem(harmonic, 1, 7.3, 4199, 1e-2)
     times = (0.0, 1.0 / 3.0, 1.0)
     rng = np.random.default_rng(11)
     shape = (len(times), prob.rho.size)
@@ -400,7 +397,7 @@ def test_chunked_snapshots_csv_matches_the_per_row_writer(tmp_path, harmonic,
 
 
 def test_result_without_reference_reports_nan_fidelity(tmp_path, harmonic):
-    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-2, SPAN)
+    prob = RadialProblem(harmonic, 0, 6.0, 512, 1e-2)
     u0 = np.exp(-prob.rho ** 2 / 2.0)
     res = propagate(prob, u0, record_times=(1.0,))
     assert res.fidelities is None
@@ -446,7 +443,7 @@ def _driven():
 
 
 def _ring_problem(coeffs, dt=2e-3):
-    prob = RadialProblem(coeffs, 2, 10.0, 512, dt, SPAN)
+    prob = RadialProblem(coeffs, 2, 10.0, 512, dt)
     return prob, np.exp(-(prob.rho - 3.0) ** 2) * (1.0 + 0.3j * prob.rho)
 
 
@@ -519,7 +516,7 @@ def _extended_cn_reference(problem, u0):
 
 
 def _mirror_problem():
-    prob = RadialProblem(make_coeffs(C=0.0), 0, 6.0, 256, 2e-3, SPAN)
+    prob = RadialProblem(make_coeffs(C=0.0), 0, 6.0, 256, 2e-3)
     return prob, np.exp(-prob.rho ** 2 / 2.0) * (1.0 + 0.3j * prob.rho ** 2)
 
 

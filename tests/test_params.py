@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from invosc.errors import ConfigError, NonFinite, OutOfDomain
-from invosc.oracle import RadialProblem
 from invosc.params import (FAMILIES, CoefficientRangeError, CoefficientSet,
                            TimeFunction, coefficient_terms, parse_sections)
 from invosc.wavefunction import ModeSpec, PolarGrid, schrodinger_residual
@@ -41,8 +40,7 @@ def test_family_array_evaluation():
 def test_tabulated_exact_at_nodes():
     ts = np.linspace(0.0, 1.0, 7)
     vs = np.cos(ts)
-    f = TimeFunction.tabulated(ts, vs)
-    assert f.span == (0.0, 1.0)
+    f = TimeFunction.tabulated(ts, vs, SPAN)
     for t, v in zip(ts, vs):
         assert f.value(t) == pytest.approx(v, abs=1e-15)
     # between nodes the cubic tracks a smooth function closely
@@ -51,11 +49,11 @@ def test_tabulated_exact_at_nodes():
 
 def test_tabulated_rejects_bad_samples():
     with pytest.raises(ValueError):
-        TimeFunction.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+        TimeFunction.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0], SPAN)
     with pytest.raises(ValueError):
-        TimeFunction.tabulated([0.0, 1.0], [1.0, 2.0, 3.0])
+        TimeFunction.tabulated([0.0, 1.0], [1.0, 2.0, 3.0], SPAN)
     with pytest.raises(NonFinite):
-        TimeFunction.tabulated([0.0, 0.5, 1.0], [1.0, math.nan, 3.0])
+        TimeFunction.tabulated([0.0, 0.5, 1.0], [1.0, math.nan, 3.0], SPAN)
 
 
 def test_out_of_span_raises():
@@ -75,8 +73,8 @@ FAR_SPAN = (99.0, 100.0)
 @pytest.mark.parametrize("past,accepted", [(5e-11, True), (2e-10, False)],
                          ids=["inside-slack", "past-slack"])
 def test_every_span_check_allows_the_same_slack(past, accepted):
-    # the coefficients, the chain's interpolant, the radial oracle and the
-    # residual stencil all read the one rule in params
+    # the coefficients, the chain's interpolant and the residual stencil
+    # all read the one rule in params
     coeffs = make_coeffs(span=FAR_SPAN)
     chain = make_chain(coeffs)
     mode = ModeSpec.from_coupling(k=1.0, n=1, C=1.5, conventions=WINNER)
@@ -84,9 +82,6 @@ def test_every_span_check_allows_the_same_slack(past, accepted):
     checks = {
         "TimeFunction.value": lambda: coeffs.mass.value(t),
         "DenseFunction": lambda: chain.alpha(t),
-        "RadialProblem": lambda: RadialProblem(
-            coeffs, n=1, rho_max=8.0, n_rho=256, dt=0.01,
-            span=(FAR_SPAN[0], t)),
         "schrodinger_residual": lambda: schrodinger_residual(
             mode, chain, coeffs, PolarGrid(0.4, 8.0, 16, 16), (t - dt,),
             steps=(dt,)),
@@ -109,7 +104,7 @@ PARITY_FAMILIES = {
     "exponential": TimeFunction.exponential(1.5, -0.7, PARITY_SPAN),
     "sinusoidal": TimeFunction.sinusoidal(1.0, 2.0, PARITY_SPAN, offset=0.5),
     "polynomial": TimeFunction.polynomial((1.0, -0.5, 3.0, 0.25), PARITY_SPAN),
-    "tabulated": TimeFunction.tabulated(_KNOTS, np.cos(_KNOTS)),
+    "tabulated": TimeFunction.tabulated(_KNOTS, np.cos(_KNOTS), PARITY_SPAN),
 }
 
 
@@ -161,7 +156,7 @@ def test_minimum_on_span_sees_interior_dips():
     (TimeFunction.polynomial((0.5, 0.0, -3.0, 2.0), (-0.25, 1.5)), 0.28125),
     # the natural spline through these samples dips below all of them
     (TimeFunction.tabulated((0.0, 0.3, 0.5, 0.7, 1.0),
-                            (1.0, 0.1, 0.05, 0.2, 1.0)), 0.05),
+                            (1.0, 0.1, 0.05, 0.2, 1.0), SPAN), 0.05),
 ], ids=["polynomial", "tabulated"])
 def test_minimum_on_span_finds_a_dip_between_the_endpoints(f, floor):
     # ``floor``: the least value at an endpoint or a sample
@@ -262,17 +257,14 @@ def test_negative_frequency_rejected():
     make_coeffs(w=0.0)
 
 
-def test_common_span_is_the_intersection():
-    c = CoefficientSet(mass=TimeFunction.constant(1.0, (0.0, 0.5)),
-                       frequency=TimeFunction.constant(1.0, SPAN),
-                       magnetic_field=TimeFunction.constant(1.0, SPAN),
-                       charge=1.0, coupling=0.0)
-    assert c.span == (0.0, 0.5)
-    with pytest.raises(ValueError, match="empty intersection"):
-        CoefficientSet(mass=TimeFunction.constant(1.0, (2.0, 3.0)),
-                       frequency=TimeFunction.constant(1.0, SPAN),
-                       magnetic_field=TimeFunction.constant(1.0, SPAN),
-                       charge=1.0, coupling=0.0)
+def test_coefficients_on_different_spans_are_refused():
+    # a nested span and a disjoint one alike: the run has one span
+    for mass_span in ((0.0, 0.5), (2.0, 3.0)):
+        with pytest.raises(ValueError, match="must share one span"):
+            CoefficientSet(mass=TimeFunction.constant(1.0, mass_span),
+                           frequency=TimeFunction.constant(1.0, SPAN),
+                           magnetic_field=TimeFunction.constant(1.0, SPAN),
+                           charge=1.0, coupling=0.0)
 
 
 def test_nonfinite_constants_rejected():

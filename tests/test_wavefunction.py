@@ -285,9 +285,26 @@ def test_origin_zero_for_steep_orders(mode_c15, chain_c15):
     assert assemble_psi(mode_c15, chain_c15, 0.0, 0.0, 0.5) == 0.0
 
 
-def test_origin_undefined_for_shallow_fractional_order():
-    mode = ModeSpec.from_coupling(k=1.0, n=0, C=0.32, conventions=WINNER)
-    with pytest.raises(OriginUndefined):
+def test_origin_zero_for_shallow_fractional_order():
+    # 0 < nu < 1: J_nu falls like rho^nu, so the field tends to 0 at the
+    # origin as it does for every nu > 0
+    for n, C in ((0, 0.32), (1, -0.375)):       # nu = 0.8 and 1/2
+        mode = ModeSpec.from_coupling(k=1.0, n=n, C=C, conventions=WINNER)
+        assert 0.0 < mode.nu < 1.0
+        assert assemble_psi(mode, FlatChain(), 0.0, 0.0, 0.5) == 0.0
+        assert abs(assemble_psi(mode, FlatChain(), 1e-12, 0.0, 0.5)) < 1e-5
+
+
+def test_origin_undefined_for_order_zero_with_winding():
+    # nu = 0 at n = 1 (C = -1/2): J_0 tends to 1, so the field tends to
+    # e^{-i phi} times a phase, which takes opposite values along +x
+    # and -x
+    mode = ModeSpec.from_coupling(k=1.0, n=1, C=-0.5, conventions=WINNER)
+    assert mode.nu == 0.0
+    plus, minus = (assemble_psi(mode, FlatChain(), x, 0.0, 0.5)
+                   for x in (1e-12, -1e-12))
+    assert abs(plus) == pytest.approx(1.0) and plus == pytest.approx(-minus)
+    with pytest.raises(OriginUndefined, match="nu = 0, n = 1"):
         assemble_psi(mode, FlatChain(), 0.0, 0.0, 0.5)
 
 
@@ -385,10 +402,15 @@ def test_sample_field_shape_and_provenance(mode_c15, chain_c15):
 
 
 def test_sample_field_propagates_origin_policy():
-    mode = ModeSpec.from_coupling(k=1.0, n=0, C=0.32, conventions=WINNER)
+    # the rho = 0 ring of a disk grid takes the value at the origin
     disk = PolarGrid(0.0, 4.0, 16, 16)
+    shallow = ModeSpec.from_coupling(k=1.0, n=0, C=0.32, conventions=WINNER)
+    field = sample_field(shallow, FlatChain(), disk, (0.5,))
+    assert np.all(field.values[0, 0] == 0.0)
+    assert np.all(field.values[0, 1:] != 0.0)
+    wound = ModeSpec.from_coupling(k=1.0, n=1, C=-0.5, conventions=WINNER)
     with pytest.raises(OriginUndefined):
-        sample_field(mode, FlatChain(), disk, (0.5,))
+        sample_field(wound, FlatChain(), disk, (0.5,))
 
 
 def test_wave_field_validation(mode_c15):
@@ -566,7 +588,7 @@ def test_temporal_ladder_builds_one_geometry(geometry_builds, mode_c15,
 def test_convention_scan_shares_one_geometry(geometry_builds, mode_c15,
                                              coeffs_c15, chain_c15):
     chains = {+1: chain_c15, -1: make_chain(coeffs_c15, branch=-1)}
-    outcome = convention_scan(mode_c15, chains.__getitem__, coeffs_c15,
+    outcome = convention_scan(mode_c15, chains, coeffs_c15,
                               RESIDUAL_GRID, (0.4,), step=4e-2)
     assert outcome.winner == WINNER
     assert geometry_builds == [RESIDUAL_GRID.shape]
@@ -613,7 +635,7 @@ def test_geometry_must_match_the_nodes_and_the_mode(mode_c15, chain_c15,
     with pytest.raises(ValueError):
         schrodinger_residual(mode_c15, chain_c15, coeffs_c15,
                              PolarGrid(0.4, 8.0, 16, 20), (0.5,),
-                             geometry=geometry)
+                             steps=(8e-3,), geometry=geometry)
 
 
 def _write_csv_per_row(field, path, digest):
@@ -984,8 +1006,9 @@ def test_residual_argument_validation(mode_c15, chain_c15, coeffs_c15):
     with pytest.raises(ValueError, match="one or more"):
         schrodinger_residual(mode_c15, chain_c15, coeffs_c15, grid, (0.5,),
                              steps=())
-    with pytest.raises(ValueError):
-        schrodinger_residual(None, None, coeffs_c15, grid, (0.5,))
+    with pytest.raises(ValueError, match="need mode and traj"):
+        schrodinger_residual(None, None, coeffs_c15, grid, (0.5,),
+                             steps=(8e-3,))
 
 
 def test_residual_report_formatting(tmp_path, mode_c15, chain_c15,
@@ -1014,9 +1037,8 @@ def test_residual_report_formatting(tmp_path, mode_c15, chain_c15,
 
 @pytest.fixture(scope="module")
 def scan_outcome(mode_c15, coeffs_c15):
-    def factory(branch):
-        return make_chain(coeffs_c15, branch=branch)
-    return convention_scan(mode_c15, factory, coeffs_c15, RESIDUAL_GRID,
+    chains = {b: make_chain(coeffs_c15, branch=b) for b in (+1, -1)}
+    return convention_scan(mode_c15, chains, coeffs_c15, RESIDUAL_GRID,
                            (0.4,), step=4e-2)
 
 
@@ -1049,11 +1071,9 @@ def test_indistinguishable_readings_raise_inconclusive(mode_c15, coeffs_c15):
     # with alpha frozen at 0 the eight readings assemble the same field,
     # so no residual can separate them: the tied table comes back, and
     # the commands' 2x rule refuses it
-    def factory(branch):
-        return FlatChain()
-
     grid = PolarGrid(0.4, 8.0, 16, 16)
-    outcome = convention_scan(mode_c15, factory, coeffs_c15, grid, (0.5,),
+    outcome = convention_scan(mode_c15, {+1: FlatChain(), -1: FlatChain()},
+                              coeffs_c15, grid, (0.5,),
                               step=8e-3)
     rows = outcome.rows
     assert len(rows) == 8
